@@ -1,7 +1,7 @@
 //! Runs every experiment and writes EXPERIMENTS.md.
 //! Usage: `run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR]`.
 
-use jrt_experiments::{jobs, report};
+use jrt_experiments::{jobs, report, tape};
 use jrt_workloads::Size;
 
 const HELP: &str = "\
@@ -70,6 +70,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "EXPERIMENTS.md".into());
     let r = report::run_filtered(size, filter.as_deref());
+    tape::remove_spill_dir();
     let md = r.to_markdown();
     std::fs::write(&out, &md).expect("write report");
     println!("wrote {out}");

@@ -5,7 +5,7 @@
 //! markdown section is byte-identical at any `--jobs` setting.
 //! Usage: `scale_study [tiny|s1|s10] [output-path] [--jobs N]`.
 
-use jrt_experiments::{jobs, scale};
+use jrt_experiments::{jobs, scale, tape};
 use jrt_workloads::Size;
 
 fn main() {
@@ -29,6 +29,7 @@ fn main() {
         }
     };
     let study = scale::run(size);
+    tape::remove_spill_dir();
     if study.rows.iter().any(|r| r.shards.iter().any(|p| !p.exact)) {
         eprintln!("ERROR: sharded replay diverged from the serial reference");
         let md = study.to_markdown();

@@ -121,18 +121,19 @@ fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
 fn baseline(w: &Workload, mode: Mode) -> Measured {
     let mut caches = SplitCaches::paper_l1();
     let e = tape::replay(w, mode, &mut caches);
+    let (counts, result) = (&e.summary.counts, &e.summary.result);
     let (_i, d) = caches.into_inner();
     Measured {
-        total: e.counts.total(),
-        translate: e.counts.phase(Phase::Translate),
+        total: counts.total(),
+        translate: counts.phase(Phase::Translate),
         cc_write_misses: d.region_stats(Region::CodeCache).write_misses,
-        translations: e.result.counters.methods_translated,
-        retranslations: e.result.counters.retranslations,
-        evictions: e.result.counters.code_evictions,
-        tier2: e.result.counters.tier2_recompiles,
-        live_bytes: e.result.footprint.code_cache_bytes,
-        ever_bytes: e.result.footprint.code_ever_bytes,
-        largest_bytes: e.result.counters.largest_method_bytes,
+        translations: result.counters.methods_translated,
+        retranslations: result.counters.retranslations,
+        evictions: result.counters.code_evictions,
+        tier2: result.counters.tier2_recompiles,
+        live_bytes: result.footprint.code_cache_bytes,
+        ever_bytes: result.footprint.code_ever_bytes,
+        largest_bytes: result.counters.largest_method_bytes,
     }
 }
 

@@ -105,10 +105,10 @@ fn run_one(w: &Workload) -> Fig1Row {
 
     Fig1Row {
         name: w.spec.name,
-        jit_total: jit.counts.total(),
-        translate: jit.counts.phase(Phase::Translate),
-        opt_total: opt.counts.total(),
-        interp_total: interp.counts.total(),
+        jit_total: jit.summary.counts.total(),
+        translate: jit.summary.counts.phase(Phase::Translate),
+        opt_total: opt.summary.counts.total(),
+        interp_total: interp.summary.counts.total(),
     }
 }
 

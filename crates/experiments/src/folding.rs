@@ -101,7 +101,7 @@ fn measure(w: &Workload, folding: bool) -> (u64, [f64; 2]) {
     ];
     entry.tape.replay(&mut pipes);
     (
-        entry.counts.total(),
+        entry.summary.counts.total(),
         [pipes[0].report().ipc(), pipes[1].report().ipc()],
     )
 }

@@ -173,19 +173,24 @@ impl IrStudy {
 }
 
 fn measure(w: &Workload, ir: bool) -> IrMeasure {
+    // Only the installed code bytes are read of the JIT runs. The
+    // stack JIT's stream is replayed by other drivers, so it comes from
+    // its recording; the IR-backed JIT's nobody replays, so it runs
+    // count-only.
     let (interp, blocks, jit) = if ir {
         (
             tape::recorded_ir(w, Mode::Interp),
             tape::decoded_ir(w, Mode::Interp),
-            tape::recorded_ir(w, Mode::Jit),
+            tape::summary_ir(w, Mode::Jit),
         )
     } else {
         (
             tape::recorded(w, Mode::Interp),
             tape::decoded(w, Mode::Interp),
-            tape::recorded(w, Mode::Jit),
+            tape::recorded(w, Mode::Jit).summary.clone(),
         )
     };
+    let interp = &interp.summary;
     let ipoints = [CacheConfig::paper_l1_inst()];
     let dpoints = [CacheConfig::paper_l1_data()];
     let mut sweep = SplitSweep::new(&ipoints, &dpoints);

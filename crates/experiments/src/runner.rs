@@ -33,13 +33,29 @@ impl Mode {
 /// Derives the paper's oracle for `program` by profiling one
 /// interpreter run and one JIT run.
 pub fn derive_oracle(program: &Program) -> OracleDecisions {
-    let interp = Vm::new(program, VmConfig::interpreter())
-        .run(&mut CountingSink::new())
-        .expect("profiling run (interp)");
-    let jit = Vm::new(program, VmConfig::jit())
-        .run(&mut CountingSink::new())
-        .expect("profiling run (jit)");
+    let interp = run_mode(program, Mode::Interp, &mut CountingSink::new());
+    let jit = run_mode(program, Mode::Jit, &mut CountingSink::new());
     OracleDecisions::from_profiles(&interp.profile, &jit.profile)
+}
+
+/// The VM configuration of `mode` on the stack engines (`ir` false) or
+/// the register-IR tier (`ir` true): the one mapping from a [`Mode`]
+/// to an engine, shared by recordings, count-only summaries and
+/// [`run_mode`]. `oracle` supplies the [`Mode::Opt`] decisions and is
+/// called only for that mode.
+///
+/// # Panics
+///
+/// On `Mode::Opt` with `ir`: the opt oracle has no IR variant.
+pub fn vm_config(mode: Mode, ir: bool, oracle: impl FnOnce() -> OracleDecisions) -> VmConfig {
+    match (mode, ir) {
+        (Mode::Interp, false) => VmConfig::interpreter(),
+        (Mode::Interp, true) => VmConfig::ir_interp(),
+        (Mode::Jit, false) => VmConfig::jit(),
+        (Mode::Jit, true) => VmConfig::ir_jit(),
+        (Mode::Opt, false) => VmConfig::oracle(oracle()),
+        (Mode::Opt, true) => unreachable!("no IR variant of the opt oracle"),
+    }
 }
 
 /// Runs `program` under `mode`, streaming into `sink`.
@@ -49,11 +65,7 @@ pub fn derive_oracle(program: &Program) -> OracleDecisions {
 /// Panics if the program faults — workloads are self-checking and
 /// must not fail.
 pub fn run_mode(program: &Program, mode: Mode, sink: &mut impl TraceSink) -> RunResult {
-    let cfg = match mode {
-        Mode::Interp => VmConfig::interpreter(),
-        Mode::Jit => VmConfig::jit(),
-        Mode::Opt => VmConfig::oracle(derive_oracle(program)),
-    };
+    let cfg = vm_config(mode, false, || derive_oracle(program));
     Vm::new(program, cfg)
         .run(sink)
         .expect("workload runs clean")
@@ -71,14 +83,9 @@ pub fn run_mode_sync(
     oracle: Option<&OracleDecisions>,
     sink: &mut impl TraceSink,
 ) -> RunResult {
-    let cfg = match mode {
-        Mode::Interp => VmConfig::interpreter(),
-        Mode::Jit => VmConfig::jit(),
-        Mode::Opt => match oracle {
-            Some(o) => VmConfig::oracle(o.clone()),
-            None => VmConfig::oracle(derive_oracle(program)),
-        },
-    }
+    let cfg = vm_config(mode, false, || {
+        oracle.cloned().unwrap_or_else(|| derive_oracle(program))
+    })
     .with_sync(sync);
     Vm::new(program, cfg)
         .run(sink)

@@ -238,6 +238,9 @@ fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
         let exact = signature(&stitched) == serial_sig && mix == serial_mix;
         shards.push(ShardPoint { workers, exact });
     }
+    if let Err(e) = disk.remove() {
+        eprintln!("warning: cannot remove tiled tape {}: {e}", path.display());
+    }
 
     ScaleRow {
         name: w.spec.name.to_string(),

@@ -7,6 +7,10 @@
 //! from the experiments stay valid." This experiment runs three
 //! representative benchmarks at three scales and shows the
 //! translation share of JIT time falling as inputs grow.
+//!
+//! Like the paper's sweep, it needs only two counts per run, so every
+//! point is a count-only [`tape::summary`]: no S1 or S10 stream is
+//! recorded, since nothing replays one.
 
 use crate::jobs;
 use crate::runner::Mode;
@@ -63,24 +67,12 @@ impl Sizes {
 
 const SIZES: [Size; 3] = [Size::Tiny, Size::S1, Size::S10];
 
-/// One benchmark × size job. Sizes differ per job, so there is no
-/// shared prebuild, but the per-`(benchmark, size)` program and
-/// recordings come from the tape cache — the s1 points are shared
-/// with the rest of a `run_all`.
-fn run_point(spec: &Spec, size: Size) -> (f64, f64) {
-    let w = tape::workload(spec, size);
-    let jit = tape::recorded(&w, Mode::Jit);
-    let interp = tape::recorded(&w, Mode::Interp);
-    let translate_share = jit.counts.phase(Phase::Translate) as f64 / jit.counts.total() as f64;
-    (
-        translate_share,
-        interp.counts.total() as f64 / jit.counts.total() as f64,
-    )
-}
-
 /// Runs the size sweep on three representative benchmarks
 /// (translation-heavy `db`/`javac`, execution-heavy `compress`),
-/// one job per benchmark × size.
+/// one job per benchmark × size × mode, so the two long runs of one
+/// point can land on different workers. Programs come from the tape
+/// cache's memo, and a point some other driver already recorded (the
+/// s1 points of a `run_all s1`) costs no VM run.
 pub fn run() -> Sizes {
     let specs = [
         Spec {
@@ -102,15 +94,26 @@ pub fn run() -> Sizes {
             multithreaded: false,
         },
     ];
-    let work = jobs::cross(&specs, &SIZES);
-    let points = jobs::par_map(&work, |(spec, size)| run_point(spec, *size));
+    let work = jobs::cross(&jobs::cross(&specs, &SIZES), &Mode::BOTH);
+    let runs = jobs::par_map(&work, |((spec, size), mode)| {
+        tape::summary(&tape::workload(spec, *size), *mode)
+    });
     let rows = specs
         .iter()
-        .zip(points.chunks(3))
-        .map(|(spec, p)| SizesRow {
-            name: spec.name,
-            translate_share: [p[0].0, p[1].0, p[2].0],
-            interp_ratio: [p[0].1, p[1].1, p[2].1],
+        .zip(runs.chunks(2 * SIZES.len()))
+        .map(|(spec, runs)| {
+            // `runs` holds the interp then the JIT run of each size.
+            let interp = |k: usize| &runs[2 * k].counts;
+            let jit = |k: usize| &runs[2 * k + 1].counts;
+            SizesRow {
+                name: spec.name,
+                translate_share: std::array::from_fn(|k| {
+                    jit(k).phase(Phase::Translate) as f64 / jit(k).total() as f64
+                }),
+                interp_ratio: std::array::from_fn(|k| {
+                    interp(k).total() as f64 / jit(k).total() as f64
+                }),
+            }
         })
         .collect();
     Sizes { rows }

@@ -72,8 +72,8 @@ fn run_one(w: &Workload) -> Table1Row {
     // runs needed.
     Table1Row {
         name: w.spec.name,
-        interp: tape::recorded(w, Mode::Interp).result.footprint,
-        jit: tape::recorded(w, Mode::Jit).result.footprint,
+        interp: tape::recorded(w, Mode::Interp).summary.result.footprint,
+        jit: tape::recorded(w, Mode::Jit).summary.result.footprint,
     }
 }
 

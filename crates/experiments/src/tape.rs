@@ -6,9 +6,9 @@
 //! re-executed the VM per consumer instead — `run_all` regenerated the
 //! same `(workload, mode)` stream up to a dozen times. This module
 //! restores the paper's architecture: a process-global cache memoizes
-//! one packed [`Tape`] (plus the [`RunResult`] and a [`CountingSink`]
-//! snapshot of the recording pass) per `(workload, size, mode)` key,
-//! and drivers [`replay`] from it at memory speed.
+//! one packed [`Tape`] (plus the recording pass's [`RunSummary`]) per
+//! `(workload, size, mode)` key, and drivers [`replay`] from it at
+//! memory speed.
 //!
 //! Concurrency: keys are looked up under a brief mutex that hands out
 //! an `Arc<OnceLock>` slot per key, and the expensive record happens
@@ -44,14 +44,23 @@
 //! iterate those arrays instead of paying the varint decoder and a
 //! virtual `accept` per event per pass. Decoded blocks are charged
 //! against their own instance of the same LRU byte budget.
+//!
+//! Beside the tapes sits a count-only memo: [`summary`] returns a
+//! key's [`RunSummary`] (run result plus per-phase instruction
+//! counts). Every recording publishes its summary there, so a key that
+//! was ever recorded answers without touching the VM, the tape store
+//! or the disk tier; any other key runs the VM once straight into a
+//! [`CountingSink`], with no tape. A driver uses [`summary`] for a key
+//! when it reads only counts and no driver replays that key's stream —
+//! otherwise the count-only run would be a second VM run of the key.
 
 use crate::jobs::Workload;
-use crate::runner::Mode;
+use crate::runner::{self, Mode};
 use jrt_bytecode::Program;
 use jrt_trace::{
     AccessBlock, AccessBlocks, CountingSink, DiskTape, FanoutSink, Tape, TapeRecorder, TraceSink,
 };
-use jrt_vm::{OracleDecisions, RunResult, Vm, VmConfig};
+use jrt_vm::{OracleDecisions, RunResult, Vm};
 use jrt_workloads::{Size, Spec};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -72,15 +81,35 @@ struct Key {
     ir: bool,
 }
 
+impl Key {
+    fn new(w: &Workload, mode: Mode, folding: bool, ir: bool) -> Key {
+        Key {
+            name: w.spec.name,
+            size: w.size,
+            mode,
+            folding,
+            ir,
+        }
+    }
+}
+
+/// What one run yields besides its stream: all that a driver reading
+/// only counts needs.
+#[derive(Debug)]
+pub struct RunSummary {
+    /// The VM's run result (checksum, counters, profile, footprint).
+    pub result: RunResult,
+    /// Instruction counts of the run's native stream, per phase.
+    pub counts: CountingSink,
+}
+
 /// Everything one recording pass produces, shared immutably.
 #[derive(Debug)]
 pub struct TapeEntry {
     /// The packed native-instruction stream.
     pub tape: Tape,
-    /// The VM's run result (checksum, counters, profile, footprint).
-    pub result: RunResult,
-    /// Instruction counts taken during the recording pass.
-    pub counts: CountingSink,
+    /// The recording pass's summary, shared with the [`summary`] memo.
+    pub summary: Arc<RunSummary>,
 }
 
 type Slot<V> = Arc<OnceLock<V>>;
@@ -123,36 +152,49 @@ pub fn oracle(w: &Workload) -> Arc<OracleDecisions> {
             let interp = recorded(w, Mode::Interp);
             let jit = recorded(w, Mode::Jit);
             Arc::new(OracleDecisions::from_profiles(
-                &interp.result.profile,
-                &jit.result.profile,
+                &interp.summary.result.profile,
+                &jit.summary.result.profile,
             ))
         })
         .clone()
 }
 
-fn record(w: &Workload, mode: Mode, folding: bool, ir: bool) -> Arc<TapeEntry> {
-    let cfg = match (mode, ir) {
-        (Mode::Interp, false) => VmConfig::interpreter(),
-        (Mode::Interp, true) => VmConfig::ir_interp(),
-        (Mode::Jit, false) => VmConfig::jit(),
-        (Mode::Jit, true) => VmConfig::ir_jit(),
-        (Mode::Opt, false) => VmConfig::oracle(oracle(w).as_ref().clone()),
-        (Mode::Opt, true) => unreachable!("no IR variant of the opt oracle"),
-    };
-    let cfg = if folding { cfg.with_folding() } else { cfg };
+/// Runs `w` under the engine `key` names, streaming into `sink`, and
+/// checks the workload's checksum.
+fn run(w: &Workload, key: Key, sink: &mut impl TraceSink) -> RunResult {
+    let cfg = runner::vm_config(key.mode, key.ir, || oracle(w).as_ref().clone());
+    let cfg = if key.folding { cfg.with_folding() } else { cfg };
+    let result = Vm::new(&w.program, cfg)
+        .run(sink)
+        .expect("workload runs clean");
+    w.check(&result);
+    result
+}
+
+/// Count-only summaries, keyed like the tapes. Unbounded: an entry is
+/// a run result and a counter array, kilobytes next to a tape.
+static SUMMARIES: Memo<Key, Arc<RunSummary>> = OnceLock::new();
+
+/// VM recording passes so far.
+static RECORDINGS: AtomicU64 = AtomicU64::new(0);
+
+fn record(w: &Workload, key: Key) -> Arc<TapeEntry> {
+    RECORDINGS.fetch_add(1, Ordering::Relaxed);
     let mut rec = TapeRecorder::new();
     let mut counts = CountingSink::new();
-    let result = {
-        let mut fan = FanoutSink::new().with(&mut rec).with(&mut counts);
-        Vm::new(&w.program, cfg)
-            .run(&mut fan)
-            .expect("workload runs clean")
-    };
-    w.check(&result);
+    let result = run(
+        w,
+        key,
+        &mut FanoutSink::new().with(&mut rec).with(&mut counts),
+    );
+    // Publish the summary; a key recorded again (or summarized first)
+    // keeps the first one, which is equal.
+    let summary = slot_of(&SUMMARIES, key)
+        .get_or_init(|| Arc::new(RunSummary { result, counts }))
+        .clone();
     Arc::new(TapeEntry {
         tape: rec.into_tape(),
-        result,
-        counts,
+        summary,
     })
 }
 
@@ -308,17 +350,15 @@ fn enforce_decoded_budget(budget: u64, keep: Option<Key>) {
         });
 }
 
-/// One demoted entry: the on-disk tape plus the cheap side metadata
-/// that promotion must restore (results and counts are tiny next to
-/// the tape bytes).
+/// One demoted entry: the on-disk tape plus the summary that
+/// promotion must restore (tiny next to the tape bytes).
 #[derive(Debug, Clone)]
 struct DiskEntry {
     disk: DiskTape,
     /// Logical-content fingerprint taken at demotion; promotion
     /// re-derives it from what it read back and refuses a mismatch.
     expect: u64,
-    result: RunResult,
-    counts: CountingSink,
+    summary: Arc<RunSummary>,
 }
 
 fn disk_map() -> &'static Mutex<HashMap<Key, DiskEntry>> {
@@ -333,6 +373,14 @@ static DISK_PROMOTIONS: AtomicU64 = AtomicU64::new(0);
 /// Times a disk-tier read failed validation and fell back to a fresh
 /// recording.
 static DISK_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+/// VM recording passes so far: one per tape built by running the VM
+/// (first recordings, and re-recordings after eviction or a disk-tier
+/// fallback). Count-only [`summary`] runs and promotions are not
+/// recordings.
+pub fn recordings() -> u64 {
+    RECORDINGS.load(Ordering::Relaxed)
+}
 
 /// Evicted tapes written to the disk tier so far.
 pub fn disk_demotions() -> u64 {
@@ -351,30 +399,54 @@ pub fn disk_fallbacks() -> u64 {
     DISK_FALLBACKS.load(Ordering::Relaxed)
 }
 
+/// The spill directory, created on first use, and whether this
+/// process chose it (the per-process default) rather than the user
+/// (`JRT_TAPE_DIR`).
+static DISK_DIR: OnceLock<Option<(PathBuf, bool)>> = OnceLock::new();
+
 /// The disk-tier directory: `JRT_TAPE_DIR`, default a per-process
 /// directory under the system temp dir. `None` if it cannot be
 /// created (the store then degrades to evict-and-re-record).
 pub(crate) fn disk_dir() -> Option<&'static PathBuf> {
-    static DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
-    DIR.get_or_init(|| {
-        let dir = std::env::var_os("JRT_TAPE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("jrt-tapes-{}", std::process::id()))
-            });
-        match std::fs::create_dir_all(&dir) {
-            Ok(()) => Some(dir),
-            Err(e) => {
-                eprintln!(
-                    "warning: cannot create tape spill dir {}: {e}; \
-                     evicted tapes will re-record instead",
-                    dir.display()
-                );
-                None
+    DISK_DIR
+        .get_or_init(|| {
+            let (dir, owned) = match std::env::var_os("JRT_TAPE_DIR") {
+                Some(dir) => (PathBuf::from(dir), false),
+                None => (
+                    std::env::temp_dir().join(format!("jrt-tapes-{}", std::process::id())),
+                    true,
+                ),
+            };
+            match std::fs::create_dir_all(&dir) {
+                Ok(()) => Some((dir, owned)),
+                Err(e) => {
+                    eprintln!(
+                        "warning: cannot create tape spill dir {}: {e}; \
+                         evicted tapes will re-record instead",
+                        dir.display()
+                    );
+                    None
+                }
             }
+        })
+        .as_ref()
+        .map(|(dir, _)| dir)
+}
+
+/// Deletes the spill directory and everything in it, if this process
+/// created it under its default name; a `JRT_TAPE_DIR` directory
+/// belongs to the user and is left alone. Call it once no spilled tape
+/// will be read again, just before the process exits: later demotions
+/// would fail and re-record.
+pub fn remove_spill_dir() {
+    if let Some(Some((dir, true))) = DISK_DIR.get() {
+        if let Err(e) = std::fs::remove_dir_all(dir) {
+            eprintln!(
+                "warning: cannot remove tape spill dir {}: {e}",
+                dir.display()
+            );
         }
-    })
-    .as_ref()
+    }
 }
 
 fn spill_file(key: Key) -> String {
@@ -399,8 +471,7 @@ fn demote(key: Key, e: &TapeEntry) {
                 DiskEntry {
                     disk,
                     expect: jrt_trace::store::fingerprint(e.tape.len(), e.tape.segments()),
-                    result: e.result.clone(),
-                    counts: e.counts.clone(),
+                    summary: e.summary.clone(),
                 },
             );
         }
@@ -437,8 +508,7 @@ fn promote(key: Key) -> Option<Arc<TapeEntry>> {
             DISK_PROMOTIONS.fetch_add(1, Ordering::Relaxed);
             Some(Arc::new(TapeEntry {
                 tape,
-                result: entry.result,
-                counts: entry.counts,
+                summary: entry.summary,
             }))
         }
         Err(err) => {
@@ -454,19 +524,13 @@ fn promote(key: Key) -> Option<Arc<TapeEntry>> {
 }
 
 fn entry(w: &Workload, mode: Mode, folding: bool, ir: bool) -> Arc<TapeEntry> {
-    let key = Key {
-        name: w.spec.name,
-        size: w.size,
-        mode,
-        folding,
-        ir,
-    };
+    let key = Key::new(w, mode, folding, ir);
     let slot = tape_store().lock().expect("tape cache poisoned").slot(key);
     // The promote/record happens outside the store lock (other keys
     // proceed in parallel); the budget check runs after, so a giant
     // fresh tape can push out colder ones but is itself protected.
     let e = slot
-        .get_or_init(|| promote(key).unwrap_or_else(|| record(w, mode, folding, ir)))
+        .get_or_init(|| promote(key).unwrap_or_else(|| record(w, key)))
         .clone();
     enforce_budget(budget_bytes(), Some(key));
     e
@@ -491,6 +555,31 @@ pub fn recorded_folding(w: &Workload) -> Arc<TapeEntry> {
 /// counterparts.
 pub fn recorded_ir(w: &Workload, mode: Mode) -> Arc<TapeEntry> {
     entry(w, mode, false, true)
+}
+
+fn summary_of(w: &Workload, key: Key) -> Arc<RunSummary> {
+    slot_of(&SUMMARIES, key)
+        .get_or_init(|| {
+            let mut counts = CountingSink::new();
+            let result = run(w, key, &mut counts);
+            Arc::new(RunSummary { result, counts })
+        })
+        .clone()
+}
+
+/// Returns the memoized [`RunSummary`] of `w` under `mode` without
+/// recording a tape. A key that was ever recorded answers from its
+/// recording; otherwise the first call runs the VM once into a
+/// [`CountingSink`] alone. For keys some driver replays, call
+/// [`recorded`] instead, or the key runs twice.
+pub fn summary(w: &Workload, mode: Mode) -> Arc<RunSummary> {
+    summary_of(w, Key::new(w, mode, false, false))
+}
+
+/// Like [`summary`], but for the register-IR tier (see
+/// [`recorded_ir`]).
+pub fn summary_ir(w: &Workload, mode: Mode) -> Arc<RunSummary> {
+    summary_of(w, Key::new(w, mode, false, true))
 }
 
 /// Replays the cached `(w, mode)` stream into `sink` (recording it
@@ -542,13 +631,7 @@ pub fn for_each_block(w: &Workload, mode: Mode, mut f: impl FnMut(&AccessBlock))
 }
 
 fn decoded_entry(w: &Workload, mode: Mode, ir: bool) -> Arc<AccessBlocks> {
-    let key = Key {
-        name: w.spec.name,
-        size: w.size,
-        mode,
-        folding: false,
-        ir,
-    };
+    let key = Key::new(w, mode, false, ir);
     let slot = decoded_store()
         .lock()
         .expect("decoded cache poisoned")
@@ -587,8 +670,11 @@ mod tests {
         let a = recorded(&w, Mode::Interp);
         let b = recorded(&w, Mode::Interp);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one entry");
-        assert_eq!(a.counts.total(), a.tape.len());
-        assert_eq!(a.result.exit_value, Some(hello::expected(Size::Tiny)));
+        assert_eq!(a.summary.counts.total(), a.tape.len());
+        assert_eq!(
+            a.summary.result.exit_value,
+            Some(hello::expected(Size::Tiny))
+        );
     }
 
     #[test]
@@ -613,20 +699,14 @@ mod tests {
             before.events, after.events,
             "re-recording after eviction must reproduce the stream byte-for-byte"
         );
-        assert_eq!(a.result.exit_value, b.result.exit_value);
+        assert_eq!(a.summary.result.exit_value, b.summary.result.exit_value);
     }
 
     #[test]
     fn budget_keeps_the_entry_just_requested() {
         let _g = store_lock();
         let w = hello_workload();
-        let key = Key {
-            name: w.spec.name,
-            size: w.size,
-            mode: Mode::Interp,
-            folding: false,
-            ir: false,
-        };
+        let key = Key::new(&w, Mode::Interp, false, false);
         let _e = recorded(&w, Mode::Interp);
         // Even an impossible budget spares the protected key.
         enforce_budget(0, Some(key));
@@ -644,8 +724,19 @@ mod tests {
         let mut replayed = RecordingSink::new();
         let e = replay(&w, Mode::Jit, &mut replayed);
         assert_eq!(replayed.events, direct.events);
-        assert_eq!(e.result.exit_value, r.exit_value);
-        assert_eq!(e.counts.total(), direct.events.len() as u64);
+        assert_eq!(e.summary.result.exit_value, r.exit_value);
+        assert_eq!(e.summary.counts.total(), direct.events.len() as u64);
+    }
+
+    #[test]
+    fn summary_reuses_the_recording_wherever_its_tape_lives() {
+        let _g = store_lock();
+        let w = hello_workload();
+        let e = recorded(&w, Mode::Jit);
+        assert!(Arc::ptr_eq(&summary(&w, Mode::Jit), &e.summary));
+        // Demoted to disk (or dropped), the tape need not come back.
+        enforce_budget(0, None);
+        assert!(Arc::ptr_eq(&summary(&w, Mode::Jit), &e.summary));
     }
 
     #[test]
@@ -653,7 +744,7 @@ mod tests {
         let w = hello_workload();
         let stock = recorded(&w, Mode::Interp);
         let folded = recorded_folding(&w);
-        assert!(folded.counts.total() < stock.counts.total());
+        assert!(folded.summary.counts.total() < stock.summary.counts.total());
     }
 
     #[test]
@@ -708,13 +799,7 @@ mod tests {
     fn eviction_demotes_to_disk_and_promotes_back() {
         let _g = store_lock();
         let w = hello_workload();
-        let key = Key {
-            name: w.spec.name,
-            size: w.size,
-            mode: Mode::Interp,
-            folding: false,
-            ir: false,
-        };
+        let key = Key::new(&w, Mode::Interp, false, false);
         let a = recorded(&w, Mode::Interp);
         let mut before = RecordingSink::new();
         a.tape.replay(&mut before);
@@ -737,21 +822,15 @@ mod tests {
         let mut after = RecordingSink::new();
         b.tape.replay(&mut after);
         assert_eq!(before.events, after.events);
-        assert_eq!(a.result.exit_value, b.result.exit_value);
-        assert_eq!(a.counts, b.counts);
+        assert_eq!(a.summary.result.exit_value, b.summary.result.exit_value);
+        assert_eq!(a.summary.counts, b.summary.counts);
     }
 
     #[test]
     fn corrupt_spill_falls_back_to_rerecord() {
         let _g = store_lock();
         let w = hello_workload();
-        let key = Key {
-            name: w.spec.name,
-            size: w.size,
-            mode: Mode::Jit,
-            folding: false,
-            ir: false,
-        };
+        let key = Key::new(&w, Mode::Jit, false, false);
         let a = recorded(&w, Mode::Jit);
         let mut before = RecordingSink::new();
         a.tape.replay(&mut before);
@@ -821,6 +900,9 @@ mod tests {
         let o2 = oracle(&w);
         assert!(Arc::ptr_eq(&o1, &o2));
         let opt = recorded(&w, Mode::Opt);
-        assert_eq!(opt.result.exit_value, Some(hello::expected(Size::Tiny)));
+        assert_eq!(
+            opt.summary.result.exit_value,
+            Some(hello::expected(Size::Tiny))
+        );
     }
 }

@@ -277,6 +277,13 @@ impl DiskTape {
         &self.path
     }
 
+    /// Deletes the data and index files.
+    pub fn remove(self) -> Result<(), StoreError> {
+        std::fs::remove_file(index_path(&self.path))?;
+        std::fs::remove_file(&self.path)?;
+        Ok(())
+    }
+
     /// Fingerprint of the logical tape content — see [`fingerprint`].
     pub fn fingerprint(&self) -> u64 {
         fingerprint(self.events, &self.segments)

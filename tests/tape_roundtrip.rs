@@ -3,8 +3,10 @@
 //! arbitrary synthetic streams and for every real workload × mode.
 
 use javart::experiments::runner::{run_mode, Mode};
+use javart::experiments::tape;
 use javart::trace::{
-    AccessKind, CtrlInfo, InstClass, MemRef, NativeInst, Phase, RecordingSink, Tape, TraceSink,
+    AccessKind, CountingSink, CtrlInfo, InstClass, MemRef, NativeInst, Phase, RecordingSink, Tape,
+    TraceSink,
 };
 use javart::vm::{GcConfig, Vm, VmConfig};
 use javart::workloads::{gc_suite, suite_with_hello, Size};
@@ -68,18 +70,41 @@ fn synthetic_streams_round_trip_exactly() {
 
 /// `Tape::record` → `replay` reproduces the exact event sequence of a
 /// direct VM run for every workload × mode at `tiny`, and the packed
-/// encoding stays compact.
+/// encoding stays compact. The count-only `tape::summary` of a key
+/// nothing has recorded agrees with a direct run and records nothing.
 #[test]
 fn tape_reproduces_vm_event_stream_for_every_workload_and_mode() {
+    let recordings = tape::recordings();
     for spec in suite_with_hello() {
-        let program = (spec.build)(Size::Tiny);
+        let w = tape::workload(&spec, Size::Tiny);
+        for (label, summary, cfg) in [
+            (
+                "interp",
+                tape::summary(&w, Mode::Interp),
+                VmConfig::interpreter(),
+            ),
+            ("jit", tape::summary(&w, Mode::Jit), VmConfig::jit()),
+            (
+                "ir-jit",
+                tape::summary_ir(&w, Mode::Jit),
+                VmConfig::ir_jit(),
+            ),
+        ] {
+            let mut counts = CountingSink::new();
+            let r = Vm::new(&w.program, cfg).run(&mut counts).unwrap();
+            let at = format!("{} {label} summary", spec.name);
+            assert_eq!(summary.counts, counts, "{at}: per-phase counts");
+            assert_eq!(summary.result.counters, r.counters, "{at}: counters");
+            assert_eq!(summary.result.footprint, r.footprint, "{at}: footprint");
+        }
+        let program = &w.program;
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
             let mut direct = RecordingSink::new();
-            let r = run_mode(&program, mode, &mut direct);
+            let r = run_mode(program, mode, &mut direct);
             assert_eq!(r.exit_value, Some((spec.expected)(Size::Tiny)));
 
             let tape = Tape::record(|rec| {
-                run_mode(&program, mode, rec);
+                run_mode(program, mode, rec);
             });
             let mut replayed = RecordingSink::new();
             tape.replay(&mut replayed);
@@ -146,6 +171,11 @@ fn tape_reproduces_vm_event_stream_for_every_workload_and_mode() {
             );
         }
     }
+    assert_eq!(
+        tape::recordings(),
+        recordings,
+        "count-only summaries must not record a tape"
+    );
 }
 
 /// GC trace/counter equivalence: [`Phase::Gc`] events are exactly the
