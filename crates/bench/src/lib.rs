@@ -20,13 +20,13 @@
 
 pub mod check;
 
-use jrt_bpred::{Bht, BranchEval, GAp, Gshare, TwoBit};
+use jrt_bpred::{Bht, BranchEval, DirectionPredictor, GAp, Gshare, TwoBit};
 use jrt_cache::{CacheConfig, SplitCaches, SplitSweep};
 use jrt_experiments::{
     codecache, fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, gc_study, scale, serve,
     table1, table2, table3,
 };
-use jrt_ilp::{Pipeline, PipelineConfig};
+use jrt_ilp::{PipelineConfig, PipelineSweep};
 use jrt_sync::{FatLockEngine, OneBitLockEngine, SyncEngine, ThinLockEngine};
 use jrt_testkit::bench::Harness;
 use jrt_trace::{
@@ -169,18 +169,18 @@ pub fn bench_simulators(h: &mut Harness) {
         s
     });
     h.bench("consumer/branch_eval_gshare", || {
-        let mut s = BranchEval::new(Box::new(Gshare::paper()));
+        let mut s = BranchEval::new(DirectionPredictor::Gshare(Gshare::paper()));
         for e in &events {
             s.accept(e);
         }
         s
     });
     h.bench("consumer/pipeline_w4", || {
-        let mut p = Pipeline::new(PipelineConfig::paper(4));
+        let mut p = PipelineSweep::new(&[PipelineConfig::paper(4)]);
         for e in &events {
             p.accept(e);
         }
-        p.report()
+        p.reports()
     });
 
     // Tape pack/unpack cost on the same db trace: record once into the
@@ -246,21 +246,21 @@ pub fn bench_simulators(h: &mut Harness) {
         })
         .collect();
     h.bench("predictor/2bit", || {
-        let mut s = BranchEval::new(Box::new(TwoBit::new()));
+        let mut s = BranchEval::new(DirectionPredictor::TwoBit(TwoBit::new()));
         for e in &stream {
             s.accept(e);
         }
         s
     });
     h.bench("predictor/bht", || {
-        let mut s = BranchEval::new(Box::new(Bht::paper()));
+        let mut s = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         for e in &stream {
             s.accept(e);
         }
         s
     });
     h.bench("predictor/gap", || {
-        let mut s = BranchEval::new(Box::new(GAp::paper()));
+        let mut s = BranchEval::new(DirectionPredictor::GAp(GAp::paper()));
         for e in &stream {
             s.accept(e);
         }

@@ -3,7 +3,7 @@
 use crate::btb::{Btb, ReturnStack};
 use crate::predictors::DirectionPredictor;
 use crate::target_cache::TargetCache;
-use jrt_trace::{InstClass, NativeInst, TraceSink};
+use jrt_trace::{CtrlInfo, InstClass, NativeInst, TraceSink};
 
 /// Misprediction statistics gathered by [`BranchEval`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,124 +57,134 @@ impl BranchStats {
     }
 }
 
+/// `num / den`, and 0 when `den` (hence `num`) is 0.
 fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
+    num as f64 / den.max(1) as f64
 }
 
-/// Drives a direction predictor, a BTB, and a return-address stack
-/// from a native trace, collecting [`BranchStats`].
+/// Drives `N` direction predictors (by default one) from a native
+/// trace, collecting [`BranchStats`] per predictor.
 ///
-/// Prediction rules:
-///
-/// * conditional branch — mispredicted if the direction is wrong, or
-///   if predicted taken and the BTB target differs from the resolved
-///   target;
-/// * indirect jump/call — mispredicted if the BTB has no entry for the
-///   PC or its target differs;
-/// * return — predicted by the return-address stack (empty stack
-///   mispredicts); calls push their fall-through address;
-/// * direct jump/call — always predicted correctly (target is in the
-///   instruction word).
-pub struct BranchEval {
-    predictor: Box<dyn DirectionPredictor>,
+/// The BTB (1K entries), the 8-deep return stack and the optional
+/// [`TargetCache`] are shared: their state depends on the trace alone,
+/// never on a predicted direction, so one copy serves every predictor
+/// exactly as a private copy each would.
+pub struct BranchEval<const N: usize = 1> {
+    predictors: [DirectionPredictor; N],
+    stats: [BranchStats; N],
     btb: Btb,
     target_cache: Option<TargetCache>,
     ras: ReturnStack,
-    stats: BranchStats,
 }
 
-impl std::fmt::Debug for BranchEval {
+impl<const N: usize> std::fmt::Debug for BranchEval<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BranchEval")
-            .field("predictor", &self.predictor.name())
-            .field("stats", &self.stats)
-            .finish()
+        let (names, stats) = (self.predictors.each_ref().map(|p| p.name()), &self.stats);
+        write!(
+            f,
+            "BranchEval {{ predictors: {names:?}, stats: {stats:?} }}"
+        )
     }
 }
 
 impl BranchEval {
-    /// Creates an evaluation harness with the paper's BTB (1K entries)
-    /// and an 8-deep return stack.
-    pub fn new(predictor: Box<dyn DirectionPredictor>) -> Self {
+    /// Creates an evaluation harness for one predictor.
+    pub fn new(predictor: DirectionPredictor) -> Self {
+        Self::shared([predictor])
+    }
+}
+
+impl<const N: usize> BranchEval<N> {
+    /// Creates one harness in which `predictors` share the target
+    /// structures — Table 2's four columns in one pass.
+    pub fn shared(predictors: [DirectionPredictor; N]) -> Self {
         BranchEval {
-            predictor,
+            stats: [BranchStats::default(); N],
+            predictors,
             btb: Btb::paper(),
             target_cache: None,
             ras: ReturnStack::paper(),
-            stats: BranchStats::default(),
         }
     }
 
     /// Adds the indirect-branch-tailored predictor the paper
     /// recommends for interpreted execution: indirect jumps/calls are
     /// predicted by a path-history [`TargetCache`] instead of the
-    /// plain BTB.
+    /// plain BTB, which then never sees them.
     pub fn with_target_cache(mut self) -> Self {
         self.target_cache = Some(TargetCache::paper());
         self
     }
 
-    /// The name of the wrapped direction predictor.
-    pub fn predictor_name(&self) -> &'static str {
-        self.predictor.name()
+    /// Statistics of the first (or only) predictor.
+    pub fn stats(&self) -> &BranchStats {
+        &self.stats[0]
     }
 
-    /// Collected statistics.
-    pub fn stats(&self) -> &BranchStats {
+    /// Statistics per predictor, in construction order.
+    pub fn all_stats(&self) -> &[BranchStats; N] {
         &self.stats
+    }
+
+    /// Classifies `inst`, trains every structure on it, and returns
+    /// whether the first predictor's front end mispredicted it; `None`
+    /// if it is not a control transfer. This is the one branch
+    /// classification: the `jrt-ilp` front end calls it too. Rules:
+    ///
+    /// * conditional branch — mispredicted if the direction is wrong,
+    ///   or if predicted taken and the BTB target differs from the
+    ///   resolved target;
+    /// * indirect jump/call — mispredicted if the BTB (or target
+    ///   cache) has no entry for the PC or its target differs;
+    /// * return — predicted by the return-address stack (empty stack
+    ///   mispredicts); calls push their fall-through address;
+    /// * direct jump/call — always predicted correctly.
+    pub fn resolve(&mut self, inst: &NativeInst) -> Option<bool> {
+        // Most events are not transfers: keep their path inlinable.
+        let ctrl = inst.ctrl?;
+        self.transfer(inst, ctrl)
+    }
+
+    fn transfer(&mut self, inst: &NativeInst, ctrl: CtrlInfo) -> Option<bool> {
+        let (pc, taken, target) = (inst.pc, ctrl.taken, ctrl.target);
+        // The target side depends on the trace alone: all share it.
+        let target_ok = match inst.class {
+            InstClass::CondBranch => taken && self.btb.predict_and_update(pc, target),
+            InstClass::IndirectJump | InstClass::IndirectCall => match &mut self.target_cache {
+                Some(tc) => tc.predict_and_update(pc, target),
+                None => self.btb.predict_and_update(pc, target),
+            },
+            InstClass::Ret => self.ras.pop() == Some(target),
+            InstClass::Jump | InstClass::Call => true,
+            _ => return None,
+        };
+        if matches!(inst.class, InstClass::Call | InstClass::IndirectCall) {
+            self.ras.push(pc + 4);
+        }
+        let mut first = None;
+        for (p, s) in self.predictors.iter_mut().zip(&mut self.stats) {
+            let (seen, missed, wrong) = match inst.class {
+                InstClass::CondBranch => {
+                    let predicted = p.predict_and_update(pc, taken);
+                    let wrong = predicted != taken || (taken && !target_ok);
+                    (&mut s.cond, &mut s.cond_miss, wrong)
+                }
+                InstClass::Ret => (&mut s.rets, &mut s.ret_miss, !target_ok),
+                // Never mispredicted, so no miss counter.
+                InstClass::Jump | InstClass::Call => (&mut s.direct, &mut 0, false),
+                _ => (&mut s.indirect, &mut s.indirect_miss, !target_ok),
+            };
+            *seen += 1;
+            *missed += u64::from(wrong);
+            first.get_or_insert(wrong);
+        }
+        first
     }
 }
 
-impl TraceSink for BranchEval {
+impl<const N: usize> TraceSink for BranchEval<N> {
     fn accept(&mut self, inst: &NativeInst) {
-        let Some(ctrl) = inst.ctrl else { return };
-        match inst.class {
-            InstClass::CondBranch => {
-                self.stats.cond += 1;
-                let predicted_taken = self.predictor.predict_and_update(inst.pc, ctrl.taken);
-                let mut wrong = predicted_taken != ctrl.taken;
-                if ctrl.taken {
-                    let target_ok = self.btb.predict_and_update(inst.pc, ctrl.target);
-                    if predicted_taken && !target_ok {
-                        wrong = true;
-                    }
-                }
-                if wrong {
-                    self.stats.cond_miss += 1;
-                }
-            }
-            InstClass::IndirectJump | InstClass::IndirectCall => {
-                self.stats.indirect += 1;
-                let correct = match &mut self.target_cache {
-                    Some(tc) => tc.predict_and_update(inst.pc, ctrl.target),
-                    None => self.btb.predict_and_update(inst.pc, ctrl.target),
-                };
-                if !correct {
-                    self.stats.indirect_miss += 1;
-                }
-                if inst.class == InstClass::IndirectCall {
-                    self.ras.push(inst.pc + 4);
-                }
-            }
-            InstClass::Call => {
-                self.stats.direct += 1;
-                self.ras.push(inst.pc + 4);
-            }
-            InstClass::Jump => {
-                self.stats.direct += 1;
-            }
-            InstClass::Ret => {
-                self.stats.rets += 1;
-                if self.ras.pop() != Some(ctrl.target) {
-                    self.stats.ret_miss += 1;
-                }
-            }
-            _ => {}
-        }
+        self.resolve(inst);
     }
 }
 
@@ -188,7 +198,7 @@ mod tests {
 
     #[test]
     fn loop_branch_is_learned() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         for _ in 0..100 {
             e.accept(&NativeInst::branch(0x4000, 0x3000, true, P));
         }
@@ -197,7 +207,7 @@ mod tests {
 
     #[test]
     fn monomorphic_indirect_hits_after_warmup() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         for _ in 0..10 {
             e.accept(&NativeInst::indirect_call(0x4000, 0x9000, P));
         }
@@ -206,7 +216,7 @@ mod tests {
 
     #[test]
     fn polymorphic_indirect_thrashes_btb() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         // Alternating targets — the interpreter switch pathology.
         for k in 0..100u64 {
             let target = 0x9000 + (k % 2) * 0x100;
@@ -217,25 +227,21 @@ mod tests {
 
     #[test]
     fn call_ret_pairs_predict_via_ras() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         for _ in 0..10 {
             e.accept(&NativeInst::call(0x4000, 0x9000, P));
             e.accept(&NativeInst::ret(0x9010, 0x4004, P));
         }
         assert_eq!(e.stats().ret_miss, 0);
         assert_eq!(e.stats().direct, 10);
-    }
-
-    #[test]
-    fn unmatched_ret_mispredicts() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        // An unmatched return finds the stack empty.
         e.accept(&NativeInst::ret(0x9010, 0x4004, P));
         assert_eq!(e.stats().ret_miss, 1);
     }
 
     #[test]
     fn non_transfers_are_ignored() {
-        let mut e = BranchEval::new(Box::new(Gshare::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Gshare(Gshare::paper()));
         e.accept(&NativeInst::alu(0x4000, P));
         e.accept(&NativeInst::load(0x4004, 0x2000_0000, 4, P));
         assert_eq!(e.stats().predicted_events(), 0);
@@ -244,7 +250,7 @@ mod tests {
 
     #[test]
     fn taken_branch_needs_correct_btb_target() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         // Warm the direction predictor and the BTB.
         for _ in 0..5 {
             e.accept(&NativeInst::branch(0x4000, 0x3000, true, P));
@@ -257,7 +263,7 @@ mod tests {
 
     #[test]
     fn accuracy_is_complement() {
-        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut e = BranchEval::new(DirectionPredictor::Bht(Bht::paper()));
         for k in 0..10 {
             e.accept(&NativeInst::branch(0x4000, 0x3000, k % 2 == 0, P));
         }

@@ -9,7 +9,7 @@
 //! prediction, while JIT-generated code behaves like conventional
 //! compiled code.
 //!
-//! This crate reimplements those predictors:
+//! This crate reimplements those predictors ([`DirectionPredictor`]):
 //!
 //! * [`TwoBit`] — a single, shared 2-bit saturating counter (included
 //!   like in the paper for validation/consistency only);
@@ -19,17 +19,17 @@
 //! * [`Btb`] — direct-mapped branch target buffer used for taken
 //!   branches and indirect transfers;
 //! * [`ReturnStack`] — a small return-address stack;
-//! * [`BranchEval`] — a [`TraceSink`](jrt_trace::TraceSink) that drives all of the above from
-//!   a native trace and reports the misprediction statistics of
-//!   Table 2.
+//! * [`BranchEval`] — a [`TraceSink`](jrt_trace::TraceSink) that drives
+//!   predictors sharing one BTB and return stack from a native trace,
+//!   reporting Table 2's statistics; `jrt-ilp` classifies with it too.
 //!
 //! # Examples
 //!
 //! ```
-//! use jrt_bpred::{BranchEval, Gshare};
+//! use jrt_bpred::{BranchEval, DirectionPredictor, Gshare};
 //! use jrt_trace::{NativeInst, Phase, TraceSink};
 //!
-//! let mut eval = BranchEval::new(Box::new(Gshare::paper()));
+//! let mut eval = BranchEval::new(DirectionPredictor::Gshare(Gshare::paper()));
 //! // A loop branch: taken 9 of every 10 iterations.
 //! for k in 0..200 {
 //!     eval.accept(&NativeInst::branch(0x1_0000, 0x0_F000, k % 10 != 9, Phase::NativeExec));

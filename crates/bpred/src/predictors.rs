@@ -2,18 +2,69 @@
 
 use jrt_trace::Addr;
 
-/// A conditional-branch direction predictor.
-///
-/// Implementations return the predicted direction for the branch at
-/// `pc` and then train themselves with the actual outcome.
-pub trait DirectionPredictor {
+/// A conditional-branch direction predictor: one of the four Table 2
+/// designs. An enum rather than a trait object, so the per-branch call
+/// is a `match` the compiler can inline.
+#[derive(Debug, Clone)]
+pub enum DirectionPredictor {
+    /// The single shared counter.
+    TwoBit(TwoBit),
+    /// The one-level PC-indexed table.
+    Bht(Bht),
+    /// Global history XORed into the PC index.
+    Gshare(Gshare),
+    /// Two-level, per-address pattern tables.
+    GAp(GAp),
+}
+
+impl DirectionPredictor {
+    /// The four paper-configured predictors, in Table 2's column order.
+    pub fn paper_set() -> [DirectionPredictor; 4] {
+        [
+            Self::TwoBit(TwoBit::new()),
+            Self::Bht(Bht::paper()),
+            Self::Gshare(Gshare::paper()),
+            Self::GAp(GAp::paper()),
+        ]
+    }
+
     /// Predicts the direction of the branch at `pc`, then updates the
     /// predictor state with the actual `taken` outcome. Returns the
     /// prediction made *before* the update.
-    fn predict_and_update(&mut self, pc: Addr, taken: bool) -> bool;
+    #[inline]
+    pub fn predict_and_update(&mut self, pc: Addr, taken: bool) -> bool {
+        let (counter, history) = match self {
+            Self::TwoBit(p) => (&mut p.counter, None),
+            Self::Bht(p) => {
+                let idx = p.index(pc);
+                (&mut p.table[idx], None)
+            }
+            Self::Gshare(p) => {
+                let idx = p.index(pc);
+                (&mut p.table[idx], Some(&mut p.history))
+            }
+            Self::GAp(p) => {
+                let idx = p.index(pc);
+                (&mut p.tables[idx], Some(&mut p.history))
+            }
+        };
+        let predicted = counter.predict();
+        counter.update(taken);
+        if let Some(h) = history {
+            *h = (*h << 1) | u64::from(taken);
+        }
+        predicted
+    }
 
     /// Human-readable predictor name, as used in Table 2 headers.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::TwoBit(_) => "2bit",
+            Self::Bht(_) => "bht",
+            Self::Gshare(_) => "gshare",
+            Self::GAp(_) => "gap",
+        }
+    }
 }
 
 /// A 2-bit saturating counter: states 0–1 predict not-taken,
@@ -64,18 +115,6 @@ impl TwoBit {
     }
 }
 
-impl DirectionPredictor for TwoBit {
-    fn predict_and_update(&mut self, _pc: Addr, taken: bool) -> bool {
-        let p = self.counter.predict();
-        self.counter.update(taken);
-        p
-    }
-
-    fn name(&self) -> &'static str {
-        "2bit"
-    }
-}
-
 /// One-level branch history table: a PC-indexed table of 2-bit
 /// counters. The paper uses 2K entries.
 #[derive(Debug, Clone)]
@@ -103,19 +142,6 @@ impl Bht {
 
     fn index(&self, pc: Addr) -> usize {
         ((pc >> 2) as usize) & (self.table.len() - 1)
-    }
-}
-
-impl DirectionPredictor for Bht {
-    fn predict_and_update(&mut self, pc: Addr, taken: bool) -> bool {
-        let idx = self.index(pc);
-        let p = self.table[idx].predict();
-        self.table[idx].update(taken);
-        p
-    }
-
-    fn name(&self) -> &'static str {
-        "bht"
     }
 }
 
@@ -153,20 +179,6 @@ impl Gshare {
     fn index(&self, pc: Addr) -> usize {
         let h = self.history & ((1 << self.history_bits) - 1);
         (((pc >> 2) ^ h) as usize) & (self.table.len() - 1)
-    }
-}
-
-impl DirectionPredictor for Gshare {
-    fn predict_and_update(&mut self, pc: Addr, taken: bool) -> bool {
-        let idx = self.index(pc);
-        let p = self.table[idx].predict();
-        self.table[idx].update(taken);
-        self.history = (self.history << 1) | u64::from(taken);
-        p
-    }
-
-    fn name(&self) -> &'static str {
-        "gshare"
     }
 }
 
@@ -216,25 +228,11 @@ impl GAp {
     }
 }
 
-impl DirectionPredictor for GAp {
-    fn predict_and_update(&mut self, pc: Addr, taken: bool) -> bool {
-        let idx = self.index(pc);
-        let p = self.tables[idx].predict();
-        self.tables[idx].update(taken);
-        self.history = (self.history << 1) | u64::from(taken);
-        p
-    }
-
-    fn name(&self) -> &'static str {
-        "gap"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn train<P: DirectionPredictor>(p: &mut P, pc: Addr, pattern: &[bool]) -> usize {
+    fn train(p: &mut DirectionPredictor, pc: Addr, pattern: &[bool]) -> usize {
         pattern
             .iter()
             .filter(|&&t| p.predict_and_update(pc, t) != t)
@@ -259,7 +257,7 @@ mod tests {
 
     #[test]
     fn bht_learns_biased_branches() {
-        let mut p = Bht::paper();
+        let mut p = DirectionPredictor::Bht(Bht::paper());
         let always = vec![true; 100];
         let miss = train(&mut p, 0x4000, &always);
         assert!(
@@ -270,7 +268,7 @@ mod tests {
 
     #[test]
     fn bht_separates_pcs() {
-        let mut p = Bht::paper();
+        let mut p = DirectionPredictor::Bht(Bht::paper());
         train(&mut p, 0x4000, &[true; 50]);
         train(&mut p, 0x4004, &[false; 50]);
         // Re-test both without interference.
@@ -283,9 +281,9 @@ mod tests {
         // T,N,T,N… is hopeless for a per-PC 2-bit counter but trivial
         // with history.
         let pat: Vec<bool> = (0..200).map(|k| k % 2 == 0).collect();
-        let mut g = Gshare::paper();
+        let mut g = DirectionPredictor::Gshare(Gshare::paper());
         let g_miss = train(&mut g, 0x4000, &pat);
-        let mut b = Bht::paper();
+        let mut b = DirectionPredictor::Bht(Bht::paper());
         let b_miss = train(&mut b, 0x4000, &pat);
         assert!(
             g_miss < b_miss / 2,
@@ -296,14 +294,14 @@ mod tests {
     #[test]
     fn gap_learns_periodic_pattern() {
         let pat: Vec<bool> = (0..300).map(|k| k % 3 != 0).collect();
-        let mut g = GAp::paper();
+        let mut g = DirectionPredictor::GAp(GAp::paper());
         let miss = train(&mut g, 0x4000, &pat);
         assert!(miss < 30, "GAp should learn period-3 patterns, got {miss}");
     }
 
     #[test]
     fn twobit_is_shared_across_pcs() {
-        let mut p = TwoBit::new();
+        let mut p = DirectionPredictor::TwoBit(TwoBit::new());
         train(&mut p, 0x4000, &[true; 10]);
         // A different PC sees the same (now strongly-taken) counter.
         assert!(p.predict_and_update(0x8000, true));
@@ -311,10 +309,11 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(TwoBit::new().name(), "2bit");
-        assert_eq!(Bht::paper().name(), "bht");
-        assert_eq!(Gshare::paper().name(), "gshare");
-        assert_eq!(GAp::paper().name(), "gap");
+        let names: Vec<_> = DirectionPredictor::paper_set()
+            .iter()
+            .map(DirectionPredictor::name)
+            .collect();
+        assert_eq!(names, ["2bit", "bht", "gshare", "gap"]);
     }
 
     #[test]

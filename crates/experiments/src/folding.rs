@@ -14,7 +14,7 @@ use crate::jobs::{self, Workload};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape;
-use jrt_ilp::{Pipeline, PipelineConfig};
+use jrt_ilp::{PipelineConfig, PipelineSweep};
 use jrt_workloads::{suite, Size};
 
 /// Folding-vs-baseline interpreter measurements for one benchmark.
@@ -95,15 +95,10 @@ fn measure(w: &Workload, folding: bool) -> (u64, [f64; 2]) {
     } else {
         tape::recorded(w, Mode::Interp)
     };
-    let mut pipes = vec![
-        Pipeline::new(PipelineConfig::paper(1)),
-        Pipeline::new(PipelineConfig::paper(8)),
-    ];
-    entry.tape.replay(&mut pipes);
-    (
-        entry.summary.counts.total(),
-        [pipes[0].report().ipc(), pipes[1].report().ipc()],
-    )
+    let mut sweep = PipelineSweep::new(&[PipelineConfig::paper(1), PipelineConfig::paper(8)]);
+    entry.tape.replay(&mut sweep);
+    let r = sweep.reports();
+    (entry.summary.counts.total(), [r[0].ipc(), r[1].ipc()])
 }
 
 /// Runs the folding study (interpreter mode only), one job per

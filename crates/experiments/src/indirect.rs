@@ -12,7 +12,7 @@ use crate::jobs::{self, Workload};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
 use crate::tape;
-use jrt_bpred::{BranchEval, Gshare};
+use jrt_bpred::{BranchEval, DirectionPredictor, Gshare};
 use jrt_workloads::{suite, Size};
 
 /// BTB-vs-target-cache rates for one benchmark × mode.
@@ -78,9 +78,12 @@ impl Indirect {
 }
 
 fn run_one(w: &Workload, mode: Mode) -> IndirectRow {
+    // Two evaluators, not one shared one: with the target cache the
+    // BTB never sees indirect jumps, so its state diverges.
+    let gshare = || DirectionPredictor::Gshare(Gshare::paper());
     let mut evals = vec![
-        BranchEval::new(Box::new(Gshare::paper())),
-        BranchEval::new(Box::new(Gshare::paper())).with_target_cache(),
+        BranchEval::new(gshare()),
+        BranchEval::new(gshare()).with_target_cache(),
     ];
     tape::replay(w, mode, &mut evals);
     IndirectRow {

@@ -10,7 +10,7 @@ use crate::jobs::{self, Workload};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
 use crate::tape;
-use jrt_bpred::{Bht, BranchEval, GAp, Gshare, TwoBit};
+use jrt_bpred::{BranchEval, DirectionPredictor};
 use jrt_workloads::{suite, Size};
 
 /// Misprediction rates (0–1) for the four predictors.
@@ -77,21 +77,18 @@ impl Table2 {
 }
 
 fn run_one(w: &Workload, mode: Mode) -> Table2Row {
-    let mut evals = vec![
-        BranchEval::new(Box::new(TwoBit::new())),
-        BranchEval::new(Box::new(Bht::paper())),
-        BranchEval::new(Box::new(Gshare::paper())),
-        BranchEval::new(Box::new(GAp::paper())),
-    ];
-    tape::replay(w, mode, &mut evals);
+    // One BTB and return stack serve all four predictors.
+    let mut eval = BranchEval::shared(DirectionPredictor::paper_set());
+    tape::replay(w, mode, &mut eval);
+    let s = eval.all_stats();
     Table2Row {
         name: w.spec.name,
         mode,
         rates: PredictorRates {
-            two_bit: evals[0].stats().overall_rate(),
-            bht: evals[1].stats().overall_rate(),
-            gshare: evals[2].stats().overall_rate(),
-            gap: evals[3].stats().overall_rate(),
+            two_bit: s[0].overall_rate(),
+            bht: s[1].overall_rate(),
+            gshare: s[2].overall_rate(),
+            gap: s[3].overall_rate(),
         },
     }
 }

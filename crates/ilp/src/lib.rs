@@ -11,7 +11,8 @@
 //! * per-class functional-unit latencies,
 //! * an integrated L1 I-/D-cache pair (misses add latency),
 //! * a direction predictor + BTB + return stack front end
-//!   (mispredictions redirect fetch after branch resolution), and
+//!   (mispredictions redirect fetch after branch resolution), probed
+//!   once per event for every configuration of a [`PipelineSweep`], and
 //! * taken-branch fetch-group breaks (one taken transfer per cycle).
 //!
 //! The model is a greedy list scheduler over the dynamic trace — the
@@ -24,17 +25,17 @@
 //! # Examples
 //!
 //! ```
-//! use jrt_ilp::{PipelineConfig, Pipeline};
+//! use jrt_ilp::{PipelineConfig, PipelineSweep};
 //! use jrt_trace::{NativeInst, Phase, TraceSink};
 //!
-//! let mut p = Pipeline::new(PipelineConfig::paper(4));
+//! let mut p = PipelineSweep::new(&[PipelineConfig::paper(1), PipelineConfig::paper(4)]);
 //! // A loop body of 64 independent ALU ops, executed 64 times.
 //! for k in 0..4096u64 {
 //!     p.accept(&NativeInst::alu(0x1_0000 + (k % 64) * 4, Phase::NativeExec));
 //! }
 //! p.finish();
-//! let r = p.report();
-//! assert!(r.ipc() > 1.0); // independent ALU ops issue in parallel
+//! let [w1, w4] = p.reports()[..] else { unreachable!() };
+//! assert!(w4.ipc() > w1.ipc()); // independent ALU ops issue in parallel
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,4 +45,4 @@ mod config;
 mod pipeline;
 
 pub use config::PipelineConfig;
-pub use pipeline::{Pipeline, PipelineReport};
+pub use pipeline::{PipelineReport, PipelineSweep};

@@ -1,9 +1,10 @@
-//! The greedy out-of-order scheduling model.
+//! The greedy out-of-order scheduling model, factored into one shared
+//! front end and one timing core per configuration.
 
 use crate::config::PipelineConfig;
-use jrt_bpred::{Btb, DirectionPredictor, Gshare, ReturnStack};
+use jrt_bpred::{BranchEval, DirectionPredictor, Gshare};
 use jrt_cache::{Cache, CacheStats};
-use jrt_trace::{AccessKind, InstClass, NativeInst, TraceSink, NUM_REGS};
+use jrt_trace::{AccessKind, NativeInst, TraceSink, NUM_REGS};
 use std::collections::VecDeque;
 
 const SLOT_RING: usize = 1 << 16;
@@ -26,105 +27,45 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Instructions per cycle.
+    /// Instructions per cycle (0 for an empty run).
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
+        self.instructions as f64 / self.cycles.max(1) as f64
     }
 
-    /// Misprediction rate over predicted events.
+    /// Misprediction rate over predicted events (0 if there were none).
     pub fn mispredict_rate(&self) -> f64 {
-        if self.predicted_events == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.predicted_events as f64
-        }
+        self.mispredicts as f64 / self.predicted_events.max(1) as f64
     }
 }
 
-/// Trace-driven out-of-order core model. See the crate documentation
-/// for the modelled mechanisms.
-pub struct Pipeline {
-    cfg: PipelineConfig,
-    icache: Cache,
-    dcache: Cache,
-    predictor: Box<dyn DirectionPredictor>,
-    btb: Btb,
-    ras: ReturnStack,
+/// The front end's verdict on one event.
+#[derive(Clone, Copy)]
+struct Outcome {
+    /// The event opened a new I-cache line, and the probe missed.
+    fetch_miss: bool,
+    /// The event's data read missed.
+    load_miss: bool,
+    /// A mispredicted transfer: fetch restarts after it resolves.
+    mispredict: bool,
+    /// A correctly predicted taken transfer: it ends the fetch group.
+    taken: bool,
+}
 
+/// One timing core: fetch groups, rename, the ROB and the issue-slot
+/// ring at one configuration's width and latencies. It sees the trace
+/// only through the front end's [`Outcome`]s.
+struct Core {
+    cfg: PipelineConfig,
     reg_ready: [u64; NUM_REGS],
     rob: VecDeque<u64>,
     // issue-slot occupancy ring: (cycle, issued-count)
     slots: Vec<(u64, u32)>,
-
     fetch_cycle: u64,
     fetch_in_group: u32,
-    last_fetch_line: u64,
     last_complete: u64,
-
-    retired: u64,
-    predicted_events: u64,
-    mispredicts: u64,
 }
 
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("width", &self.cfg.width)
-            .field("retired", &self.retired)
-            .field("cycles", &self.cycles())
-            .finish()
-    }
-}
-
-impl Pipeline {
-    /// Creates a pipeline with the paper's Gshare front end.
-    pub fn new(cfg: PipelineConfig) -> Self {
-        Self::with_predictor(cfg, Box::new(Gshare::paper()))
-    }
-
-    /// Creates a pipeline with an explicit direction predictor.
-    pub fn with_predictor(cfg: PipelineConfig, predictor: Box<dyn DirectionPredictor>) -> Self {
-        Pipeline {
-            icache: Cache::new(cfg.icache),
-            dcache: Cache::new(cfg.dcache),
-            predictor,
-            btb: Btb::paper(),
-            ras: ReturnStack::paper(),
-            reg_ready: [0; NUM_REGS],
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            slots: vec![(u64::MAX, 0); SLOT_RING],
-            fetch_cycle: 1,
-            fetch_in_group: 0,
-            last_fetch_line: u64::MAX,
-            last_complete: 0,
-            retired: 0,
-            predicted_events: 0,
-            mispredicts: 0,
-            cfg,
-        }
-    }
-
-    /// Cycles elapsed so far.
-    pub fn cycles(&self) -> u64 {
-        self.last_complete.max(self.fetch_cycle)
-    }
-
-    /// Produces the final report.
-    pub fn report(&self) -> PipelineReport {
-        PipelineReport {
-            instructions: self.retired,
-            cycles: self.cycles(),
-            predicted_events: self.predicted_events,
-            mispredicts: self.mispredicts,
-            icache: *self.icache.stats(),
-            dcache: *self.dcache.stats(),
-        }
-    }
-
+impl Core {
     fn claim_issue_slot(&mut self, earliest: u64) -> u64 {
         let width = self.cfg.width;
         let mut cycle = earliest;
@@ -142,21 +83,15 @@ impl Pipeline {
         }
     }
 
-    fn fetch(&mut self, inst: &NativeInst) -> u64 {
+    fn fetch(&mut self, fetch_miss: bool) -> u64 {
         // New fetch group when the current one is full.
         if self.fetch_in_group >= self.cfg.width {
             self.fetch_cycle += 1;
             self.fetch_in_group = 0;
         }
-        // I-cache probe at line granularity.
-        let line = inst.pc / u64::from(self.cfg.icache.line);
-        if line != self.last_fetch_line {
-            self.last_fetch_line = line;
-            let out = self.icache.access(inst.pc, AccessKind::Read, inst.phase);
-            if !out.hit {
-                self.fetch_cycle += self.cfg.miss_penalty;
-                self.fetch_in_group = 0;
-            }
+        if fetch_miss {
+            self.fetch_cycle += self.cfg.miss_penalty;
+            self.fetch_in_group = 0;
         }
         // ROB back-pressure: fetch stalls until the head retires.
         while self.rob.len() >= self.cfg.rob_size {
@@ -170,61 +105,8 @@ impl Pipeline {
         self.fetch_cycle
     }
 
-    fn resolve_control(&mut self, inst: &NativeInst, complete: u64) {
-        let Some(ctrl) = inst.ctrl else { return };
-        let mispredicted = match inst.class {
-            InstClass::CondBranch => {
-                self.predicted_events += 1;
-                let predicted_taken = self.predictor.predict_and_update(inst.pc, ctrl.taken);
-                let mut wrong = predicted_taken != ctrl.taken;
-                if ctrl.taken {
-                    let target_ok = self.btb.predict_and_update(inst.pc, ctrl.target);
-                    if predicted_taken && !target_ok {
-                        wrong = true;
-                    }
-                }
-                wrong
-            }
-            InstClass::IndirectJump | InstClass::IndirectCall => {
-                self.predicted_events += 1;
-                let ok = self.btb.predict_and_update(inst.pc, ctrl.target);
-                if inst.class == InstClass::IndirectCall {
-                    self.ras.push(inst.pc + 4);
-                }
-                !ok
-            }
-            InstClass::Call => {
-                self.ras.push(inst.pc + 4);
-                false
-            }
-            InstClass::Jump => false,
-            InstClass::Ret => {
-                self.predicted_events += 1;
-                self.ras.pop() != Some(ctrl.target)
-            }
-            _ => return,
-        };
-
-        if mispredicted {
-            self.mispredicts += 1;
-            let redirect = complete + self.cfg.redirect_penalty;
-            if redirect > self.fetch_cycle {
-                self.fetch_cycle = redirect;
-            }
-            self.fetch_in_group = 0;
-            self.last_fetch_line = u64::MAX;
-        } else if ctrl.taken {
-            // Correctly predicted taken transfer still ends the fetch
-            // group (one taken transfer per cycle).
-            self.fetch_cycle += 1;
-            self.fetch_in_group = 0;
-        }
-    }
-}
-
-impl TraceSink for Pipeline {
-    fn accept(&mut self, inst: &NativeInst) {
-        let fetch = self.fetch(inst);
+    fn step(&mut self, inst: &NativeInst, out: Outcome) {
+        let fetch = self.fetch(out.fetch_miss);
 
         // Rename: only true dependences delay dispatch.
         let mut ready = fetch + self.cfg.frontend_depth;
@@ -235,11 +117,8 @@ impl TraceSink for Pipeline {
         let issue = self.claim_issue_slot(ready);
 
         let mut latency = self.cfg.latency(inst.class);
-        if let Some(m) = inst.mem {
-            let out = self.dcache.access(m.addr, m.kind, inst.phase);
-            if !out.hit && m.kind == AccessKind::Read {
-                latency += self.cfg.miss_penalty;
-            }
+        if out.load_miss {
+            latency += self.cfg.miss_penalty;
         }
 
         let complete = issue + latency;
@@ -250,34 +129,162 @@ impl TraceSink for Pipeline {
         if complete > self.last_complete {
             self.last_complete = complete;
         }
-        self.retired += 1;
 
-        // Control transfers whose operands were ready long before the
-        // transfer (no outstanding register sources) resolve in the
-        // decode stage — the front end verifies the predicted target
-        // without waiting for execution.
-        let resolve_at = if inst.ctrl.is_some() && inst.src1.is_none() && inst.src2.is_none() {
-            (fetch + 2).min(complete)
-        } else {
-            complete
+        if out.mispredict {
+            // Control transfers whose operands were ready long before
+            // the transfer (no outstanding register sources) resolve
+            // in the decode stage — the front end verifies the
+            // predicted target without waiting for execution.
+            let resolve_at = if inst.src1.is_none() && inst.src2.is_none() {
+                (fetch + 2).min(complete)
+            } else {
+                complete
+            };
+            let redirect = resolve_at + self.cfg.redirect_penalty;
+            if redirect > self.fetch_cycle {
+                self.fetch_cycle = redirect;
+            }
+            self.fetch_in_group = 0;
+        } else if out.taken {
+            self.fetch_cycle += 1;
+            self.fetch_in_group = 0;
+        }
+    }
+}
+
+/// Trace-driven out-of-order core model, run at one or more
+/// configurations in a single pass. See the crate documentation for
+/// the modelled mechanisms.
+///
+/// One front end — the L1 caches, Gshare, BTB and return stack —
+/// classifies each event once, and one timing core per configuration
+/// steps on that verdict. This is exact: every front-end structure
+/// is probed in trace order, and the only front-end state a core's
+/// events touch, the I-line reset after a redirect, depends on the
+/// misprediction alone, never on a width or latency. So each report
+/// equals that of a model simulated alone at its configuration.
+pub struct PipelineSweep {
+    icache: Cache,
+    dcache: Cache,
+    branches: BranchEval,
+    last_fetch_line: u64,
+    retired: u64,
+    cores: Vec<Core>,
+}
+
+impl std::fmt::Debug for PipelineSweep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let widths: Vec<u32> = self.cores.iter().map(|c| c.cfg.width).collect();
+        write!(f, "PipelineSweep {{ widths: {widths:?} }}")
+    }
+}
+
+impl PipelineSweep {
+    /// Creates one timing core per configuration, in order, behind the
+    /// paper's Gshare front end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or its entries disagree on the I-
+    /// or D-cache geometry.
+    pub fn new(configs: &[PipelineConfig]) -> Self {
+        let first = configs.first().expect("at least one configuration");
+        let shared = |c: &PipelineConfig| c.icache == first.icache && c.dcache == first.dcache;
+        assert!(configs.iter().all(shared), "cache geometry differs");
+        let core = |cfg: &PipelineConfig| Core {
+            reg_ready: [0; NUM_REGS],
+            rob: VecDeque::with_capacity(cfg.rob_size),
+            slots: vec![(u64::MAX, 0); SLOT_RING],
+            fetch_cycle: 1,
+            fetch_in_group: 0,
+            last_complete: 0,
+            cfg: cfg.clone(),
         };
-        self.resolve_control(inst, resolve_at);
+        PipelineSweep {
+            icache: Cache::new(first.icache),
+            dcache: Cache::new(first.dcache),
+            branches: BranchEval::new(DirectionPredictor::Gshare(Gshare::paper())),
+            last_fetch_line: u64::MAX,
+            retired: 0,
+            cores: configs.iter().map(core).collect(),
+        }
+    }
+
+    /// One report per configuration, in construction order.
+    pub fn reports(&self) -> Vec<PipelineReport> {
+        let branches = self.branches.stats();
+        self.cores
+            .iter()
+            .map(|core| PipelineReport {
+                instructions: self.retired,
+                cycles: core.last_complete.max(core.fetch_cycle),
+                predicted_events: branches.predicted_events(),
+                mispredicts: branches.mispredicts(),
+                icache: *self.icache.stats(),
+                dcache: *self.dcache.stats(),
+            })
+            .collect()
+    }
+
+    /// The front end: probes the I-cache, then the D-cache, then
+    /// resolves control — the order one single-width pipeline followed.
+    fn classify(&mut self, inst: &NativeInst) -> Outcome {
+        // I-cache probe at line granularity (lines are a power of two).
+        let line = inst.pc >> self.icache.config().line.trailing_zeros();
+        let fetch_miss = line != self.last_fetch_line
+            && !self
+                .icache
+                .access(inst.pc, AccessKind::Read, inst.phase)
+                .hit;
+        self.last_fetch_line = line;
+        let load_miss = inst.mem.is_some_and(|m| {
+            !self.dcache.access(m.addr, m.kind, inst.phase).hit && m.kind == AccessKind::Read
+        });
+        let resolved = self.branches.resolve(inst);
+        let mispredict = resolved == Some(true);
+        if mispredict {
+            // The correct path is refetched from a new line.
+            self.last_fetch_line = u64::MAX;
+        }
+        let taken = resolved == Some(false) && inst.ctrl.is_some_and(|c| c.taken);
+        Outcome {
+            fetch_miss,
+            load_miss,
+            mispredict,
+            taken,
+        }
+    }
+}
+
+impl TraceSink for PipelineSweep {
+    fn accept(&mut self, inst: &NativeInst) {
+        let out = self.classify(inst);
+        for core in &mut self.cores {
+            core.step(inst, out);
+        }
+        self.retired += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jrt_trace::{NativeInst, Phase};
+    use jrt_trace::{InstClass, Phase};
 
     const P: Phase = Phase::NativeExec;
 
-    fn run(width: u32, trace: impl IntoIterator<Item = NativeInst>) -> PipelineReport {
-        let mut p = Pipeline::new(PipelineConfig::paper(width));
+    /// One report per width, from a single pass over `trace`.
+    fn sweep(widths: &[u32], trace: impl IntoIterator<Item = NativeInst>) -> Vec<PipelineReport> {
+        let configs: Vec<_> = widths.iter().map(|&w| PipelineConfig::paper(w)).collect();
+        let mut p = PipelineSweep::new(&configs);
         for i in trace {
             p.accept(&i);
         }
-        p.report()
+        p.reports()
+    }
+
+    fn run(width: u32, trace: impl IntoIterator<Item = NativeInst>) -> PipelineReport {
+        sweep(&[width], trace)[0]
     }
 
     /// Independent ALU ops looping over a 1 KB code footprint (so the
@@ -290,26 +297,23 @@ mod tests {
 
     #[test]
     fn independent_alus_scale_with_width() {
-        let r1 = run(1, straight_alus(40000));
-        let r4 = run(4, straight_alus(40000));
+        let [r1, r4] = sweep(&[1, 4], straight_alus(40000))[..] else {
+            unreachable!("one report per width")
+        };
         assert!(r1.ipc() <= 1.05, "width 1 caps IPC at 1, got {}", r1.ipc());
         assert!(
             r4.ipc() > 3.0,
             "width 4 should near-quadruple, got {}",
             r4.ipc()
         );
+        assert!(r4.instructions == 40_000 && r4.cycles >= 10_000);
+        assert_eq!((r4.predicted_events, r4.mispredicts), (0, 0));
     }
 
     #[test]
     fn dependence_chain_caps_ipc_at_one() {
-        let trace: Vec<_> = (0..2000u64)
-            .map(|k| {
-                NativeInst::alu(0x1_0000 + k * 4, P)
-                    .with_dst(1)
-                    .with_srcs(1, None)
-            })
-            .collect();
-        let r = run(8, trace);
+        let chain = |k| NativeInst::alu(0x1_0000 + k * 4, P).with_dst(1);
+        let r = run(8, (0..2000u64).map(|k| chain(k).with_srcs(1, None)));
         assert!(r.ipc() < 1.1, "true chain must serialize, got {}", r.ipc());
     }
 
@@ -317,16 +321,14 @@ mod tests {
     fn mispredicted_indirects_throttle_wide_issue() {
         // Alternating-target indirect jump every 4 instructions — the
         // interpreter-dispatch pathology.
-        let mut trace = Vec::new();
-        for k in 0..2000u64 {
+        let trace = (0..2000u64).map(|k| {
             let pc = 0x1_0000 + (k % 4) * 4;
             if k % 4 == 3 {
-                let target = 0x2_0000 + (k % 8) * 0x40;
-                trace.push(NativeInst::indirect_jump(pc, target, P));
+                NativeInst::indirect_jump(pc, 0x2_0000 + (k % 8) * 0x40, P)
             } else {
-                trace.push(NativeInst::alu(pc, P));
+                NativeInst::alu(pc, P)
             }
-        }
+        });
         let clean = run(8, straight_alus(40000));
         let dirty = run(8, trace);
         assert!(
@@ -341,25 +343,16 @@ mod tests {
     #[test]
     fn load_misses_slow_dependent_code() {
         // Each load feeds the next address — a pointer chase over a
-        // large footprint.
-        let mut chase = Vec::new();
-        for k in 0..2000u64 {
-            chase.push(
-                NativeInst::load(0x1_0000, 0x2000_0000 + k * 4096, 4, P)
-                    .with_dst(1)
-                    .with_srcs(1, None),
-            );
-        }
-        let mut resident = Vec::new();
-        for k in 0..2000u64 {
-            resident.push(
-                NativeInst::load(0x1_0000, 0x2000_0000 + (k % 8) * 4, 4, P)
-                    .with_dst(1)
-                    .with_srcs(1, None),
-            );
-        }
-        let slow = run(4, chase);
-        let fast = run(4, resident);
+        // large footprint, then the same chain over 8 resident words.
+        let load = |addr| NativeInst::load(0x1_0000, addr, 4, P).with_dst(1);
+        let slow = run(
+            4,
+            (0..2000).map(|k| load(0x2000_0000 + k * 4096).with_srcs(1, None)),
+        );
+        let fast = run(
+            4,
+            (0..2000).map(|k| load(0x2000_0000 + (k % 8) * 4).with_srcs(1, None)),
+        );
         assert!(slow.cycles > fast.cycles * 3);
     }
 
@@ -375,12 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn report_counts_match() {
-        let r = run(2, straight_alus(100));
-        assert_eq!(r.instructions, 100);
-        assert!(r.cycles >= 50);
-        assert_eq!(r.mispredicts, 0);
-        assert_eq!(r.predicted_events, 0);
+    #[should_panic(expected = "cache geometry differs")]
+    fn configs_must_share_caches() {
+        let mut narrow = PipelineConfig::paper(1);
+        narrow.dcache = narrow.icache;
+        PipelineSweep::new(&[narrow, PipelineConfig::paper(8)]);
     }
 
     #[test]
