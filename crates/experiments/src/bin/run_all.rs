@@ -1,11 +1,14 @@
 //! Runs every experiment and writes EXPERIMENTS.md.
-//! Usage: `run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR]`.
+//! Usage: `run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR]
+//! [--sabotage-drop-barrier N] [--list]`.
 
 use jrt_experiments::{jobs, report, tape};
 use jrt_workloads::Size;
+use std::process::exit;
 
 const HELP: &str = "\
-usage: run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR] [--list]
+usage: run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR]
+               [--sabotage-drop-barrier N] [--list]
 
 Runs all 22 experiment drivers and writes the EXPERIMENTS.md report
 (default path: EXPERIMENTS.md in the current directory).
@@ -22,56 +25,92 @@ the report is byte-identical at any worker count.
                    absent from the report (also: the JRT_FILTER
                    environment variable; the flag wins). A filter that
                    matches no section is an error.
+  --sabotage-drop-barrier N
+                   arm the GC study's seeded missed-write-barrier bug:
+                   the measured engine drops its N-th remembered-set
+                   enrollment. A dropped barrier that matters must fail
+                   the cross-collector equivalence check (exit 1).
+                   Needs the gc section.
   --list           print the section names --filter matches against,
-                   one per line, and exit.";
+                   one per line, and exit.
+
+Exit status: 0 when the report was written; 1 when a report check
+failed (the scale study's sharded-vs-serial exactness or the GC
+study's cross-collector equivalence), and the report is not written;
+2 on a usage error or when the report cannot be written.";
+
+/// Reports a usage error and exits with status 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("run_all: {msg} (see --help)");
+    exit(2);
+}
 
 fn main() {
-    let mut args = jobs::cli_args();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{HELP}");
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--list") {
-        args.remove(i);
-        for s in report::SECTIONS {
-            println!("{s}");
-        }
-        return;
-    }
+    let mut positional = Vec::new();
     let mut filter = std::env::var("JRT_FILTER").ok();
-    if let Some(i) = args.iter().position(|a| a == "--filter") {
-        if i + 1 >= args.len() {
-            eprintln!("--filter needs a value (see --help)");
-            std::process::exit(2);
+    let mut sabotage = None;
+    let mut args = jobs::cli_args().into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{HELP}");
+                return;
+            }
+            "--list" => {
+                for s in report::SECTIONS {
+                    println!("{s}");
+                }
+                return;
+            }
+            "--filter" => {
+                filter = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage("--filter needs a value")),
+                );
+            }
+            "--sabotage-drop-barrier" => {
+                let n = args.next().and_then(|v| v.parse::<u64>().ok());
+                sabotage = Some(n.unwrap_or_else(|| {
+                    usage("--sabotage-drop-barrier needs a numeric drop index")
+                }));
+            }
+            flag if flag.starts_with('-') => usage(&format!("unknown flag {flag:?}")),
+            _ => positional.push(arg),
         }
-        args.remove(i);
-        filter = Some(args.remove(i));
     }
-    if let Some(f) = &filter {
-        if report::matching_sections(f).is_empty() {
-            eprintln!(
-                "filter {f:?} matches no experiment section; valid names:\n  {}",
-                report::SECTIONS.join(" ")
-            );
-            std::process::exit(2);
-        }
-    }
-    let size = match args.first().map(String::as_str) {
+    let mut positional = positional.into_iter();
+    let size = match positional.next().as_deref() {
         Some("tiny") => Size::Tiny,
         Some("s10") => Size::S10,
         None | Some("s1") => Size::S1,
-        Some(other) => {
-            eprintln!("unknown size {other:?}; use tiny|s1|s10 (see --help)");
-            std::process::exit(2);
-        }
+        Some(other) => usage(&format!("unknown size {other:?}; use tiny|s1|s10")),
     };
-    let out = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| "EXPERIMENTS.md".into());
-    let r = report::run_filtered(size, filter.as_deref());
+    let out = positional.next().unwrap_or_else(|| "EXPERIMENTS.md".into());
+    if let Some(extra) = positional.next() {
+        usage(&format!("unexpected argument {extra:?}"));
+    }
+    if let Some(f) = &filter {
+        if report::matching_sections(f).is_empty() {
+            usage(&format!(
+                "filter {f:?} matches no experiment section; valid names:\n  {}",
+                report::SECTIONS.join(" ")
+            ));
+        }
+    }
+    let skips_gc = |f: &String| !report::matching_sections(f).contains(&"gc");
+    if sabotage.is_some() && filter.as_ref().is_some_and(skips_gc) {
+        usage("--sabotage-drop-barrier needs the gc section, which the filter skips");
+    }
+
+    let r = report::run_filtered(size, filter.as_deref(), sabotage);
     tape::remove_spill_dir();
-    let md = r.to_markdown();
-    std::fs::write(&out, &md).expect("write report");
+    if let Err(failed) = r.check() {
+        eprintln!("run_all: report check failed; report not written:\n{failed}");
+        exit(1);
+    }
+    if let Err(e) = std::fs::write(&out, r.to_markdown()) {
+        eprintln!("run_all: writing {out}: {e}");
+        exit(2);
+    }
     println!("wrote {out}");
 }

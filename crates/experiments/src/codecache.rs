@@ -1,5 +1,5 @@
-//! `codecache_study` — capacity, sharing, and tiering behavior of the
-//! managed code cache (`jrt-codecache`).
+//! Code-cache study (`run_all --filter codecache`) — capacity, sharing,
+//! and tiering behavior of the managed code cache (`jrt-codecache`).
 //!
 //! The paper's code cache is append-only: Section 3 notes the JIT's
 //! memory overhead (Table 1) *is* the code cache plus translator, and
@@ -522,8 +522,8 @@ impl CodeCacheStudy {
             .all(|r| r.thrash_extra > r.oracle_saving)
     }
 
-    /// Renders the full study as the `EXPERIMENTS.md` section (also
-    /// the `codecache_study` binary's output).
+    /// Renders the full study as the `EXPERIMENTS.md` section (what
+    /// `run_all --filter codecache` writes after the header).
     pub fn to_markdown(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -13,16 +13,13 @@ use crate::tape;
 use jrt_trace::InstMix;
 use jrt_workloads::{suite, Size};
 
-/// Cumulative mixes for the two modes, plus the per-benchmark
-/// breakdown the paper's companion report carries.
+/// Cumulative mixes for the two modes.
 #[derive(Debug, Clone)]
 pub struct Fig2 {
     /// Interpreter-mode cumulative mix.
     pub interp: InstMix,
     /// JIT-mode cumulative mix.
     pub jit: InstMix,
-    /// Per-benchmark (name, interp mix, jit mix).
-    pub per_benchmark: Vec<(&'static str, InstMix, InstMix)>,
 }
 
 impl Fig2 {
@@ -56,40 +53,6 @@ impl Fig2 {
     }
 }
 
-impl Fig2 {
-    /// Per-benchmark mix table (the individual mixes the paper defers
-    /// to its companion technical report).
-    pub fn per_benchmark_table(&self) -> Table {
-        let mut t = Table::new(
-            "Instruction mix per benchmark",
-            &[
-                "benchmark",
-                "mode",
-                "memory",
-                "transfers",
-                "indirect-of-transfers",
-            ],
-        );
-        for (name, mi, mj) in &self.per_benchmark {
-            t.row(vec![
-                (*name).into(),
-                "interp".into(),
-                pct(mi.memory_fraction()),
-                pct(mi.transfer_fraction()),
-                pct(mi.indirect_share_of_transfers()),
-            ]);
-            t.row(vec![
-                (*name).into(),
-                "jit".into(),
-                pct(mj.memory_fraction()),
-                pct(mj.transfer_fraction()),
-                pct(mj.indirect_share_of_transfers()),
-            ]);
-        }
-        t
-    }
-}
-
 /// Runs the Figure 2 experiment: one job per benchmark × mode, with
 /// per-mode cumulative mixes merged in canonical suite order.
 pub fn run(size: Size) -> Fig2 {
@@ -102,18 +65,11 @@ pub fn run(size: Size) -> Fig2 {
 
     let mut interp = InstMix::new();
     let mut jit = InstMix::new();
-    let mut per_benchmark = Vec::new();
-    for (pair, mix_pair) in work.chunks(2).zip(mixes.chunks(2)) {
-        let (mi, mj) = (&mix_pair[0], &mix_pair[1]);
-        interp.merge(mi);
-        jit.merge(mj);
-        per_benchmark.push((pair[0].0.spec.name, mi.clone(), mj.clone()));
+    for pair in mixes.chunks(2) {
+        interp.merge(&pair[0]);
+        jit.merge(&pair[1]);
     }
-    Fig2 {
-        interp,
-        jit,
-        per_benchmark,
-    }
+    Fig2 { interp, jit }
 }
 
 #[cfg(test)]

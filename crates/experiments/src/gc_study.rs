@@ -23,11 +23,10 @@
 //!   reference; all observables must be byte-equal.
 //!
 //! The report is deterministic at any `--jobs` setting (the study
-//! runs its small workload set serially). The `gc_study` binary's
-//! `--sabotage-drop-barrier N` flag arms the collector's seeded
+//! runs its small workload set serially). `run_all --filter gc
+//! --sabotage-drop-barrier N` arms the collector's seeded
 //! missed-write-barrier hook on the measured engine — the must-fail
-//! CI job proves a single lost barrier breaks equivalence and exits
-//! nonzero.
+//! CI leg proves a single lost barrier breaks equivalence and exits 1.
 
 use crate::table::{count, pct, Table};
 use jrt_cache::{CacheConfig, SplitSweep};
@@ -140,8 +139,7 @@ impl GcStudy {
     }
 
     /// Renders the study as markdown: the table plus one summary line
-    /// per row and the equivalence verdict (greppable by the CI
-    /// gc-smoke job).
+    /// per row and the equivalence verdict.
     pub fn to_markdown(&self) -> String {
         let mut out = String::from("## GC study — generational copying collection\n\n");
         out.push_str(&format!(
@@ -249,9 +247,9 @@ pub fn run(size: Size) -> GcStudy {
 
 /// Runs the study with the seeded missed-write-barrier sabotage armed
 /// on the measured engine (`None` = clean run). A sabotaged run whose
-/// dropped barrier matters fails the equivalence column, which the
-/// `gc_study` binary turns into a nonzero exit — the CI must-fail
-/// harness self-test.
+/// dropped barrier matters fails the equivalence column, which
+/// [`crate::report::Report::check`] reports and `run_all` turns into
+/// exit 1 — the CI must-fail harness self-test.
 pub fn run_sabotaged(size: Size, sabotage_drop: Option<u64>) -> GcStudy {
     let (nursery_bytes, tenured_bytes) = match study_config(size) {
         GcConfig::Generational {

@@ -58,9 +58,9 @@ pub fn worker_count() -> usize {
 }
 
 /// Returns the process arguments (program name skipped) with
-/// `--jobs N` / `--jobs=N` consumed into [`set_jobs`]. Experiment
-/// binaries call this instead of touching `std::env::args` so every
-/// one of them understands the same jobs flag.
+/// `--jobs N` / `--jobs=N` consumed into [`set_jobs`]. `run_all` and
+/// the examples call this instead of touching `std::env::args` so
+/// every one of them understands the same jobs flag.
 pub fn cli_args() -> Vec<String> {
     let mut out = Vec::new();
     let mut args = std::env::args().skip(1);

@@ -8,7 +8,8 @@
 
 use crate::runner::Mode;
 use crate::{
-    codecache, fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1, table2, table3,
+    codecache, fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, gc_study, table1,
+    table2, table3,
 };
 use jrt_workloads::Size;
 use std::fmt::Write as _;
@@ -62,7 +63,7 @@ pub struct Report {
     /// Out-of-core scale study (disk-tier tapes, sharded replay).
     pub scale: Option<crate::scale::ScaleStudy>,
     /// Generational-GC study (collections, barriers, equivalence).
-    pub gc: Option<crate::gc_study::GcStudy>,
+    pub gc: Option<gc_study::GcStudy>,
 }
 
 /// Section names accepted by [`run_filtered`]'s filter, in run order.
@@ -106,14 +107,20 @@ pub fn matching_sections(filter: &str) -> Vec<&'static str> {
 
 /// Runs every experiment at `size`, logging progress to stderr.
 pub fn run_all(size: Size) -> Report {
-    run_filtered(size, None)
+    run_filtered(size, None, None)
 }
 
 /// Runs the experiments whose name contains `filter` (all of them
 /// when `filter` is `None`), logging progress to stderr. Skipped
 /// sections are `None` in the returned [`Report`] and absent from its
-/// markdown.
-pub fn run_filtered(size: Size, filter: Option<&str>) -> Report {
+/// markdown. `sabotage_drop_barrier` arms the GC study's seeded
+/// missed-write-barrier bug ([`gc_study::run_sabotaged`]); `None` is
+/// the clean run.
+pub fn run_filtered(
+    size: Size,
+    filter: Option<&str>,
+    sabotage_drop_barrier: Option<u64>,
+) -> Report {
     let enabled = |name: &str| filter.is_none_or(|f| name.contains(f));
     macro_rules! step {
         ($name:literal, $e:expr) => {{
@@ -151,11 +158,46 @@ pub fn run_filtered(size: Size, filter: Option<&str>) -> Report {
         codecache: step!("codecache", codecache::run(size)),
         serve: step!("serve", crate::serve::run(size)),
         scale: step!("scale", crate::scale::run(size)),
-        gc: step!("gc", crate::gc_study::run(size)),
+        gc: step!("gc", gc_study::run_sabotaged(size, sabotage_drop_barrier)),
     }
 }
 
 impl Report {
+    /// The checks a report must pass before it may be written: every
+    /// sharded scale replay equals the serial reference, and every GC
+    /// workload observes identically under every collector
+    /// configuration. A verdict elsewhere in the report may read
+    /// "shape differs"; these two failing mean a simulator is wrong.
+    ///
+    /// # Errors
+    ///
+    /// One line per failed check, each starting with its section name
+    /// (`scale:` or `gc:`) and naming the workload.
+    pub fn check(&self) -> Result<(), String> {
+        let mut failed = Vec::new();
+        for r in self.scale.iter().flat_map(|s| &s.rows) {
+            for p in r.shards.iter().filter(|p| !p.exact) {
+                failed.push(format!(
+                    "scale: {} replayed in {} shards diverged from the serial reference",
+                    r.name, p.workers
+                ));
+            }
+        }
+        for r in self.gc.iter().flat_map(|g| &g.rows) {
+            if !r.equivalent {
+                failed.push(format!(
+                    "gc: a collector configuration leaked into {}'s observables",
+                    r.name
+                ));
+            }
+        }
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(failed.join("\n"))
+        }
+    }
+
     /// Renders the EXPERIMENTS.md document (sections filtered out at
     /// run time are simply absent).
     pub fn to_markdown(&self) -> String {
@@ -590,17 +632,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "runs the full suite; exercised by the run_all binary"]
-    fn full_report_renders() {
-        let r = run_all(Size::Tiny);
-        let md = r.to_markdown();
-        assert!(md.contains("Figure 11"));
-        assert!(md.contains("Managed code cache"));
-    }
-
-    #[test]
     fn filter_selects_sections() {
-        let r = run_filtered(Size::Tiny, Some("table1"));
+        let r = run_filtered(Size::Tiny, Some("table1"), None);
         assert!(r.fig1.is_none());
         assert!(r.codecache.is_none());
         let md = r.to_markdown();

@@ -111,7 +111,7 @@ impl ScaleStudy {
     }
 
     /// Renders the study as markdown: the table plus one budget line
-    /// per row (greppable by the CI scale-smoke job).
+    /// per row (greppable by the CI scale-disk-tier smoke leg).
     pub fn to_markdown(&self) -> String {
         let mut out = self.table().to_markdown();
         for r in &self.rows {

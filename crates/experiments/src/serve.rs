@@ -1,4 +1,5 @@
-//! `serve_study` — the multi-tenant VM fleet (`jrt-serve`).
+//! Serving study (`run_all --filter serve`) — the multi-tenant VM fleet
+//! (`jrt-serve`).
 //!
 //! The paper characterizes one JVM running one program to completion.
 //! The serving study asks the ROADMAP's follow-on question: what
@@ -271,8 +272,8 @@ impl ServeStudy {
         self.same_program_dedup > 0.0
     }
 
-    /// Renders the full study as the `EXPERIMENTS.md` section (also
-    /// the `serve_study` binary's output).
+    /// Renders the full study as the `EXPERIMENTS.md` section (what
+    /// `run_all --filter serve` writes after the header).
     pub fn to_markdown(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -124,7 +124,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "runs S10 inputs; exercised by the sweep_sizes binary"]
+    #[ignore = "runs S10 inputs; exercised by `run_all --filter sizes`"]
     fn translate_share_falls_with_input_size() {
         let s = run();
         for r in &s.rows {

@@ -1,8 +1,6 @@
-//! Plain-text table rendering for experiment output.
+//! Markdown table rendering for experiment output.
 
-use std::fmt;
-
-/// A simple aligned text table with a title.
+/// A titled table, rendered as GitHub-flavored markdown.
 ///
 /// # Examples
 ///
@@ -11,9 +9,9 @@ use std::fmt;
 ///
 /// let mut t = Table::new("demo", &["name", "value"]);
 /// t.row(vec!["x".into(), "1".into()]);
-/// let s = t.to_string();
-/// assert!(s.contains("demo"));
-/// assert!(s.contains("x"));
+/// let md = t.to_markdown();
+/// assert!(md.contains("**demo**"));
+/// assert!(md.contains("| x | 1 |"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -69,31 +67,6 @@ impl Table {
     }
 }
 
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for r in &self.rows {
-            for (w, c) in widths.iter_mut().zip(r) {
-                *w = (*w).max(c.len());
-            }
-        }
-        writeln!(f, "== {} ==", self.title)?;
-        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            let rendered: Vec<String> = cells
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect();
-            writeln!(f, "  {}", rendered.join("  "))
-        };
-        line(f, &self.headers)?;
-        for r in &self.rows {
-            line(f, r)?;
-        }
-        Ok(())
-    }
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -117,17 +90,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned() {
-        let mut t = Table::new("t", &["a", "long-header"]);
-        t.row(vec!["xxxxx".into(), "1".into()]);
-        let s = t.to_string();
-        assert!(s.contains("== t =="));
-        assert!(s.contains("xxxxx"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "row arity mismatch")]
     fn arity_checked() {
         Table::new("t", &["a", "b"]).row(vec!["only-one".into()]);
@@ -137,6 +99,8 @@ mod tests {
     fn markdown_shape() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
+        assert_eq!(t.len(), 1);
+        assert!(!t.is_empty());
         let md = t.to_markdown();
         assert!(md.contains("| a | b |"));
         assert!(md.contains("|---|---|"));

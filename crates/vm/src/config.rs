@@ -123,8 +123,8 @@ impl GcConfig {
 
     /// A deliberately tiny nursery that forces frequent minor
     /// collections even on tiny workloads — the GC-stress
-    /// configuration used by the equivalence tests and the gc-smoke
-    /// CI job.
+    /// configuration used by the equivalence tests and the fuzz-gc CI
+    /// smoke leg.
     pub fn tiny_nursery() -> Self {
         GcConfig::Generational {
             nursery_bytes: 2 << 10,

@@ -18,7 +18,7 @@
 //!
 //! Outside the suite, [`multi`] runs four byte-identical execution
 //! contexts on four threads — the harness for the shared-code-cache
-//! study (`codecache_study` in `jrt-experiments`).
+//! study (`run_all --filter codecache` in `jrt-experiments`).
 //!
 //! Every program is pure bytecode (inputs generated in-program by a
 //! seeded linear congruential generator), self-checking (returns a

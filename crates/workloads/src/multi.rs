@@ -10,7 +10,8 @@
 //! copy of `run`/`step`/`mix`; under [`CacheScope::Shared`] the
 //! content-addressed cache installs each body once and the other
 //! three contexts reuse it — the ShareJIT-style dedup the
-//! `codecache_study` sharing table measures.
+//! code-cache study's sharing table (`run_all --filter codecache`)
+//! measures.
 //!
 //! [`CacheScope::PerThread`]: https://docs.rs/jrt-codecache
 //! [`CacheScope::Shared`]: https://docs.rs/jrt-codecache

@@ -5,18 +5,43 @@
 //! — at one worker (the sequential path) and at several worker
 //! counts — which pins down both the experiment results themselves
 //! and the parallel scheduler's canonical-order merge (DESIGN.md §5.4:
-//! reports are bit-identical at any worker count).
+//! reports are bit-identical at any worker count). The report must
+//! also pass the checks `run_all` exits 1 on, and its GC rows must
+//! show real collector work: a golden full of zeros would pin nothing.
 
-use javart::experiments::{jobs, report};
+use javart::experiments::report::{self, Report};
+use javart::experiments::{gc_study, jobs};
 use javart::workloads::Size;
 
 const GOLDEN: &str = include_str!("golden/experiments_tiny.md");
+
+/// A named condition on a report.
+type Check = (&'static str, fn(&Report) -> bool);
+
+/// What every tiny report must satisfy beyond its bytes.
+const CHECKS: [Check; 3] = [
+    ("Report::check (scale exactness, gc equivalence)", |r| {
+        r.check().is_ok()
+    }),
+    ("gc: minor collections on every row", |r| {
+        r.gc.as_ref()
+            .is_some_and(|g| g.rows.iter().all(|row| row.minors > 0))
+    }),
+    ("gc: write-barrier traffic on every row", |r| {
+        r.gc.as_ref()
+            .is_some_and(|g| g.rows.iter().all(|row| row.barrier_insts > 0))
+    }),
+];
 
 #[test]
 fn run_all_tiny_is_byte_identical_at_any_worker_count() {
     for workers in [1, 2, 8] {
         jobs::set_jobs(workers);
-        let md = report::run_all(Size::Tiny).to_markdown();
+        let r = report::run_all(Size::Tiny);
+        for (name, holds) in CHECKS {
+            assert!(holds(&r), "{name} failed with {workers} worker(s)");
+        }
+        let md = r.to_markdown();
         assert!(
             md == GOLDEN,
             "run_all(Tiny) with {workers} worker(s) diverged from \
@@ -26,6 +51,35 @@ fn run_all_tiny_is_byte_identical_at_any_worker_count() {
             GOLDEN.len(),
             md.bytes().zip(GOLDEN.bytes()).position(|(a, b)| a != b),
         );
+        if workers == 1 {
+            check_fails_on_a_broken_section(&r);
+        }
     }
     jobs::set_jobs(0);
+}
+
+/// The must-fail half of `Report::check`: a seeded missed write
+/// barrier and a diverged scale shard each fail it, naming their
+/// section.
+fn check_fails_on_a_broken_section(clean: &Report) {
+    let mut sabotaged = clean.clone();
+    sabotaged.gc = Some(gc_study::run_sabotaged(Size::Tiny, Some(0)));
+    let err = sabotaged
+        .check()
+        .expect_err("missed barrier passed the check");
+    assert!(
+        err.starts_with("gc: "),
+        "check named the wrong section: {err}"
+    );
+
+    let mut diverged = clean.clone();
+    let scale = diverged.scale.as_mut().expect("scale section");
+    scale.rows[0].shards[1].exact = false;
+    let err = diverged
+        .check()
+        .expect_err("diverged shard passed the check");
+    assert!(
+        err.starts_with("scale: "),
+        "check named the wrong section: {err}"
+    );
 }

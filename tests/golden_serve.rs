@@ -1,8 +1,10 @@
 //! Golden-snapshot test for the multi-tenant fleet study.
 //!
-//! `tests/golden/serve_tiny.md` is the committed output of
-//! `serve_study` at `Tiny` scale. Regenerating it must be
-//! byte-identical — at one worker (the sequential path) and at
+//! The study's committed output at `Tiny` scale is its section of
+//! `tests/golden/experiments_tiny.md`, from its heading up to the
+//! scale section's. Running `serve::run` on its own (what
+//! `run_all --filter serve` does) must reproduce that section
+//! byte-identically — at one worker (the sequential path) and at
 //! several worker counts — which pins down the traffic mix, the
 //! measured cost model, the fleet-scaling simulation (throughput,
 //! p50/p99/p999, shed counts, dedup rates), and the parallel
@@ -11,21 +13,31 @@
 use javart::experiments::{jobs, serve};
 use javart::workloads::Size;
 
-const GOLDEN: &str = include_str!("golden/serve_tiny.md");
+const REPORT: &str = include_str!("golden/experiments_tiny.md");
+
+/// The serving section of the report golden.
+fn golden() -> &'static str {
+    let start = REPORT.find("## Serving tier").expect("serve heading");
+    let end = REPORT
+        .find("**Out-of-core scale study")
+        .expect("scale heading");
+    &REPORT[start..end]
+}
 
 #[test]
 fn serve_study_tiny_is_byte_identical_at_any_worker_count() {
+    let golden = golden();
     for workers in [1, 2, 8] {
         jobs::set_jobs(workers);
         let md = serve::run(Size::Tiny).to_markdown();
         assert!(
-            md == GOLDEN,
+            md == golden,
             "serve_study(Tiny) with {workers} worker(s) diverged from \
-             tests/golden/serve_tiny.md (lengths: got {}, golden {}); \
-             first differing byte at offset {:?}",
+             its section of tests/golden/experiments_tiny.md (lengths: got {}, \
+             golden {}); first differing byte at offset {:?}",
             md.len(),
-            GOLDEN.len(),
-            md.bytes().zip(GOLDEN.bytes()).position(|(a, b)| a != b),
+            golden.len(),
+            md.bytes().zip(golden.bytes()).position(|(a, b)| a != b),
         );
     }
     jobs::set_jobs(0);
