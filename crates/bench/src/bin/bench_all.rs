@@ -14,11 +14,18 @@
 //! generous so shared-runner noise doesn't flake, while real
 //! regressions trip). A bench that never reached steady state is
 //! annotated as warm-up drift and never fails the gate.
+//!
+//! Exit status: 0 when the report was written and passed any check;
+//! 1 when a steady bench regressed past its baseline (the report is
+//! still written); 2 on a usage error, an unreadable or empty
+//! baseline, a filter that matches no bench, or an unwritable report.
+//! Usage errors and baseline problems are found before any bench runs.
 
 use jrt_bench::check::{check, parse_baseline};
 use jrt_bench::{bench_paper, bench_simulators};
 use jrt_testkit::bench::{BenchResult, Harness};
 use jrt_testkit::stats::LatencyHistogram;
+use std::process::exit;
 
 const HELP: &str = "\
 usage: bench_all [filter] [output-path] [--check-against FILE [FACTOR]]
@@ -32,7 +39,20 @@ BENCH_experiments.json). JRT_BENCH_SAMPLES sets the sample count
                                  recorded for it in FILE (default
                                  factor: 2.0). Benches that did not
                                  reach steady state are annotated as
-                                 warm-up drift, not failed.";
+                                 warm-up drift, not failed. FACTOR, if
+                                 given, must directly follow FILE.
+
+Exit status: 0 when the report was written (and passed the check); 1
+when a steady bench regressed (the report is still written); 2 on a
+usage error, an unreadable or empty baseline, a filter that matches no
+bench, or an unwritable report. Usage errors and baseline problems are
+reported before any bench runs.";
+
+/// Reports a usage error and exits with status 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("bench_all: {msg} (see --help)");
+    exit(2);
+}
 
 /// Appends the per-suite rollup lines: median sums under the
 /// `_suite_total` pseudo-bench. The rollup is always marked steady so
@@ -89,35 +109,59 @@ fn log_sample_spread(results: &[BenchResult]) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{HELP}");
-        return;
-    }
-    let mut check_args: Option<(String, f64)> = None;
-    if let Some(i) = args.iter().position(|a| a == "--check-against") {
-        if i + 1 >= args.len() {
-            eprintln!("--check-against needs a baseline path (see --help)");
-            std::process::exit(2);
+    let mut positional = Vec::new();
+    let mut check_against = None;
+    let mut args = std::env::args().skip(1).peekable();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{HELP}");
+                return;
+            }
+            "--check-against" => {
+                let path = args
+                    .next()
+                    .unwrap_or_else(|| usage("--check-against needs a baseline path"));
+                let factor = match args.next_if(|a| !a.starts_with('-')) {
+                    None => 2.0,
+                    Some(f) => f
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|x| x.is_finite() && *x > 0.0)
+                        .unwrap_or_else(|| {
+                            usage(&format!("FACTOR must be a positive number, got {f:?}"))
+                        }),
+                };
+                check_against = Some((path, factor));
+            }
+            flag if flag.starts_with('-') => usage(&format!("unknown flag {flag:?}")),
+            _ => positional.push(arg),
         }
-        args.remove(i);
-        let path = args.remove(i);
-        let factor = if args.len() > i {
-            args.get(i)
-                .and_then(|a| a.parse::<f64>().ok())
-                .inspect(|_| {
-                    args.remove(i);
-                })
-        } else {
-            None
-        };
-        check_args = Some((path, factor.unwrap_or(2.0)));
     }
-    let filter = args.first().filter(|a| !a.starts_with('-')).cloned();
-    let out = args
-        .get(1)
-        .cloned()
+    let mut positional = positional.into_iter();
+    let filter = positional.next();
+    let out = positional
+        .next()
         .unwrap_or_else(|| "BENCH_experiments.json".into());
+    if let Some(extra) = positional.next() {
+        usage(&format!("unexpected argument {extra:?}"));
+    }
+    // The baseline is read before any bench runs: a bad path must not
+    // cost a full measurement pass.
+    let baseline = check_against.map(|(path, factor)| {
+        let entries = match std::fs::read_to_string(&path) {
+            Ok(text) => parse_baseline(&text),
+            Err(e) => {
+                eprintln!("bench_all: reading baseline {path}: {e}");
+                exit(2);
+            }
+        };
+        if entries.is_empty() {
+            eprintln!("bench_all: baseline {path} holds no bench results");
+            exit(2);
+        }
+        (path, entries, factor)
+    });
 
     let mut results = Vec::new();
     for (suite, run) in [
@@ -131,24 +175,25 @@ fn main() {
 
     if results.is_empty() {
         eprintln!(
-            "[bench_all] filter {:?} matched no benchmarks; nothing written",
+            "bench_all: filter {:?} matched no benchmarks; nothing written",
             filter.as_deref().unwrap_or("")
         );
-        std::process::exit(1);
+        exit(2);
     }
     log_sample_spread(&results);
     add_rollups(&mut results);
     let lines: Vec<String> = results.iter().map(|r| r.to_json()).collect();
-    std::fs::write(&out, lines.join("\n") + "\n").expect("write bench report");
+    if let Err(e) = std::fs::write(&out, lines.join("\n") + "\n") {
+        eprintln!("bench_all: writing {out}: {e}");
+        exit(2);
+    }
     eprintln!("[bench_all] wrote {} results to {out}", results.len());
 
-    if let Some((path, factor)) = check_args {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+    if let Some((path, baseline, factor)) = baseline {
         // Rollups are only comparable between full runs; under a
         // filter the partial sum can never *exceed* the full baseline,
         // so including them is safe and full runs still get checked.
-        let report = check(&results, &parse_baseline(&text), factor);
+        let report = check(&results, &baseline, factor);
         for line in report
             .passes
             .iter()
@@ -164,7 +209,7 @@ fn main() {
             report.annotations.len()
         );
         if !report.ok() {
-            std::process::exit(1);
+            exit(1);
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Section 3 of the paper reasons about a per-method crossover point
 //! `N_i = T_i / (I_i − E_i)`: translate a method iff it will be
-//! invoked more than `N_i` times. The VM collects exactly those
-//! quantities when profiling is enabled, and the oracle policy
+//! invoked more than `N_i` times. The VM always collects exactly
+//! those quantities, and the oracle policy
 //! ([`OracleDecisions`](crate::OracleDecisions)) is derived from two
 //! profile tables (one interpreter run, one JIT run). The tiered
 //! policy ([`JitPolicy::Tiered`](crate::JitPolicy::Tiered))

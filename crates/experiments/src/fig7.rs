@@ -14,14 +14,15 @@ use jrt_workloads::{suite, Size};
 /// Associativities swept.
 pub const ASSOCS: [u32; 4] = [1, 2, 4, 8];
 
-/// Aggregated miss rates per associativity for one mode.
+/// Aggregated miss rates per swept cache point for one mode: a row of
+/// Figure 7 (per associativity) or of Figure 8 (per line size).
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Row {
     /// Execution mode.
     pub mode: Mode,
-    /// I-cache miss rate per associativity (suite aggregate).
+    /// I-cache miss rate per swept point (suite aggregate).
     pub i_miss: [f64; 4],
-    /// D-cache miss rate per associativity.
+    /// D-cache miss rate per swept point.
     pub d_miss: [f64; 4],
 }
 
@@ -35,41 +36,33 @@ pub struct Fig7 {
 impl Fig7 {
     /// Renders the table.
     pub fn table(&self) -> Table {
-        let mut t = Table::new(
+        sweep_table(
             "Figure 7: associativity sweep (8K, 32B lines), suite aggregate",
             &["mode", "cache", "1-way", "2-way", "4-way", "8-way"],
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.mode.label().into(),
-                "I".into(),
-                pct(r.i_miss[0]),
-                pct(r.i_miss[1]),
-                pct(r.i_miss[2]),
-                pct(r.i_miss[3]),
-            ]);
-            t.row(vec![
-                r.mode.label().into(),
-                "D".into(),
-                pct(r.d_miss[0]),
-                pct(r.d_miss[1]),
-                pct(r.d_miss[2]),
-                pct(r.d_miss[3]),
-            ]);
-        }
-        t
+            &self.rows,
+        )
     }
 }
 
+/// Renders sweep rows: an I and a D line per mode, one column per
+/// swept point.
+pub(crate) fn sweep_table(title: &str, headers: &[&str], rows: &[Fig7Row]) -> Table {
+    let mut t = Table::new(title, headers);
+    for r in rows {
+        for (cache, miss) in [("I", &r.i_miss), ("D", &r.d_miss)] {
+            let mut row = vec![r.mode.label().into(), cache.into()];
+            row.extend(miss.iter().map(|&m| pct(m)));
+            t.row(row);
+        }
+    }
+    t
+}
+
 /// One benchmark × mode job: a single stack-distance pass over the
-/// decoded stream yields exact counts for all four associativities,
-/// returning `(i_refs, d_refs, i_misses, d_misses)` per point.
-fn run_one(w: &Workload, mode: Mode) -> [(u64, u64, u64, u64); 4] {
-    let points: Vec<CacheConfig> = ASSOCS
-        .iter()
-        .map(|&a| CacheConfig::paper_assoc_sweep(a))
-        .collect();
-    let mut sweep = SplitSweep::new(&points, &points);
+/// decoded stream yields exact counts for all four points, returning
+/// `(i_refs, d_refs, i_misses, d_misses)` per point.
+fn run_one(w: &Workload, mode: Mode, points: &[CacheConfig; 4]) -> [(u64, u64, u64, u64); 4] {
+    let mut sweep = SplitSweep::new(points, points);
     tape::for_each_block(w, mode, |b| sweep.consume_block(b));
     let mut out = [(0, 0, 0, 0); 4];
     for (k, (i, d)) in sweep
@@ -89,21 +82,22 @@ fn run_one(w: &Workload, mode: Mode) -> [(u64, u64, u64, u64); 4] {
     out
 }
 
-/// Runs the Figure 7 experiment: one job per benchmark × mode, with
-/// the suite aggregate folded mode-major after collection.
-pub fn run(size: Size) -> Fig7 {
+/// The driver of Figures 7 and 8: one job per benchmark × mode, each
+/// sweeping the four `points` in one pass, with the suite aggregate
+/// folded mode-major after collection.
+pub(crate) fn sweep_rows(size: Size, points: [CacheConfig; 4]) -> Vec<Fig7Row> {
     let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    let counts = jobs::par_map(&work, |(w, mode)| run_one(w, *mode));
-    let rows = Mode::BOTH
+    let counts = jobs::par_map(&work, |(w, mode)| run_one(w, *mode, &points));
+    Mode::BOTH
         .iter()
         .map(|&mode| {
             let mut refs = [(0u64, 0u64); 4]; // (i_refs, d_refs)
             let mut misses = [(0u64, 0u64); 4];
-            for ((_, m), per_assoc) in work.iter().zip(&counts) {
+            for ((_, m), per_point) in work.iter().zip(&counts) {
                 if *m != mode {
                     continue;
                 }
-                for (k, &(ir, dr, im, dm)) in per_assoc.iter().enumerate() {
+                for (k, &(ir, dr, im, dm)) in per_point.iter().enumerate() {
                     refs[k].0 += ir;
                     refs[k].1 += dr;
                     misses[k].0 += im;
@@ -122,8 +116,14 @@ pub fn run(size: Size) -> Fig7 {
                 d_miss,
             }
         })
-        .collect();
-    Fig7 { rows }
+        .collect()
+}
+
+/// Runs the Figure 7 experiment over the four [`ASSOCS`].
+pub fn run(size: Size) -> Fig7 {
+    Fig7 {
+        rows: sweep_rows(size, ASSOCS.map(CacheConfig::paper_assoc_sweep)),
+    }
 }
 
 #[cfg(test)]

@@ -6,33 +6,46 @@
 //! beyond a method), while JIT mode does best at 32–64 B (object and
 //! array sizes).
 
-use crate::jobs::{self, Workload};
+use crate::fig7::{sweep_rows, sweep_table, Fig7Row};
 use crate::runner::Mode;
-use crate::table::{pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitSweep};
-use jrt_workloads::{suite, Size};
+use crate::table::Table;
+use jrt_cache::CacheConfig;
+use jrt_workloads::Size;
 
 /// Line sizes swept.
 pub const LINES: [u32; 4] = [16, 32, 64, 128];
 
-/// Aggregated miss rates per line size for one mode.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Row {
-    /// Execution mode.
-    pub mode: Mode,
-    /// I-cache miss rates per line size.
-    pub i_miss: [f64; 4],
-    /// D-cache miss rates per line size.
-    pub d_miss: [f64; 4],
+/// The full Figure 8 result.
+#[derive(Debug, Clone)]
+pub struct Fig8 {
+    /// One row per mode; the swept points are the [`LINES`].
+    pub rows: Vec<Fig7Row>,
 }
 
-impl Fig8Row {
-    /// Index of the best (lowest-miss) D-cache line size.
-    pub fn best_d_line(&self) -> u32 {
+impl Fig8 {
+    /// Renders the table.
+    pub fn table(&self) -> Table {
+        sweep_table(
+            "Figure 8: line-size sweep (8K direct-mapped), suite aggregate",
+            &["mode", "cache", "16B", "32B", "64B", "128B"],
+            &self.rows,
+        )
+    }
+
+    /// Row accessor.
+    pub fn get(&self, mode: Mode) -> &Fig7Row {
+        self.rows
+            .iter()
+            .find(|r| r.mode == mode)
+            .expect("mode present")
+    }
+
+    /// The best (lowest-miss) D-cache line size for `mode`.
+    pub fn best_d_line(&self, mode: Mode) -> u32 {
+        let r = self.get(mode);
         let mut best = 0;
         for k in 1..4 {
-            if self.d_miss[k] < self.d_miss[best] {
+            if r.d_miss[k] < r.d_miss[best] {
                 best = k;
             }
         }
@@ -40,111 +53,12 @@ impl Fig8Row {
     }
 }
 
-/// The full Figure 8 result.
-#[derive(Debug, Clone)]
-pub struct Fig8 {
-    /// One row per mode.
-    pub rows: Vec<Fig8Row>,
-}
-
-impl Fig8 {
-    /// Renders the table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Figure 8: line-size sweep (8K direct-mapped), suite aggregate",
-            &["mode", "cache", "16B", "32B", "64B", "128B"],
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.mode.label().into(),
-                "I".into(),
-                pct(r.i_miss[0]),
-                pct(r.i_miss[1]),
-                pct(r.i_miss[2]),
-                pct(r.i_miss[3]),
-            ]);
-            t.row(vec![
-                r.mode.label().into(),
-                "D".into(),
-                pct(r.d_miss[0]),
-                pct(r.d_miss[1]),
-                pct(r.d_miss[2]),
-                pct(r.d_miss[3]),
-            ]);
-        }
-        t
-    }
-
-    /// Row accessor.
-    pub fn get(&self, mode: Mode) -> &Fig8Row {
-        self.rows
-            .iter()
-            .find(|r| r.mode == mode)
-            .expect("mode present")
-    }
-}
-
-/// One benchmark × mode job. The four line sizes go into one sweep as
-/// four families — the decoded stream is walked and classified once,
-/// with four stack touches per access. Returns
-/// `(i_refs, d_refs, i_misses, d_misses)` per line size.
-fn run_one(w: &Workload, mode: Mode) -> [(u64, u64, u64, u64); 4] {
-    let points: Vec<CacheConfig> = LINES
-        .iter()
-        .map(|&l| CacheConfig::paper_line_sweep(l))
-        .collect();
-    let mut sweep = SplitSweep::new(&points, &points);
-    tape::for_each_block(w, mode, |b| sweep.consume_block(b));
-    let iresults = sweep.icache().results();
-    let dresults = sweep.dcache().results();
-    let mut out = [(0, 0, 0, 0); 4];
-    for (k, out_k) in out.iter_mut().enumerate() {
-        let (i, d) = (&iresults[k], &dresults[k]);
-        *out_k = (
-            i.stats().refs(),
-            d.stats().refs(),
-            i.stats().misses(),
-            d.stats().misses(),
-        );
-    }
-    out
-}
-
-/// Runs the Figure 8 experiment: one job per benchmark × mode, with
-/// the suite aggregate folded mode-major after collection.
+/// Runs the Figure 8 experiment: Figure 7's driver over the four
+/// [`LINES`], which one sweep walks as four line-size families.
 pub fn run(size: Size) -> Fig8 {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    let counts = jobs::par_map(&work, |(w, mode)| run_one(w, *mode));
-    let rows = Mode::BOTH
-        .iter()
-        .map(|&mode| {
-            let mut refs = [(0u64, 0u64); 4];
-            let mut misses = [(0u64, 0u64); 4];
-            for ((_, m), per_line) in work.iter().zip(&counts) {
-                if *m != mode {
-                    continue;
-                }
-                for (k, &(ir, dr, im, dm)) in per_line.iter().enumerate() {
-                    refs[k].0 += ir;
-                    refs[k].1 += dr;
-                    misses[k].0 += im;
-                    misses[k].1 += dm;
-                }
-            }
-            let mut i_miss = [0.0; 4];
-            let mut d_miss = [0.0; 4];
-            for k in 0..4 {
-                i_miss[k] = misses[k].0 as f64 / refs[k].0.max(1) as f64;
-                d_miss[k] = misses[k].1 as f64 / refs[k].1.max(1) as f64;
-            }
-            Fig8Row {
-                mode,
-                i_miss,
-                d_miss,
-            }
-        })
-        .collect();
-    Fig8 { rows }
+    Fig8 {
+        rows: sweep_rows(size, LINES.map(CacheConfig::paper_line_sweep)),
+    }
 }
 
 #[cfg(test)]
@@ -170,7 +84,7 @@ mod tests {
         // than for JIT code (the paper's small-method/bytecode-size
         // argument); the exact best-line points appear in the s1
         // report.
-        let gain = |r: &Fig8Row| r.d_miss[0] / r.d_miss[3].max(1e-12);
+        let gain = |r: &Fig7Row| r.d_miss[0] / r.d_miss[3].max(1e-12);
         let interp_gain = gain(f.get(Mode::Interp));
         let jit_gain = gain(f.get(Mode::Jit));
         assert!(

@@ -123,17 +123,6 @@ impl Fig9 {
             .collect();
         v.iter().sum::<f64>() / v.len() as f64
     }
-
-    /// Mean width-8/width-1 IPC scaling for a mode.
-    pub fn mean_scaling(&self, mode: Mode) -> f64 {
-        let v: Vec<f64> = self
-            .rows
-            .iter()
-            .filter(|r| r.mode == mode)
-            .map(Fig9Row::scaling)
-            .collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    }
 }
 
 fn run_one(w: &Workload, mode: Mode) -> Fig9Row {

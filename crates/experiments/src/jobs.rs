@@ -29,7 +29,7 @@
 use jrt_bytecode::Program;
 use jrt_workloads::{Size, Spec};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Process-wide worker-count override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -90,9 +90,9 @@ pub fn cli_args() -> Vec<String> {
     out
 }
 
-/// Maps `f` over `items` on a work-queue of [`worker_count`] threads,
-/// returning results **in input order** regardless of which worker
-/// ran which item or when it finished.
+/// Maps `f` over `items` on a work-queue of [`worker_count`] threads
+/// ([`jrt_testkit::par_map`]), returning results **in input order**
+/// regardless of which worker ran which item or when it finished.
 ///
 /// With one worker (or one item) this degenerates to a plain
 /// sequential `map` on the calling thread. A panic in any job
@@ -103,30 +103,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = worker_count().min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every job ran")
-        })
-        .collect()
+    jrt_testkit::par_map(items, worker_count(), f)
 }
 
 /// A benchmark with its program built once and shared immutably
@@ -175,6 +152,7 @@ mod tests {
     use crate::runner::{run_mode, Mode};
     use jrt_trace::CountingSink;
     use jrt_workloads::hello;
+    use std::sync::Mutex;
 
     /// `set_jobs` is process-global; tests that touch it serialize
     /// here so the harness's own parallelism can't interleave them.

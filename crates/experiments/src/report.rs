@@ -426,8 +426,8 @@ impl Report {
                  bytecodes) while JIT mode prefers 32–64 bytes (object sizes).\n"
             );
             let _ = writeln!(w, "{}", fig8.table().to_markdown());
-            let ib = fig8.get(Mode::Interp).best_d_line();
-            let jb = fig8.get(Mode::Jit).best_d_line();
+            let ib = fig8.best_d_line(Mode::Interp);
+            let jb = fig8.best_d_line(Mode::Jit);
             let _ = writeln!(
                 w,
                 "*Measured:* best D-line {}B (interp) vs {}B (jit) — {}.\n",

@@ -23,7 +23,7 @@
 //! catch. `JRT_FUZZ_SEED` / `JRT_FUZZ_CASES` override the defaults;
 //! explicit flags override the environment.
 
-use jrt_fuzz::{fuzz, fuzz_gc, fuzz_perf, GcSabotage, PerfSabotage, Sabotage, MATRIX_LABELS};
+use jrt_fuzz::{fuzz_with, GcSabotage, Oracle, Sabotage, MATRIX_LABELS};
 
 fn parse_u64(s: &str) -> u64 {
     let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -37,6 +37,20 @@ fn parse_u64(s: &str) -> u64 {
     })
 }
 
+/// The matrix label `mode` names; exits 2 on an unknown one.
+fn matrix_label(mode: &str) -> &'static str {
+    MATRIX_LABELS
+        .into_iter()
+        .find(|l| *l == mode)
+        .unwrap_or_else(|| {
+            eprintln!(
+                "fuzz_run: unknown mode {mode}; matrix: {}",
+                MATRIX_LABELS.join(" ")
+            );
+            std::process::exit(2);
+        })
+}
+
 fn main() {
     let mut seed = 0x5EED_0001_u64;
     let mut cases = 256u64;
@@ -45,7 +59,7 @@ fn main() {
     let mut require_full = false;
     let mut sabotage: Option<Sabotage> = None;
     let mut perf = false;
-    let mut perf_sabotage: Option<PerfSabotage> = None;
+    let mut perf_sabotage: Option<Sabotage> = None;
     let mut gc = false;
     let mut gc_sabotage: Option<GcSabotage> = None;
 
@@ -63,32 +77,24 @@ fn main() {
         match arg.as_str() {
             "--seed" => seed = parse_u64(&value("--seed")),
             "--cases" => cases = parse_u64(&value("--cases")),
-            "--jobs" => jobs = parse_u64(&value("--jobs")) as usize,
+            "--jobs" => {
+                jobs = parse_u64(&value("--jobs")) as usize;
+                if jobs == 0 {
+                    eprintln!("fuzz_run: --jobs expects a positive integer");
+                    std::process::exit(2);
+                }
+            }
             "--out" => out = Some(value("--out")),
             "--require-full-coverage" => require_full = true,
             "--sabotage" => {
-                let mode = value("--sabotage");
-                let Some(label) = MATRIX_LABELS.iter().find(|l| **l == mode) else {
-                    eprintln!(
-                        "fuzz_run: unknown mode {mode}; matrix: {}",
-                        MATRIX_LABELS.join(" ")
-                    );
-                    std::process::exit(2);
-                };
-                sabotage = Some(Sabotage { mode: label });
+                let mode = matrix_label(&value("--sabotage"));
+                sabotage = Some(Sabotage { mode });
             }
             "--perf" => perf = true,
             "--perf-sabotage" => {
-                let mode = value("--perf-sabotage");
-                let Some(label) = MATRIX_LABELS.iter().find(|l| **l == mode) else {
-                    eprintln!(
-                        "fuzz_run: unknown mode {mode}; matrix: {}",
-                        MATRIX_LABELS.join(" ")
-                    );
-                    std::process::exit(2);
-                };
+                let mode = matrix_label(&value("--perf-sabotage"));
                 perf = true;
-                perf_sabotage = Some(PerfSabotage { mode: label });
+                perf_sabotage = Some(Sabotage { mode });
             }
             "--gc" => gc = true,
             "--gc-sabotage" => {
@@ -97,16 +103,9 @@ fn main() {
                     eprintln!("fuzz_run: --gc-sabotage wants MODE:N (e.g. jit:0)");
                     std::process::exit(2);
                 };
-                let Some(label) = MATRIX_LABELS.iter().find(|l| **l == mode) else {
-                    eprintln!(
-                        "fuzz_run: unknown mode {mode}; matrix: {}",
-                        MATRIX_LABELS.join(" ")
-                    );
-                    std::process::exit(2);
-                };
                 gc = true;
                 gc_sabotage = Some(GcSabotage {
-                    mode: label,
+                    mode: matrix_label(mode),
                     drop: parse_u64(n),
                 });
             }
@@ -125,13 +124,14 @@ fn main() {
         eprintln!("fuzz_run: --gc excludes --perf and --sabotage");
         std::process::exit(2);
     }
-    let report = if gc {
-        fuzz_gc(seed, cases, jobs, gc_sabotage)
+    let oracle = if gc {
+        Oracle::Gc(gc_sabotage)
     } else if perf {
-        fuzz_perf(seed, cases, jobs, perf_sabotage)
+        Oracle::Perf(perf_sabotage)
     } else {
-        fuzz(seed, cases, jobs, sabotage)
+        Oracle::Diff(sabotage)
     };
+    let report = fuzz_with(seed, cases, jobs, oracle);
     let text = report.render(seed);
     print!("{text}");
     if let Some(path) = out {

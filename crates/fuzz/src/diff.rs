@@ -14,8 +14,6 @@
 //! interacting).
 
 use crate::coverage::Coverage;
-use crate::lower;
-use crate::spec::ProgramSpec;
 use jrt_bytecode::Program;
 use jrt_trace::NullSink;
 use jrt_vm::{
@@ -102,8 +100,10 @@ pub fn engine_configs_gc() -> Vec<(&'static str, VmConfig)> {
         .collect()
 }
 
-/// A harness self-test hook: corrupt the named engine's observables
-/// after its run, proving the oracle detects a seeded divergence.
+/// A harness self-test hook: corrupt the named engine's result after
+/// its run — its observables under [`crate::Oracle::Diff`], its cost
+/// vector under [`crate::Oracle::Perf`] — proving the oracle detects
+/// (and shrinks) a seeded fault.
 #[derive(Debug, Clone, Copy)]
 pub struct Sabotage {
     /// Matrix label whose result gets corrupted.
@@ -126,7 +126,7 @@ pub struct GcSabotage {
 }
 
 /// The full differential result of one case.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CaseResult {
     /// Every engine's observed run, in matrix order.
     pub observed: Vec<(&'static str, ObservedRun)>,
@@ -139,87 +139,44 @@ impl CaseResult {
     pub fn reference(&self) -> &ObservedRun {
         &self.observed[0].1
     }
+
+    /// Runs each `(label, config)` engine in order through `run`,
+    /// appending its observed run and comparing its observables with
+    /// the first engine's (the interpreter reference). Every oracle's
+    /// case runner is a call (or two) of this.
+    pub fn run_engines(
+        &mut self,
+        engines: impl IntoIterator<Item = (&'static str, VmConfig)>,
+        mut run: impl FnMut(&'static str, VmConfig) -> ObservedRun,
+    ) {
+        for (label, cfg) in engines {
+            let observed = run(label, cfg);
+            if let Some((_, reference)) = self.observed.first() {
+                if observed.observables != reference.observables {
+                    self.divergent.push(label);
+                }
+            }
+            self.observed.push((label, observed));
+        }
+    }
 }
 
 /// Runs `program` through the whole matrix and compares observables.
 pub fn run_case(program: &Program, sabotage: Option<&Sabotage>) -> CaseResult {
-    let mut observed = Vec::new();
-    for (label, cfg) in engine_configs() {
-        let mut sink = NullSink;
-        let mut run = Vm::new(program, cfg).run_observed(&mut sink);
-        if let Some(s) = sabotage {
-            if s.mode == label {
-                // Corrupt the exit value (or fabricate one on error):
-                // the smallest possible observable lie.
-                run.observables.outcome = match run.observables.outcome {
-                    Ok(v) => Ok(Some(v.unwrap_or(0) ^ 1)),
-                    Err(_) => Ok(Some(0)),
-                };
-            }
+    let mut cr = CaseResult::default();
+    cr.run_engines(engine_configs(), |label, cfg| {
+        let mut run = Vm::new(program, cfg).run_observed(&mut NullSink);
+        if sabotage.is_some_and(|s| s.mode == label) {
+            // Corrupt the exit value (or fabricate one on error):
+            // the smallest possible observable lie.
+            run.observables.outcome = match run.observables.outcome {
+                Ok(v) => Ok(Some(v.unwrap_or(0) ^ 1)),
+                Err(_) => Ok(Some(0)),
+            };
         }
-        observed.push((label, run));
-    }
-    let reference = observed[0].1.observables.clone();
-    let divergent = observed
-        .iter()
-        .skip(1)
-        .filter(|(_, run)| run.observables != reference)
-        .map(|(label, _)| *label)
-        .collect();
-    CaseResult {
-        observed,
-        divergent,
-    }
-}
-
-/// Whether `spec` still diverges under the matrix (the shrinker's
-/// failure predicate). Specs that no longer lower/verify don't count.
-pub fn spec_diverges(spec: &ProgramSpec, sabotage: Option<&Sabotage>) -> bool {
-    match lower::lower(spec) {
-        Ok(program) => !run_case(&program, sabotage).divergent.is_empty(),
-        Err(_) => false,
-    }
-}
-
-/// Runs `program` through the GC matrix ([`engine_configs_gc`]) and
-/// compares observables, optionally dropping one write barrier on one
-/// engine ([`GcSabotage`]). A dropped barrier is a real VM fault
-/// injected *before* the run, so whether it diverges depends on
-/// whether a minor collection actually exploits the missing
-/// remembered-set entry — exactly the property the must-fail CI job
-/// pins down with a known-diverging `(seed, case, drop)`.
-pub fn run_case_gc(program: &Program, sabotage: Option<&GcSabotage>) -> CaseResult {
-    let mut observed = Vec::new();
-    for (label, mut cfg) in engine_configs_gc() {
-        if let Some(s) = sabotage {
-            if s.mode == label {
-                cfg.gc_sabotage_drop_barrier = Some(s.drop);
-            }
-        }
-        let mut sink = NullSink;
-        let run = Vm::new(program, cfg).run_observed(&mut sink);
-        observed.push((label, run));
-    }
-    let reference = observed[0].1.observables.clone();
-    let divergent = observed
-        .iter()
-        .skip(1)
-        .filter(|(_, run)| run.observables != reference)
-        .map(|(label, _)| *label)
-        .collect();
-    CaseResult {
-        observed,
-        divergent,
-    }
-}
-
-/// Whether `spec` still diverges under the GC matrix (the GC
-/// shrinker's failure predicate).
-pub fn spec_diverges_gc(spec: &ProgramSpec, sabotage: Option<&GcSabotage>) -> bool {
-    match lower::lower(spec) {
-        Ok(program) => !run_case_gc(&program, sabotage).divergent.is_empty(),
-        Err(_) => false,
-    }
+        run
+    });
+    cr
 }
 
 /// Folds one case's results into the coverage map.

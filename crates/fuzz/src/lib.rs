@@ -22,12 +22,19 @@
 //!   boost features whose opcodes are still uncovered;
 //! * [`neg`] — the negative suite asserting all 13 toolchain
 //!   rejection paths;
-//! * [`shrink`] — greedy minimization of any diverging program to a
+//! * [`perf`] — the performance oracle: per-engine cost vectors
+//!   checked against the cost-model invariants;
+//! * [`shrink`] — greedy minimization of any failing program to a
 //!   small reproducer.
+//!
+//! One round loop, [`fuzz_with`], drives every [`Oracle`]: the
+//! correctness differential ([`Oracle::Diff`], which [`fuzz`] runs),
+//! the same differential under the forcing tiny nursery
+//! ([`Oracle::Gc`]), and the performance oracle ([`Oracle::Perf`]).
 //!
 //! # Determinism
 //!
-//! [`fuzz`] generates cases in fixed-size rounds: the whole round is
+//! [`fuzz_with`] generates cases in fixed-size rounds: the whole round is
 //! generated sequentially from the round-start coverage snapshot,
 //! executed in parallel, then folded back into coverage in case-index
 //! order. The report is therefore byte-identical at any `jobs` count,
@@ -54,20 +61,19 @@ pub mod spec;
 
 pub use coverage::{Coverage, OPCODE_NAMES, TRANSITION_KEYS};
 pub use diff::{
-    engine_configs, engine_configs_gc, run_case, run_case_gc, spec_diverges, spec_diverges_gc,
-    CaseResult, GcSabotage, Sabotage, MATRIX_LABELS,
+    engine_configs, engine_configs_gc, run_case, CaseResult, GcSabotage, Sabotage, MATRIX_LABELS,
 };
 pub use gen::gen_spec;
 pub use lower::lower;
 pub use perf::{
-    run_perf_case, spec_perf_violates, CostVector, PerfCase, PerfFinding, PerfSabotage, GC_LABEL,
-    PERF_LABELS, SIZED_LABEL,
+    run_perf_case, CostVector, PerfCase, PerfFinding, GC_LABEL, PERF_LABELS, SIZED_LABEL,
 };
 pub use spec::ProgramSpec;
 
+use jrt_bytecode::Program;
 use jrt_testkit::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use jrt_trace::NullSink;
+use jrt_vm::Vm;
 
 /// Cases generated per round. Generation is sequential within a
 /// round; execution is parallel; coverage merges at the round
@@ -113,7 +119,7 @@ pub struct PerfViolation {
 }
 
 /// The perf-oracle section of a [`FuzzReport`], present when the run
-/// used [`fuzz_perf`].
+/// used [`Oracle::Perf`].
 #[derive(Debug)]
 pub struct PerfReport {
     /// Per-engine cost totals over all cases, in [`PERF_LABELS`]
@@ -130,7 +136,7 @@ pub struct FuzzReport {
     pub coverage: Coverage,
     /// All divergences, in case order.
     pub divergences: Vec<Divergence>,
-    /// Cost totals and violations ([`fuzz_perf`] runs only).
+    /// Cost totals and violations ([`Oracle::Perf`] runs only).
     pub perf: Option<PerfReport>,
 }
 
@@ -200,68 +206,107 @@ pub fn gen_case(seed: u64, index: u64, cov: &Coverage) -> ProgramSpec {
     gen::gen_spec(&mut rng, cov)
 }
 
-fn run_one(seed: u64, case: u64, spec: &ProgramSpec, sabotage: Option<&Sabotage>) -> CaseResult {
-    let program = lower::lower(spec).unwrap_or_else(|e| {
-        panic!("seed {seed:#x} case {case}: generated spec failed to lower/verify: {e}\n{spec:?}")
-    });
-    diff::run_case(&program, sabotage)
+/// What a fuzz run checks every case against, each with its optional
+/// seeded fault (the harness self-test). Each variant owns its case
+/// runner ([`Oracle::run`]) and its shrink predicates
+/// ([`Oracle::diverges`], [`Oracle::violates`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Oracle {
+    /// Every engine's observables against the interpreter's
+    /// ([`engine_configs`]); the sabotage corrupts one engine's
+    /// observables.
+    Diff(Option<Sabotage>),
+    /// The same differential with every engine under the forcing tiny
+    /// nursery ([`engine_configs_gc`]), so each engine collects at
+    /// *different* allocation-driven points. The sabotage drops one
+    /// remembered-set enrollment on one engine before its run: a real
+    /// collector bug, which diverges only if a minor collection
+    /// exploits the missing entry, so whether a given drop is
+    /// observable depends on the program.
+    Gc(Option<GcSabotage>),
+    /// The differential plus the cost-model invariants ([`perf`]); the
+    /// sabotage corrupts one engine's cost vector, which must surface
+    /// as a violation.
+    Perf(Option<Sabotage>),
 }
 
-/// Executes one round's specs across `jobs` worker threads with an
-/// arbitrary per-case runner; results come back in case order
-/// regardless of scheduling.
-fn run_batch<R: Send>(
-    specs: &[(u64, ProgramSpec)],
-    jobs: usize,
-    runner: impl Fn(u64, &ProgramSpec) -> R + Sync,
-) -> Vec<R> {
-    let jobs = jobs.max(1).min(specs.len().max(1));
-    if jobs == 1 {
-        return specs.iter().map(|(case, s)| runner(*case, s)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            let runner = &runner;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((case, spec)) = specs.get(i) else {
-                    break;
-                };
-                let result = runner(*case, spec);
-                if tx.send((i, result)).is_err() {
-                    break;
-                }
-            });
+impl Oracle {
+    /// Runs `program` through this oracle's engine matrix.
+    pub fn run(&self, program: &Program) -> PerfCase {
+        let base = match *self {
+            Oracle::Diff(sabotage) => diff::run_case(program, sabotage.as_ref()),
+            Oracle::Gc(sabotage) => {
+                let mut cr = CaseResult::default();
+                cr.run_engines(engine_configs_gc(), |label, mut cfg| {
+                    if let Some(s) = sabotage.filter(|s| s.mode == label) {
+                        cfg.gc_sabotage_drop_barrier = Some(s.drop);
+                    }
+                    Vm::new(program, cfg).run_observed(&mut NullSink)
+                });
+                cr
+            }
+            Oracle::Perf(sabotage) => return perf::run_perf_case(program, sabotage.as_ref()),
+        };
+        PerfCase {
+            base,
+            costs: Vec::new(),
+            violations: Vec::new(),
         }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<R>> = specs.iter().map(|_| None).collect();
-    for (i, r) in rx {
-        slots[i] = Some(r);
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker dropped a case"))
-        .collect()
+
+    /// Whether `spec` still diverges: the divergence shrinker's
+    /// predicate. The perf oracle's sabotage corrupts costs, not
+    /// observables, so its divergences shrink against the unsabotaged
+    /// [`Oracle::Diff`] matrix. Specs that no longer lower/verify
+    /// don't count.
+    pub fn diverges(&self, spec: &ProgramSpec) -> bool {
+        let oracle = match self {
+            Oracle::Perf(_) => &Oracle::Diff(None),
+            other => other,
+        };
+        lower::lower(spec).is_ok_and(|p| !oracle.run(&p).base.divergent.is_empty())
+    }
+
+    /// Whether `spec` still violates some cost invariant under this
+    /// oracle (never outside [`Oracle::Perf`]): the violation
+    /// shrinker's predicate. Specs that no longer lower/verify don't
+    /// count.
+    pub fn violates(&self, spec: &ProgramSpec) -> bool {
+        lower::lower(spec).is_ok_and(|p| !self.run(&p).violations.is_empty())
+    }
 }
 
-/// Runs the fuzzer: `cases` generated programs through the full
-/// engine matrix on `jobs` threads, preceded by the negative suite.
-/// Any diverging case is shrunk to a minimal reproducer.
-///
-/// Deterministic in `(seed, cases)`: the same inputs produce the same
-/// programs, coverage, and verdicts at any `jobs` count. Callers
-/// honouring the `JRT_FUZZ_SEED` / `JRT_FUZZ_CASES` environment
-/// overrides should map them via
-/// [`jrt_testkit::effective_cases_seed`] *before* calling.
+/// Runs the correctness differential ([`Oracle::Diff`]): `cases`
+/// generated programs through the full engine matrix on `jobs`
+/// threads, preceded by the negative suite. Any diverging case is
+/// shrunk to a minimal reproducer. See [`fuzz_with`].
 pub fn fuzz(seed: u64, cases: u64, jobs: usize, sabotage: Option<Sabotage>) -> FuzzReport {
+    fuzz_with(seed, cases, jobs, Oracle::Diff(sabotage))
+}
+
+/// Runs the fuzzer: `cases` generated programs through `oracle`'s
+/// engine matrix on `jobs` threads ([`jrt_testkit::par_map`]),
+/// preceded by the negative suite. Every diverging case, and every
+/// case violating a cost invariant, is shrunk to a minimal
+/// reproducer; an [`Oracle::Perf`] run's report also carries
+/// [`FuzzReport::perf`].
+///
+/// Deterministic in `(seed, cases, oracle)`: the same inputs produce
+/// the same programs, coverage, and verdicts at any `jobs` count.
+/// Callers honouring the `JRT_FUZZ_SEED` / `JRT_FUZZ_CASES`
+/// environment overrides should map them via
+/// [`jrt_testkit::effective_cases_seed`] *before* calling.
+pub fn fuzz_with(seed: u64, cases: u64, jobs: usize, oracle: Oracle) -> FuzzReport {
     let mut cov = Coverage::new();
     neg::exercise(&mut cov);
     let mut divergences = Vec::new();
+    let mut perf = matches!(oracle, Oracle::Perf(_)).then(|| PerfReport {
+        totals: PERF_LABELS
+            .iter()
+            .map(|l| (*l, CostVector::default()))
+            .collect(),
+        violations: Vec::new(),
+    });
     let mut start = 0u64;
     while start < cases {
         let n = ROUND.min(cases - start);
@@ -271,146 +316,42 @@ pub fn fuzz(seed: u64, cases: u64, jobs: usize, sabotage: Option<Sabotage>) -> F
         let specs: Vec<(u64, ProgramSpec)> = (start..start + n)
             .map(|i| (i, gen_case(seed, i, &snapshot)))
             .collect();
-        let results = run_batch(&specs, jobs, |case, spec| {
-            run_one(seed, case, spec, sabotage.as_ref())
-        });
-        for ((case, spec), cr) in specs.iter().zip(&results) {
-            diff::record_case(&mut cov, cr);
-            if !cr.divergent.is_empty() {
-                let minimized = shrink::shrink(spec, sabotage.as_ref());
-                divergences.push(Divergence {
-                    seed,
-                    case: *case,
-                    modes: cr.divergent.clone(),
-                    original_size: spec.size(),
-                    minimized,
-                });
-            }
-        }
-        start += n;
-    }
-    FuzzReport {
-        coverage: cov,
-        divergences,
-        perf: None,
-    }
-}
-
-/// Runs the fuzzer over the GC engine matrix: every generated program
-/// through all eleven engines under the forcing tiny nursery
-/// ([`diff::engine_configs_gc`]), observables compared against the
-/// (equally GC-stressed) interpreter. `gc_sabotage` injects a real
-/// collector bug — one silently dropped remembered-set enrollment on
-/// one engine — which must surface as a divergence for the must-fail
-/// CI job's pinned parameters.
-///
-/// Deterministic in `(seed, cases, gc_sabotage)` at any `jobs` count,
-/// exactly like [`fuzz`].
-pub fn fuzz_gc(seed: u64, cases: u64, jobs: usize, gc_sabotage: Option<GcSabotage>) -> FuzzReport {
-    let mut cov = Coverage::new();
-    neg::exercise(&mut cov);
-    let mut divergences = Vec::new();
-    let mut start = 0u64;
-    while start < cases {
-        let n = ROUND.min(cases - start);
-        let snapshot = cov.clone();
-        let specs: Vec<(u64, ProgramSpec)> = (start..start + n)
-            .map(|i| (i, gen_case(seed, i, &snapshot)))
-            .collect();
-        let results = run_batch(&specs, jobs, |case, spec| {
+        let results = jrt_testkit::par_map(&specs, jobs, |(case, spec)| {
             let program = lower::lower(spec).unwrap_or_else(|e| {
                 panic!(
                     "seed {seed:#x} case {case}: generated spec failed to lower/verify: {e}\n{spec:?}"
                 )
             });
-            diff::run_case_gc(&program, gc_sabotage.as_ref())
-        });
-        for ((case, spec), cr) in specs.iter().zip(&results) {
-            diff::record_case(&mut cov, cr);
-            if !cr.divergent.is_empty() {
-                let minimized = jrt_testkit::minimize(
-                    spec.clone(),
-                    |s| diff::spec_diverges_gc(s, gc_sabotage.as_ref()),
-                    shrink::candidates,
-                );
-                divergences.push(Divergence {
-                    seed,
-                    case: *case,
-                    modes: cr.divergent.clone(),
-                    original_size: spec.size(),
-                    minimized,
-                });
-            }
-        }
-        start += n;
-    }
-    FuzzReport {
-        coverage: cov,
-        divergences,
-        perf: None,
-    }
-}
-
-/// Runs the fuzzer with the performance oracle on: every case's engine
-/// matrix is measured under the one-pass cache sweep, cost vectors are
-/// checked against the cost-model invariants (see [`perf`]), and both
-/// correctness divergences and cost violations are shrunk to minimal
-/// reproducers. The returned report carries [`FuzzReport::perf`].
-///
-/// Deterministic in `(seed, cases, perf_sabotage)` at any `jobs`
-/// count, exactly like [`fuzz`].
-pub fn fuzz_perf(
-    seed: u64,
-    cases: u64,
-    jobs: usize,
-    perf_sabotage: Option<PerfSabotage>,
-) -> FuzzReport {
-    let mut cov = Coverage::new();
-    neg::exercise(&mut cov);
-    let mut divergences = Vec::new();
-    let mut violations = Vec::new();
-    let mut totals: Vec<(&'static str, CostVector)> = PERF_LABELS
-        .iter()
-        .map(|l| (*l, CostVector::default()))
-        .collect();
-    let mut start = 0u64;
-    while start < cases {
-        let n = ROUND.min(cases - start);
-        let snapshot = cov.clone();
-        let specs: Vec<(u64, ProgramSpec)> = (start..start + n)
-            .map(|i| (i, gen_case(seed, i, &snapshot)))
-            .collect();
-        let results = run_batch(&specs, jobs, |case, spec| {
-            let program = lower::lower(spec).unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed:#x} case {case}: generated spec failed to lower/verify: {e}\n{spec:?}"
-                )
-            });
-            perf::run_perf_case(&program, perf_sabotage.as_ref())
+            oracle.run(&program)
         });
         for ((case, spec), pc) in specs.iter().zip(&results) {
             diff::record_case(&mut cov, &pc.base);
-            for (label, cost) in &pc.costs {
-                if let Some(slot) = totals.iter_mut().find(|(l, _)| l == label) {
-                    slot.1.add(cost);
-                }
-            }
             if !pc.base.divergent.is_empty() {
-                let minimized = shrink::shrink(spec, None);
                 divergences.push(Divergence {
                     seed,
                     case: *case,
                     modes: pc.base.divergent.clone(),
                     original_size: spec.size(),
-                    minimized,
+                    minimized: jrt_testkit::minimize(
+                        spec.clone(),
+                        |s| oracle.diverges(s),
+                        shrink::candidates,
+                    ),
                 });
+            }
+            let Some(perf) = &mut perf else { continue };
+            for (label, cost) in &pc.costs {
+                if let Some(slot) = perf.totals.iter_mut().find(|(l, _)| l == label) {
+                    slot.1.add(cost);
+                }
             }
             if !pc.violations.is_empty() {
                 // One shrink per case, shared by its findings: the
                 // predicate is "still violates some cost invariant".
-                let minimized = perf::shrink_perf(spec, perf_sabotage.as_ref());
+                let minimized =
+                    jrt_testkit::minimize(spec.clone(), |s| oracle.violates(s), shrink::candidates);
                 for f in &pc.violations {
-                    violations.push(PerfViolation {
+                    perf.violations.push(PerfViolation {
                         seed,
                         case: *case,
                         label: f.label,
@@ -427,6 +368,6 @@ pub fn fuzz_perf(
     FuzzReport {
         coverage: cov,
         divergences,
-        perf: Some(PerfReport { totals, violations }),
+        perf,
     }
 }

@@ -83,9 +83,10 @@
 //! Any violation is attributed to an engine label and an invariant
 //! name and shrunk to a minimal reproducer by the same greedy
 //! machinery as correctness divergences ([`crate::shrink`]), with
-//! "still violates some cost invariant" as the predicate.
+//! "still violates some cost invariant"
+//! ([`Oracle::violates`](crate::Oracle::violates)) as the predicate.
 
-use crate::diff::{engine_configs, CaseResult, CASE_BUDGET};
+use crate::diff::{engine_configs, CaseResult, Sabotage, CASE_BUDGET};
 use jrt_bytecode::{ArrayKind, CpIndex, Op, Program};
 use jrt_cache::{CacheConfig, SplitSweep};
 use jrt_vm::{
@@ -301,19 +302,13 @@ impl CostVector {
     }
 }
 
-/// A harness self-test hook for the perf oracle: corrupt the named
-/// engine's cost vector after its run, proving the oracle detects,
-/// attributes, and shrinks a seeded perf fault. The corruption models
-/// gratuitous re-translation: a million phantom translator
-/// instructions plus one more re-translation than evictions can
-/// explain — every matrix label violates at least one invariant under
-/// it.
-#[derive(Debug, Clone, Copy)]
-pub struct PerfSabotage {
-    /// Matrix label whose cost vector gets corrupted.
-    pub mode: &'static str,
-}
-
+/// The perf oracle's seeded fault ([`Sabotage`] under
+/// [`crate::Oracle::Perf`]): corrupts the named engine's cost vector,
+/// proving the oracle detects, attributes, and shrinks a perf fault.
+/// The corruption models gratuitous re-translation: a million phantom
+/// translator instructions plus one more re-translation than
+/// evictions can explain — every matrix label violates at least one
+/// invariant under it.
 fn sabotage_cost(cost: &mut CostVector) {
     cost.translate_insts += 1_000_000;
     cost.retranslations += cost.code_evictions + 1;
@@ -331,7 +326,9 @@ pub struct PerfFinding {
     pub detail: String,
 }
 
-/// The full perf-differential result of one case.
+/// The result of one case under an [`Oracle`](crate::Oracle): the
+/// correctness differential, plus the cost vectors and violations the
+/// perf oracle adds (both empty under the other oracles).
 #[derive(Debug)]
 pub struct PerfCase {
     /// The correctness-differential view (observables compared against
@@ -346,46 +343,42 @@ pub struct PerfCase {
 
 /// Runs `program` through the matrix with measuring sinks, derives the
 /// `cc-sized` engine, and checks every cost-model invariant.
-pub fn run_perf_case(program: &Program, sabotage: Option<&PerfSabotage>) -> PerfCase {
+pub fn run_perf_case(program: &Program, sabotage: Option<&Sabotage>) -> PerfCase {
     let ipoints = [CacheConfig::paper_l1_inst()];
     let dpoints = [CacheConfig::paper_l1_data()];
-    let mut observed: Vec<(&'static str, ObservedRun)> = Vec::new();
     let mut costs: Vec<(&'static str, CostVector)> = Vec::new();
-
-    let run_one = |label: &'static str,
-                   cfg: VmConfig,
-                   observed: &mut Vec<(&'static str, ObservedRun)>,
-                   costs: &mut Vec<(&'static str, CostVector)>| {
+    let mut measure = |label: &'static str, cfg: VmConfig| {
         let mut sweep = SplitSweep::new(&ipoints, &dpoints);
         let run = Vm::new(program, cfg).run_observed(&mut sweep);
         let mut cost = CostVector::collect(&run, &sweep);
-        if let Some(s) = sabotage {
-            if s.mode == label {
-                sabotage_cost(&mut cost);
-            }
+        if sabotage.is_some_and(|s| s.mode == label) {
+            sabotage_cost(&mut cost);
         }
-        observed.push((label, run));
         costs.push((label, cost));
+        run
     };
 
-    for (label, cfg) in engine_configs() {
-        run_one(label, cfg, &mut observed, &mut costs);
-    }
+    let mut base = CaseResult::default();
+    base.run_engines(engine_configs(), &mut measure);
 
     // The derived engine: a bounded cache with capacity equal to every
     // code byte the unbounded JIT ever installed must behave exactly
     // like the unbounded JIT. Skipped when the case translated nothing
     // (the invariant is vacuous).
-    let jit_ever = lookup(&costs, "jit").map_or(0, |c| c.code_ever_bytes);
-    if jit_ever > 0 {
+    let jit_ever = base
+        .observed
+        .iter()
+        .find(|(label, _)| *label == "jit")
+        .map_or(0, |(_, run)| run.counters.code_ever_bytes);
+    let sized = (jit_ever > 0).then(|| {
         let cfg = VmConfig {
             mode: ExecMode::Jit(JitPolicy::FirstInvocation),
             max_bytecodes: CASE_BUDGET,
             code_cache: CodeCacheConfig::bounded(jit_ever, EvictionPolicy::Lru),
             ..VmConfig::default()
         };
-        run_one(SIZED_LABEL, cfg, &mut observed, &mut costs);
-    }
+        (SIZED_LABEL, cfg)
+    });
 
     // The GC engine: first-invocation JIT under the forcing tiny
     // nursery. Always run — its observables join the differential
@@ -397,21 +390,11 @@ pub fn run_perf_case(program: &Program, sabotage: Option<&PerfSabotage>) -> Perf
         ..VmConfig::default()
     }
     .with_gc(GcConfig::tiny_nursery());
-    run_one(GC_LABEL, gc_cfg, &mut observed, &mut costs);
+    base.run_engines(sized.into_iter().chain([(GC_LABEL, gc_cfg)]), &mut measure);
 
-    let reference = observed[0].1.observables.clone();
-    let divergent: Vec<&'static str> = observed
-        .iter()
-        .skip(1)
-        .filter(|(_, run)| run.observables != reference)
-        .map(|(label, _)| *label)
-        .collect();
     let violations = check_invariants(&costs);
     PerfCase {
-        base: CaseResult {
-            observed,
-            divergent,
-        },
+        base,
         costs,
         violations,
     }
@@ -701,31 +684,6 @@ pub fn check_invariants(costs: &[(&'static str, CostVector)]) -> Vec<PerfFinding
         }
     }
     out
-}
-
-/// Whether `spec` still produces any cost-model violation (the perf
-/// shrinker's failure predicate). Specs that no longer lower/verify
-/// don't count.
-pub fn spec_perf_violates(
-    spec: &crate::spec::ProgramSpec,
-    sabotage: Option<&PerfSabotage>,
-) -> bool {
-    match crate::lower::lower(spec) {
-        Ok(program) => !run_perf_case(&program, sabotage).violations.is_empty(),
-        Err(_) => false,
-    }
-}
-
-/// Shrinks `spec` while it keeps violating a cost invariant.
-pub fn shrink_perf(
-    spec: &crate::spec::ProgramSpec,
-    sabotage: Option<&PerfSabotage>,
-) -> crate::spec::ProgramSpec {
-    jrt_testkit::minimize(
-        spec.clone(),
-        |s| spec_perf_violates(s, sabotage),
-        crate::shrink::candidates,
-    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Greedy spec shrinking: reduce a diverging program to a minimal
+//! Greedy spec shrinking: reduce a failing program to a minimal
 //! reproducer.
 //!
 //! Candidates only ever *remove or simplify* — drop a statement,
@@ -6,16 +6,10 @@
 //! expression with a literal, drop an override or a whole unreferenced
 //! class — so every candidate preserves the generator's structural
 //! invariants and still lowers/verifies. The greedy descent itself is
-//! [`jrt_testkit::minimize`]; the failure predicate is "the matrix
-//! still diverges" ([`crate::diff::spec_diverges`]).
+//! [`jrt_testkit::minimize`]; the failure predicate is the oracle's
+//! ([`crate::Oracle::diverges`] or [`crate::Oracle::violates`]).
 
-use crate::diff::{spec_diverges, Sabotage};
 use crate::spec::{Expr, MethodSpec, ProgramSpec, Resources, Stmt};
-
-/// Shrinks `spec` while it keeps diverging; returns a local minimum.
-pub fn shrink(spec: &ProgramSpec, sabotage: Option<&Sabotage>) -> ProgramSpec {
-    jrt_testkit::minimize(spec.clone(), |s| spec_diverges(s, sabotage), candidates)
-}
 
 /// Applies `f` to method number `target` (canonical order) of a clone.
 fn mutate(spec: &ProgramSpec, target: usize, f: impl FnOnce(&mut MethodSpec)) -> ProgramSpec {

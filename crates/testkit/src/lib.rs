@@ -15,6 +15,8 @@
 //!   fails, and the *minimized* value is what the panic reports;
 //! * [`mod@bench`] — a median-of-N wall-clock timer emitting JSON lines,
 //!   wired as a `cargo bench`-compatible harness (`harness = false`).
+//! * [`par_map`] — an order-preserving work-queue map over scoped
+//!   threads, shared by the experiment scheduler and the fuzz loop.
 //!
 //! Everything is deterministic: the same seed always produces the
 //! same cases, so a failure reported by CI replays locally bit-for-bit.
@@ -72,6 +74,8 @@ pub mod bench;
 pub mod stats;
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A seeded SplitMix64 pseudo-random generator.
 ///
@@ -275,6 +279,50 @@ pub fn run_forall_shrink<T: Clone + std::fmt::Debug>(
              minimized counterexample: {minimized:?}"
         );
     }
+}
+
+/// Maps `f` over `items` on a work-queue of `workers` threads,
+/// returning results **in input order** regardless of which worker
+/// ran which item or when it finished.
+///
+/// With one worker (or one item) this degenerates to a plain
+/// sequential `map` on the calling thread. A panic in any job
+/// propagates to the caller after the scope joins.
+///
+/// ```
+/// let squares = jrt_testkit::par_map(&[1u64, 2, 3, 4], 2, |&n| n * n);
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
+pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every job ran")
+        })
+        .collect()
 }
 
 /// Fixed-seed property-test harness.

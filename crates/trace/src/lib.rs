@@ -52,9 +52,7 @@ pub use hash::{IdBuildHasher, IdHashMap, IdHashSet, IdHasher};
 pub use inst::{AccessKind, CtrlInfo, InstClass, MemRef, NativeInst, Phase, Reg, NUM_REGS};
 pub use mix::{InstMix, MixSummary};
 pub use region::{layout, Region};
-pub use sink::{
-    merge_shards, CountingSink, MergeSink, NullSink, PhaseFilter, RecordingSink, TraceSink,
-};
+pub use sink::{CountingSink, NullSink, PhaseFilter, RecordingSink, TraceSink};
 pub use store::{DiskTape, StoreError};
 pub use tape::{content_hash, FanoutSink, Segment, Tape, TapeRecorder, SEGMENT_EVENTS};
 

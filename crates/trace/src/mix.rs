@@ -105,12 +105,6 @@ impl InstMix {
     }
 }
 
-impl crate::sink::MergeSink for InstMix {
-    fn merge(&mut self, other: &Self) {
-        InstMix::merge(self, other);
-    }
-}
-
 impl TraceSink for InstMix {
     fn accept(&mut self, inst: &NativeInst) {
         self.counts[class_index(inst.class)] += 1;

@@ -39,33 +39,6 @@ impl<T: TraceSink + ?Sized> TraceSink for &mut T {
     }
 }
 
-/// A sink whose observations can be combined with another instance's.
-///
-/// This is the fan-out/merge contract behind the parallel experiment
-/// scheduler: each worker thread simulates into its own thread-local
-/// sink (sinks are `Send`, so they can be created on — or returned
-/// from — any thread), and the shards are then merged **in canonical
-/// job order** so aggregate results are bit-identical to a sequential
-/// run regardless of worker count or completion order.
-pub trait MergeSink: TraceSink + Send {
-    /// Folds `other`'s observations into `self`.
-    fn merge(&mut self, other: &Self);
-}
-
-/// Merges sink shards in iteration order; `None` on an empty iterator.
-///
-/// The caller supplies shards in canonical order (the order jobs were
-/// defined, not the order workers finished them), which keeps merged
-/// statistics deterministic.
-pub fn merge_shards<S: MergeSink>(shards: impl IntoIterator<Item = S>) -> Option<S> {
-    let mut iter = shards.into_iter();
-    let mut first = iter.next()?;
-    for shard in iter {
-        first.merge(&shard);
-    }
-    Some(first)
-}
-
 /// A sink that discards every event; useful when only the engine-side
 /// cost counters are of interest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,10 +46,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn accept(&mut self, _inst: &NativeInst) {}
-}
-
-impl MergeSink for NullSink {
-    fn merge(&mut self, _other: &Self) {}
 }
 
 macro_rules! tuple_sink {
@@ -114,16 +83,6 @@ impl<S: TraceSink> TraceSink for Vec<S> {
     }
 }
 
-/// Element-wise merge of two equal-length sweeps.
-impl<S: MergeSink> MergeSink for Vec<S> {
-    fn merge(&mut self, other: &Self) {
-        assert_eq!(self.len(), other.len(), "sweep shards must match");
-        for (mine, theirs) in self.iter_mut().zip(other) {
-            mine.merge(theirs);
-        }
-    }
-}
-
 /// Counts instructions, total and per [`Phase`].
 ///
 /// This is the cheapest useful sink; the Figure 1 cost model
@@ -153,15 +112,6 @@ impl CountingSink {
     /// Instructions observed in the JIT translate phase.
     pub fn translate(&self) -> u64 {
         self.phase(Phase::Translate)
-    }
-}
-
-impl MergeSink for CountingSink {
-    fn merge(&mut self, other: &Self) {
-        self.total += other.total;
-        for (mine, theirs) in self.per_phase.iter_mut().zip(other.per_phase) {
-            *mine += theirs;
-        }
     }
 }
 
@@ -301,40 +251,6 @@ mod tests {
         assert_send::<RecordingSink>();
         assert_send::<PhaseFilter<CountingSink>>();
         assert_send::<Vec<CountingSink>>();
-    }
-
-    #[test]
-    fn counting_sink_merge_matches_single_stream() {
-        let mut whole = CountingSink::new();
-        let mut a = CountingSink::new();
-        let mut b = CountingSink::new();
-        for (k, phase) in [
-            Phase::Translate,
-            Phase::Runtime,
-            Phase::NativeExec,
-            Phase::Translate,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let inst = NativeInst::alu(4 * k as u64, phase);
-            whole.accept(&inst);
-            if k % 2 == 0 { &mut a } else { &mut b }.accept(&inst);
-        }
-        let merged = merge_shards([a, b]).unwrap();
-        assert_eq!(merged, whole);
-        assert!(merge_shards(Vec::<CountingSink>::new()).is_none());
-    }
-
-    #[test]
-    fn sweep_merge_is_element_wise() {
-        let mut a = vec![CountingSink::new(), CountingSink::new()];
-        let mut b = vec![CountingSink::new(), CountingSink::new()];
-        a[0].accept(&NativeInst::alu(0, Phase::Runtime));
-        b[1].accept(&NativeInst::alu(4, Phase::Runtime));
-        a.merge(&b);
-        assert_eq!(a[0].total(), 1);
-        assert_eq!(a[1].total(), 1);
     }
 
     #[test]

@@ -155,11 +155,6 @@ pub struct VmConfig {
     /// Garbage-collector choice; the default keeps the original
     /// growth-only heap (no barriers, no moving collections).
     pub gc: GcConfig,
-    /// Scheduler quantum in bytecodes.
-    pub quantum: u32,
-    /// Whether to enable per-method profiling (needed to derive the
-    /// oracle; small overhead otherwise).
-    pub profiling: bool,
     /// Upper bound on executed bytecodes (guards against runaway
     /// programs; `u64::MAX` = unlimited).
     pub max_bytecodes: u64,
@@ -195,8 +190,6 @@ impl Default for VmConfig {
             code_cache: CodeCacheConfig::default(),
             gc_threshold: 24 << 20,
             gc: GcConfig::default(),
-            quantum: 200,
-            profiling: true,
             max_bytecodes: u64::MAX,
             fuel: None,
             folding: false,

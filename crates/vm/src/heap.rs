@@ -619,18 +619,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Element kind of the array behind `h`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::BadHandle`] for dead handles or objects.
-    pub fn array_kind(&self, h: Handle) -> Result<ArrayKind, HeapError> {
-        match self.slots.get(h as usize) {
-            Some(Slot::Array { kind, .. }) => Ok(*kind),
-            _ => Err(HeapError::BadHandle(h)),
-        }
-    }
-
     /// Simulated address of array element `idx`.
     ///
     /// # Errors

@@ -456,11 +456,7 @@ impl JitState {
                     self.compiled.remove(&key);
                     self.tier2_recompiles += 1;
                 }
-                let t = match &ir {
-                    Some(lm) => self.translate_ir_keyed(key, def, want, lm, sink),
-                    None => self.translate_keyed(key, def, code_addr, want, sink),
-                };
-                match t {
+                match self.translate_keyed(key, def, code_addr, ir.as_deref(), want, sink) {
                     Some(t) => {
                         profile.get_mut(callee).translate_cycles += t;
                         true
@@ -549,17 +545,26 @@ impl JitState {
         lm
     }
 
-    /// Translates `def` (whose bytecode image lives at `code_addr`)
-    /// at `tier`, emitting the translation trace (including eviction
-    /// bookkeeping for any victims) and installing the result under
-    /// `key`. Returns the number of translator instructions emitted
-    /// (`T_i` in the paper's cost model), or `None` if the method
-    /// cannot fit in the cache.
+    /// Translates `def` at `tier`, emitting the translation trace
+    /// (including eviction bookkeeping for any victims) and installing
+    /// the result under `key`. Without `ir`, every pc reads its
+    /// bytecode from the class area at `code_addr` and generates code.
+    /// With the lowered method, the generator walks the IR plan
+    /// instead: only [`PcPlan::Exec`] pcs run the per-opcode codegen
+    /// routine, reading packed IR words from the IR buffer (the
+    /// lowering pass already did the bytecode decoding); covered and
+    /// elided pcs cost one cursor-advance instruction and install
+    /// nothing — their work was fused into a neighbour's sequence, so
+    /// the IR yields denser installed code from a cheaper pass.
+    /// Returns the number of translator instructions emitted (`T_i` in
+    /// the paper's cost model), or `None` if the method cannot fit in
+    /// the cache.
     fn translate_keyed(
         &mut self,
         key: u64,
         def: &MethodDef,
         code_addr: Addr,
+        ir: Option<&LoweredMethod>,
         tier: u8,
         sink: &mut dyn TraceSink,
     ) -> Option<u64> {
@@ -571,16 +576,27 @@ impl JitState {
             TIER1_BOOKKEEPING
         };
 
-        // Pre-pass: decode and size the generated code, so the
-        // manager can place (and make room for) the segment before
-        // the first store is emitted.
+        // Pre-pass: decode, locate each pc's translator input (first
+        // address and word count; none for a pc that generates no
+        // code) and size the generated code, so the manager can place
+        // (and make room for) the segment before the first store is
+        // emitted.
         let mut decoded = Vec::new();
         let mut total_gen = 0u64;
         let mut pc = 0usize;
         while pc < def.code.len() {
             let (op, len) = Op::decode(&def.code, pc).expect("verified code decodes");
-            total_gen += u64::from(gen_insts_at(&op, tier));
-            decoded.push((pc as u32, op, len as u32));
+            let input = match ir.map(|lm| (lm, lm.ir.plan_at(pc as u32))) {
+                None => Some((code_addr + pc as u64, len.div_ceil(4) as u64)),
+                Some((lm, PcPlan::Exec { word_off, words })) => {
+                    Some((lm.base + 4 * u64::from(word_off), u64::from(words)))
+                }
+                Some(_) => None,
+            };
+            if input.is_some() {
+                total_gen += u64::from(gen_insts_at(&op, tier));
+            }
+            decoded.push((pc as u32, op, len as u32, input));
             pc += len;
         }
         let code_bytes = 4 * total_gen;
@@ -602,7 +618,18 @@ impl JitState {
 
         let mut op_addr = HashMap::new();
         let mut ops = HashMap::new();
-        for (pc, op, len) in decoded {
+        for (pc, op, len, input) in decoded {
+            // Fused or folded pcs map to the next generated address
+            // (consistent with `CompiledMethod::addr`'s fallthrough).
+            op_addr.insert(pc, install);
+            let Some((src, words)) = input else {
+                sink.accept(
+                    &NativeInst::alu(LOWERING_ROUTINE + 0x800, Phase::Translate).with_dst(16),
+                );
+                emitted += 1;
+                ops.insert(pc, (op, len));
+                continue;
+            };
             let opcode = op.dispatch_index();
             // The per-opcode code-generation routine: high code reuse
             // across bytecodes of the same kind.
@@ -613,16 +640,11 @@ impl JitState {
                 *emitted += 1;
             };
 
-            // Read the bytecode (and operands) from the class area.
-            for k in 0..len.div_ceil(4) {
+            // Read the input: the bytecode (and operands) from the
+            // class area, or the packed IR words from the IR buffer.
+            for k in 0..words {
                 emit(
-                    NativeInst::load(
-                        tpc,
-                        code_addr + u64::from(pc) + u64::from(4 * k),
-                        4,
-                        Phase::Translate,
-                    )
-                    .with_dst(4),
+                    NativeInst::load(tpc, src + 4 * k, 4, Phase::Translate).with_dst(4),
                     &mut emitted,
                 );
                 tpc += 4;
@@ -669,7 +691,6 @@ impl JitState {
             // Generate and install the native instructions: the
             // stores into the code cache are the compulsory write
             // misses of Figure 5.
-            op_addr.insert(pc, install);
             let n = gen_insts_at(&op, tier);
             for k in 0..n {
                 let reg = 24 + (k & 7) as u8;
@@ -719,7 +740,7 @@ impl JitState {
         Some(emitted)
     }
 
-    /// Eviction bookkeeping shared by both translators: the manager
+    /// Eviction bookkeeping for a translation's install: the manager
     /// walks its segment table (VM data) and unlinks each victim —
     /// runtime work that lands in the Translate phase, exactly where
     /// re-translation cost should show up. Drops the victims'
@@ -757,176 +778,6 @@ impl JitState {
         emitted
     }
 
-    /// Translates from the lowered register IR at `tier`: like
-    /// [`JitState::translate_keyed`], but the generator walks the IR
-    /// plan instead of raw bytecode. Only [`PcPlan::Exec`] pcs run
-    /// the per-opcode codegen routine (reading packed IR words from
-    /// the IR buffer instead of re-decoding bytecode); covered and
-    /// elided pcs cost one cursor-advance instruction and install
-    /// nothing — their work was fused into a neighbour's sequence.
-    /// The result is denser installed code from a cheaper pass.
-    fn translate_ir_keyed(
-        &mut self,
-        key: u64,
-        def: &MethodDef,
-        tier: u8,
-        lm: &LoweredMethod,
-        sink: &mut dyn TraceSink,
-    ) -> Option<u64> {
-        assert!(!self.compiled.contains_key(&key), "method translated twice");
-        assert!(!def.flags.is_native, "native methods are not translated");
-        let bookkeeping = if tier >= TIER_OPT {
-            TIER2_BOOKKEEPING
-        } else {
-            TIER1_BOOKKEEPING
-        };
-
-        // Pre-pass: decode and size. Only Exec pcs generate code.
-        let mut decoded = Vec::new();
-        let mut total_gen = 0u64;
-        let mut pc = 0usize;
-        while pc < def.code.len() {
-            let (op, len) = Op::decode(&def.code, pc).expect("verified code decodes");
-            if matches!(lm.ir.plan_at(pc as u32), PcPlan::Exec { .. }) {
-                total_gen += u64::from(gen_insts_at(&op, tier));
-            }
-            decoded.push((pc as u32, op, len as u32));
-            pc += len;
-        }
-        let code_bytes = 4 * total_gen;
-
-        let outcome = self.mgr.install(key, code_bytes);
-        let mut emitted = self.evict_victims(&outcome.evicted, sink);
-        let Some(entry) = outcome.entry else {
-            self.translate_insts += emitted;
-            if tier >= TIER_OPT {
-                self.opt_translate_insts += emitted;
-            }
-            return None;
-        };
-        let mut install = entry;
-
-        let mut op_addr = HashMap::new();
-        let mut ops = HashMap::new();
-        for (pc, op, len) in decoded {
-            // Fused or folded pcs map to the next generated address
-            // (consistent with `CompiledMethod::addr`'s fallthrough).
-            op_addr.insert(pc, install);
-            let PcPlan::Exec { word_off, words } = lm.ir.plan_at(pc) else {
-                sink.accept(
-                    &NativeInst::alu(LOWERING_ROUTINE + 0x800, Phase::Translate).with_dst(16),
-                );
-                emitted += 1;
-                ops.insert(pc, (op, len));
-                continue;
-            };
-            let opcode = op.dispatch_index();
-            let routine = layout::TRANSLATOR_TEXT_BASE + Addr::from(opcode) * TRANSLATOR_STRIDE;
-            let mut tpc = routine;
-            let mut emit = |i: NativeInst, emitted: &mut u64| {
-                sink.accept(&i);
-                *emitted += 1;
-            };
-
-            // Read the packed IR words from the IR buffer — the
-            // lowering pass already did the bytecode decoding.
-            for k in 0..u64::from(words) {
-                emit(
-                    NativeInst::load(
-                        tpc,
-                        lm.base + 4 * (u64::from(word_off) + k),
-                        4,
-                        Phase::Translate,
-                    )
-                    .with_dst(4),
-                    &mut emitted,
-                );
-                tpc += 4;
-            }
-            // Codegen bookkeeping (register assignment reuses the
-            // lowering's typed operands; cost mirrors the baseline
-            // translator's per-op analysis).
-            for k in 0..bookkeeping {
-                emit(
-                    NativeInst::alu(tpc, Phase::Translate).with_dst(16 + (k & 7)),
-                    &mut emitted,
-                );
-                tpc += 4;
-            }
-            // Code-generation table lookups.
-            emit(
-                NativeInst::load(
-                    tpc,
-                    layout::VM_DATA_BASE + Addr::from(opcode) * 64,
-                    4,
-                    Phase::Translate,
-                )
-                .with_dst(6),
-                &mut emitted,
-            );
-            tpc += 4;
-            emit(
-                NativeInst::load(
-                    tpc,
-                    layout::VM_DATA_BASE + 0x4000 + Addr::from(opcode) * 32,
-                    4,
-                    Phase::Translate,
-                )
-                .with_dst(6),
-                &mut emitted,
-            );
-            tpc += 4;
-
-            // Generate and install.
-            let n = gen_insts_at(&op, tier);
-            for k in 0..n {
-                let reg = 24 + (k & 7) as u8;
-                emit(
-                    NativeInst::alu(tpc, Phase::Translate)
-                        .with_dst(reg)
-                        .with_srcs(6, None),
-                    &mut emitted,
-                );
-                tpc += 4;
-                emit(
-                    NativeInst::store(tpc, install, 4, Phase::Translate).with_srcs(reg, None),
-                    &mut emitted,
-                );
-                tpc += 4;
-                install += 4;
-            }
-
-            ops.insert(pc, (op, len));
-        }
-
-        let code_bytes = (install - entry) as u32;
-        self.translator_buffer_bytes = self
-            .translator_buffer_bytes
-            .max(4 * u64::from(code_bytes) / 3 + 256);
-        self.methods_translated += 1;
-        self.translate_insts += emitted;
-        if tier >= TIER_OPT {
-            self.opt_translate_insts += emitted;
-        }
-
-        self.compiled.insert(
-            key,
-            Arc::new(CompiledMethod {
-                entry,
-                code_bytes,
-                tier,
-                reg_locals: if tier >= TIER_OPT {
-                    TIER2_REG_LOCALS
-                } else {
-                    TIER1_REG_LOCALS
-                },
-                op_addr,
-                ops,
-            }),
-        );
-        Some(emitted)
-    }
-
     /// Translates `(mid, tid)` at the baseline tier (tests and the
     /// historical direct entry point).
     #[cfg(test)]
@@ -938,8 +789,15 @@ impl JitState {
         sink: &mut dyn TraceSink,
     ) -> u64 {
         let key = self.key_for(mid, 0, def);
-        self.translate_keyed(key, def, code_addr, jrt_codecache::TIER_BASELINE, sink)
-            .expect("unbounded install succeeds")
+        self.translate_keyed(
+            key,
+            def,
+            code_addr,
+            None,
+            jrt_codecache::TIER_BASELINE,
+            sink,
+        )
+        .expect("unbounded install succeeds")
     }
 }
 

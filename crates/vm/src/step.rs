@@ -664,9 +664,7 @@ pub(crate) fn step(
             }
             let locals_addr = thread.frame().locals_addr;
             em.frame_setup(sink, usize::from(callee_def.max_locals), locals_addr);
-            if env.profiling {
-                env.profile.record_invocation(callee);
-            }
+            env.profile.record_invocation(callee);
             charge(env, mid, jit_frame, em.count());
             return Ok(StepOutcome::Continue);
         }
@@ -731,7 +729,7 @@ pub(crate) fn step(
 
     // Backward branches are the tiered policy's loop-hotness signal
     // (invoke/return paths exit earlier, so only branches land here).
-    if env.profiling && next_pc < pc {
+    if next_pc < pc {
         env.profile.get_mut(mid).backedges += 1;
     }
     thread.frame_mut().pc = next_pc;
@@ -772,13 +770,11 @@ fn is_foldable(op: &Op) -> bool {
 }
 
 fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, count: u64) {
-    if env.profiling {
-        let p = env.profile.get_mut(mid);
-        if jit_frame {
-            p.native_cycles += count;
-        } else {
-            p.interp_cycles += count;
-        }
+    let p = env.profile.get_mut(mid);
+    if jit_frame {
+        p.native_cycles += count;
+    } else {
+        p.interp_cycles += count;
     }
 }
 

@@ -14,6 +14,10 @@ use jrt_sync::{FatLockEngine, OneBitLockEngine, SyncEngine, SyncStats, ThinLockE
 use jrt_trace::TraceSink;
 use std::fmt;
 
+/// Scheduler quantum in bytecodes: each runnable thread gets this many
+/// steps per round-robin turn.
+const QUANTUM: u32 = 200;
+
 /// Runtime errors surfaced by [`Vm::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmError {
@@ -274,7 +278,6 @@ pub(crate) struct StepEnv<'a> {
     pub sync: &'a mut dyn SyncEngine,
     pub profile: &'a mut ProfileTable,
     pub mode: &'a ExecMode,
-    pub profiling: bool,
     pub out: &'a mut Output,
     pub classload_insts: &'a mut u64,
     pub folding: bool,
@@ -453,9 +456,7 @@ impl<'p> Vm<'p> {
                 });
             }
         }
-        if self.config.profiling {
-            self.profile.record_invocation(method);
-        }
+        self.profile.record_invocation(method);
         self.threads.push(thread);
         self.counters.threads_created += 1;
         Ok(tid)
@@ -609,7 +610,7 @@ impl<'p> Vm<'p> {
                     self.run_gc(sink);
                 }
 
-                for _ in 0..self.config.quantum {
+                for _ in 0..QUANTUM {
                     if let Some(fuel) = self.config.fuel {
                         if self.counters.bytecodes >= fuel {
                             return Err(VmError::FuelExhausted { budget: fuel });
@@ -627,7 +628,6 @@ impl<'p> Vm<'p> {
                             sync: self.sync.as_mut(),
                             profile: &mut self.profile,
                             mode: &self.config.mode,
-                            profiling: self.config.profiling,
                             out: &mut self.out,
                             classload_insts: &mut self.counters.classload_insts,
                             folding: self.config.folding,

@@ -15,7 +15,7 @@
 //! bytecode, the IR translator's code density) — even while semantics
 //! stay equivalent.
 
-use javart::fuzz::{fuzz_perf, Coverage};
+use javart::fuzz::{fuzz_with, Coverage, Oracle};
 use std::path::{Path, PathBuf};
 
 /// One golden bound on a cost total: `floor` lines require
@@ -121,7 +121,7 @@ fn corpus_replays_clean_with_full_merged_coverage_and_cost_floors() {
     );
     let mut merged = Coverage::new();
     for case in &corpus {
-        let report = fuzz_perf(case.seed, case.cases, 2, None);
+        let report = fuzz_with(case.seed, case.cases, 2, Oracle::Perf(None));
         assert!(
             report.divergences.is_empty(),
             "{} diverged:\n{}",

@@ -4,7 +4,7 @@
 //! byte-identical at any thread count, and a seeded fault must be
 //! caught and shrunk (the harness's own self-test).
 
-use javart::fuzz::{fuzz, gen_case, lower, spec_diverges, Coverage, Sabotage};
+use javart::fuzz::{fuzz, gen_case, lower, Coverage, Oracle, Sabotage};
 
 /// The CI smoke seed (also the `fuzz_run` default).
 const SMOKE_SEED: u64 = 0x5EED_0001;
@@ -60,11 +60,11 @@ fn seeded_divergence_is_detected_and_shrunk() {
         assert_eq!(d.minimized.size(), 0, "shrinker left dead statements");
         assert!(lower(&d.minimized).is_ok(), "minimized spec must verify");
         assert!(
-            spec_diverges(&d.minimized, Some(&sabotage)),
+            Oracle::Diff(Some(sabotage)).diverges(&d.minimized),
             "minimized spec no longer reproduces"
         );
         assert!(
-            !spec_diverges(&d.minimized, None),
+            !Oracle::Diff(None).diverges(&d.minimized),
             "minimized spec diverges even without the seeded fault"
         );
     }
@@ -82,7 +82,7 @@ fn cases_replay_individually_from_seed_and_index() {
         let respec = gen_case(SMOKE_SEED, case, &empty);
         assert_eq!(spec, respec, "case {case} generation not reproducible");
         assert!(
-            !spec_diverges(&spec, None),
+            !Oracle::Diff(None).diverges(&spec),
             "case {case} diverges on replay but not in the run"
         );
     }

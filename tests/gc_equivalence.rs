@@ -19,7 +19,7 @@
 //! [`Observables`]: javart::vm::Observables
 
 use javart::fuzz::coverage::Coverage;
-use javart::fuzz::{engine_configs, gen_case, lower, run_case_gc, GcSabotage};
+use javart::fuzz::{engine_configs, gen_case, lower, GcSabotage, Oracle};
 use javart::trace::NullSink;
 use javart::vm::{GcConfig, Handle, Heap, Value, Vm};
 use javart::workloads::{gc_suite, stream, suite_with_hello, Size};
@@ -133,19 +133,18 @@ fn fuzz_corpus_observes_identically_under_every_gc_config() {
 #[test]
 fn a_single_dropped_write_barrier_is_detected() {
     let program = stream::program(Size::Tiny);
-    let clean = run_case_gc(&program, None);
+    let clean = Oracle::Gc(None).run(&program).base;
     assert!(
         clean.divergent.is_empty(),
         "unsabotaged GC matrix diverged: {:?}",
         clean.divergent
     );
-    let sabotaged = run_case_gc(
-        &program,
-        Some(&GcSabotage {
-            mode: "jit",
-            drop: 0,
-        }),
-    );
+    let sabotaged = Oracle::Gc(Some(GcSabotage {
+        mode: "jit",
+        drop: 0,
+    }))
+    .run(&program)
+    .base;
     assert!(
         sabotaged.divergent.contains(&"jit"),
         "dropping stream's first remset enrollment on jit must diverge; got {:?}",

@@ -3,8 +3,8 @@
 //! the oracle detects, attributes, and shrinks a perf regression.
 
 use javart::fuzz::{
-    fuzz_perf, gen_spec, lower, run_perf_case, spec_perf_violates, Coverage, PerfSabotage,
-    MATRIX_LABELS, SIZED_LABEL,
+    fuzz_with, gen_spec, lower, run_perf_case, Coverage, Oracle, Sabotage, MATRIX_LABELS,
+    SIZED_LABEL,
 };
 use jrt_testkit::forall;
 
@@ -44,7 +44,7 @@ fn seeded_fault_detected_on_every_label() {
     let program = lower(&spec).expect("generated spec must lower");
     assert!(run_perf_case(&program, None).violations.is_empty());
     for label in MATRIX_LABELS {
-        let pc = run_perf_case(&program, Some(&PerfSabotage { mode: label }));
+        let pc = run_perf_case(&program, Some(&Sabotage { mode: label }));
         assert!(
             pc.violations.iter().any(|v| v.label == label),
             "{label}: seeded fault not attributed; got {:?}",
@@ -56,13 +56,13 @@ fn seeded_fault_detected_on_every_label() {
     }
 }
 
-/// End-to-end seeded fault through [`fuzz_perf`]: the report carries
+/// End-to-end seeded fault through [`Oracle::Perf`]: the report carries
 /// the violations, names the invariant, and the shrunken reproducer
 /// still violates under the same sabotage.
 #[test]
 fn seeded_fault_shrinks_to_minimal_reproducer() {
-    let sabotage = PerfSabotage { mode: "tiered" };
-    let report = fuzz_perf(0x9E4F_0003, 4, 2, Some(sabotage));
+    let sabotage = Sabotage { mode: "tiered" };
+    let report = fuzz_with(0x9E4F_0003, 4, 2, Oracle::Perf(Some(sabotage)));
     let perf = report.perf.as_ref().expect("perf section present");
     assert!(!perf.violations.is_empty(), "seeded fault went undetected");
     assert!(
@@ -83,7 +83,7 @@ fn seeded_fault_shrinks_to_minimal_reproducer() {
             v.minimized.size()
         );
         assert!(
-            spec_perf_violates(&v.minimized, Some(&sabotage)),
+            Oracle::Perf(Some(sabotage)).violates(&v.minimized),
             "minimized reproducer no longer violates"
         );
     }
@@ -98,8 +98,8 @@ fn seeded_fault_shrinks_to_minimal_reproducer() {
 /// capacity-sized one.
 #[test]
 fn perf_report_deterministic_and_totaled() {
-    let a = fuzz_perf(0x9E4F_0004, 64, 1, None);
-    let b = fuzz_perf(0x9E4F_0004, 64, 8, None);
+    let a = fuzz_with(0x9E4F_0004, 64, 1, Oracle::Perf(None));
+    let b = fuzz_with(0x9E4F_0004, 64, 8, Oracle::Perf(None));
     assert_eq!(a.render(0x9E4F_0004), b.render(0x9E4F_0004));
     assert!(a.divergences.is_empty());
     let perf = a.perf.as_ref().expect("perf section present");
