@@ -218,6 +218,8 @@ pub fn bench_simulators(h: &mut Harness) {
             .expect("streamed replay");
         events
     });
+    disk.remove().expect("remove bench tape");
+    std::fs::remove_dir(&spill_dir).expect("remove bench spill dir");
 
     // The one-pass stack-distance sweep over the decoded blocks: the
     // per-pass cost the Figure 7 port pays for all four

@@ -18,9 +18,16 @@ fn fresh_dir(name: &str) -> PathBuf {
 /// Runs `bench_all` in `dir` with one sample per bench, returning its
 /// exit code, stdout and stderr.
 fn run(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_all"))
+    run_with(
+        Command::new(env!("CARGO_BIN_EXE_bench_all")).current_dir(dir),
+        args,
+    )
+}
+
+/// Runs the prepared `bench_all` command with one sample per bench.
+fn run_with(cmd: &mut Command, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = cmd
         .args(args)
-        .current_dir(dir)
         .env("JRT_BENCH_SAMPLES", "1")
         .output()
         .expect("spawn bench_all");
@@ -108,4 +115,22 @@ fn gated_run_writes_its_report_and_passes() {
     let report = std::fs::read_to_string(dir.join("o.json")).expect("report written");
     assert!(report.contains("\"bench\":\"locks/thin\""), "{report}");
     assert!(stderr.contains("0 regression(s)"), "{stderr}");
+}
+
+#[test]
+fn stream_replay_bench_leaves_nothing_in_tmpdir() {
+    let dir = fresh_dir("spill");
+    let tmp = fresh_dir("spill-tmpdir");
+    let (code, _, stderr) = run_with(
+        Command::new(env!("CARGO_BIN_EXE_bench_all"))
+            .current_dir(&dir)
+            .env("TMPDIR", &tmp),
+        &["consumer/stream_replay", "o.json"],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("read TMPDIR")
+        .map(|e| e.expect("TMPDIR entry").path())
+        .collect();
+    assert!(left.is_empty(), "bench_all left {left:?} in TMPDIR");
 }

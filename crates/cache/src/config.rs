@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-/// Configuration of one cache.
+/// Configuration of one cache. Every cache allocates a line on a
+/// write miss (write-allocate), the policy the paper notes is
+/// predominant.
 ///
 /// Constructed either with [`CacheConfig::new`] or one of the named
 /// constructors matching the parameter points used in the paper.
@@ -23,14 +25,10 @@ pub struct CacheConfig {
     pub line: u32,
     /// Associativity (1 = direct mapped). Must divide `size / line`.
     pub assoc: u32,
-    /// Allocate a line on a write miss (write-allocate). The paper
-    /// notes write-allocate is the predominant policy; it is the
-    /// default.
-    pub write_allocate: bool,
 }
 
 impl CacheConfig {
-    /// Creates a write-allocate configuration.
+    /// Creates a configuration.
     ///
     /// # Panics
     ///
@@ -38,20 +36,9 @@ impl CacheConfig {
     /// does not divide `size`, or if `assoc` does not divide the
     /// number of lines.
     pub fn new(size: u64, line: u32, assoc: u32) -> Self {
-        let cfg = CacheConfig {
-            size,
-            line,
-            assoc,
-            write_allocate: true,
-        };
+        let cfg = CacheConfig { size, line, assoc };
         cfg.validate();
         cfg
-    }
-
-    /// Disables write-allocate (builder style).
-    pub fn no_write_allocate(mut self) -> Self {
-        self.write_allocate = false;
-        self
     }
 
     fn validate(&self) {
@@ -124,14 +111,7 @@ impl CacheConfig {
 
 impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}K/{}B/{}-way{}",
-            self.size / 1024,
-            self.line,
-            self.assoc,
-            if self.write_allocate { "" } else { "/nwa" }
-        )
+        write!(f, "{}K/{}B/{}-way", self.size / 1024, self.line, self.assoc)
     }
 }
 

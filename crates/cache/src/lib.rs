@@ -3,21 +3,24 @@
 //! This crate is the stand-in for the `cachesim5` simulator the paper
 //! used from the Shade suite. It provides:
 //!
-//! * [`Cache`]: a single set-associative cache with LRU replacement,
-//!   configurable size / line size / associativity / write policy,
+//! * [`Cache`]: a single set-associative, write-allocate cache with
+//!   LRU replacement, configurable size / line size / associativity,
 //!   miss classification (read vs. write vs. compulsory), and
 //!   per-phase and per-region attribution;
-//! * [`CacheConfig`]: builder-style configuration with the paper's
-//!   parameter points as named constructors;
-//! * [`SplitCaches`]: an L1 I-cache + D-cache pair that consumes a
-//!   native instruction trace (instruction fetch per event, data access
-//!   per load/store) — the configuration used for Table 3, Figures 3–8;
-//! * [`Timeline`]: windowed miss-rate sampling for the time-series
-//!   study of Figure 6;
+//! * [`CacheConfig`]: cache geometry, with the paper's parameter
+//!   points as named constructors;
 //! * [`CacheSweep`] / [`SplitSweep`]: one-pass stack-distance
 //!   simulation of whole configuration families (the Hill & Smith
-//!   all-associativity technique), exact against [`Cache`] and used by
-//!   the Figure 7/8 sweeps.
+//!   all-associativity technique), exact against [`Cache`]. One
+//!   [`SplitSweep`] per trace carries every cache point of Table 3 and
+//!   Figures 3, 4, 5, 7 and 8, as cachesim5 did for the paper;
+//! * [`SplitCaches`]: an L1 I-cache + D-cache pair of [`Cache`]s that
+//!   consumes a native instruction trace event by event, for the
+//!   models a sweep cannot express: Figure 6's per-access timeline,
+//!   the Section 6 install-into-I-cache proposal, and caches attached
+//!   to a live VM run;
+//! * [`Timeline`]: windowed miss-rate sampling for the time-series
+//!   study of Figure 6.
 //!
 //! # Examples
 //!

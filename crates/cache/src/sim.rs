@@ -107,9 +107,8 @@ struct Line {
     stamp: u64,
 }
 
-/// A set-associative, LRU, write-allocate (optionally no-write-allocate)
-/// cache with miss classification and per-phase / per-region
-/// attribution.
+/// A set-associative, LRU, write-allocate cache with miss
+/// classification and per-phase / per-region attribution.
 ///
 /// Timing is not modelled here; the ILP simulator layers latencies on
 /// top of hit/miss outcomes.
@@ -157,7 +156,7 @@ impl Cache {
     /// Performs one access and updates statistics.
     pub fn access(&mut self, addr: Addr, kind: AccessKind, phase: Phase) -> AccessOutcome {
         let line_id = addr >> self.line_shift;
-        let outcome = self.probe(line_id, kind);
+        let outcome = self.probe(line_id);
         self.stats.record(kind, outcome);
         if phase.is_translate() {
             self.translate_stats.record(kind, outcome);
@@ -170,7 +169,7 @@ impl Cache {
         outcome
     }
 
-    fn probe(&mut self, line_id: u64, kind: AccessKind) -> AccessOutcome {
+    fn probe(&mut self, line_id: u64) -> AccessOutcome {
         self.tick += 1;
         let set = (line_id & self.set_mask) as usize;
         let assoc = self.cfg.assoc as usize;
@@ -185,21 +184,18 @@ impl Cache {
         }
 
         // Miss. A hit line is always in `seen` (it was inserted when
-        // the line was filled, or on the write miss that skipped the
-        // fill), so first-touch tracking only needs to run here.
+        // the line was filled), so first-touch tracking only needs to
+        // run here.
         let compulsory = self.seen.insert(line_id);
 
-        // Allocate unless this is a write under no-write-allocate.
-        let allocate = self.cfg.write_allocate || kind == AccessKind::Read;
-        if allocate {
-            let victim = ways
-                .iter_mut()
-                .min_by_key(|w| if w.valid { w.stamp } else { 0 })
-                .expect("associativity >= 1");
-            victim.tag = line_id;
-            victim.valid = true;
-            victim.stamp = self.tick;
-        }
+        // Allocate on every miss, reads and writes alike.
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|w| if w.valid { w.stamp } else { 0 })
+            .expect("associativity >= 1");
+        victim.tag = line_id;
+        victim.valid = true;
+        victim.stamp = self.tick;
         AccessOutcome {
             hit: false,
             compulsory,
@@ -289,15 +285,6 @@ mod tests {
         assert!((c.stats().write_miss_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(c.translate_stats().write_misses, 1);
         assert_eq!(c.rest_stats().read_misses, 1);
-    }
-
-    #[test]
-    fn no_write_allocate_skips_fill() {
-        let mut c = Cache::new(CacheConfig::new(64, 16, 2).no_write_allocate());
-        c.access(0, AccessKind::Write, Phase::Runtime);
-        // Line was not allocated, so a read now still misses.
-        let o = c.access(0, AccessKind::Read, Phase::Runtime);
-        assert!(!o.hit);
     }
 
     #[test]

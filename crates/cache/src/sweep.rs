@@ -29,9 +29,10 @@
 //! splits, so Figure 5's category breakdown falls out of the same
 //! pass.
 //!
-//! Restriction: all points must use write-allocate (no-write-allocate
-//! breaks the inclusion property: a non-allocating write would have to
-//! update some stacks and not others).
+//! The inclusion property needs every miss to allocate, so the sweep
+//! models write-allocate caches — the only kind [`Cache`](crate::Cache)
+//! simulates (a non-allocating write would have to update some stacks
+//! and not others).
 //!
 //! # Examples
 //!
@@ -512,22 +513,17 @@ pub struct CacheSweep {
 }
 
 impl CacheSweep {
-    /// Creates a sweep over `points`.
+    /// Creates a sweep over `points`. An empty `points` simulates
+    /// nothing, so a [`SplitSweep`] can sweep one side only.
     ///
     /// # Panics
     ///
-    /// Panics if `points` is empty, uses a line size below 2 bytes, or
-    /// contains a no-write-allocate configuration.
+    /// Panics if a point uses a line size below 2 bytes.
     pub fn new(points: &[CacheConfig]) -> Self {
-        assert!(!points.is_empty(), "at least one sweep point");
         let mut families: Vec<Family> = Vec::new();
         let mut indexed = Vec::with_capacity(points.len());
         for cfg in points {
             assert!(cfg.line >= 2, "sweep needs a line size of at least 2 bytes");
-            assert!(
-                cfg.write_allocate,
-                "the stack-distance sweep requires write-allocate"
-            );
             let shift = cfg.line.trailing_zeros();
             let f = match families.iter().position(|f| f.line_shift == shift) {
                 Some(f) => f,
@@ -633,7 +629,7 @@ impl CacheSweep {
         self.points.len()
     }
 
-    /// Whether the sweep has no points (never true: `new` requires one).
+    /// Whether the sweep has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
@@ -977,6 +973,26 @@ mod tests {
     }
 
     #[test]
+    fn one_sided_split_sweep_simulates_only_that_side() {
+        let points = [CacheConfig::paper_l1_data()];
+        let mut one = SplitSweep::new(&[], &points);
+        let mut both = SplitSweep::new(&points, &points);
+        for e in [
+            NativeInst::alu(0x1_0000, Phase::Runtime),
+            NativeInst::store(0x1_0004, jrt_trace::layout::HEAP_BASE, 4, Phase::Translate),
+        ] {
+            one.accept(&e);
+            both.accept(&e);
+        }
+        assert!(one.icache().is_empty());
+        assert!(one.icache().results().is_empty());
+        assert_eq!(
+            one.dcache().results()[0].stats(),
+            both.dcache().results()[0].stats()
+        );
+    }
+
+    #[test]
     fn consume_blocks_equals_accept_events() {
         use jrt_trace::Tape;
         let tape = Tape::record(|rec| {
@@ -1028,12 +1044,6 @@ mod tests {
             }
         }
         assert_matches_cache(&points, &accesses);
-    }
-
-    #[test]
-    #[should_panic(expected = "write-allocate")]
-    fn rejects_no_write_allocate() {
-        CacheSweep::new(&[CacheConfig::new(1024, 16, 1).no_write_allocate()]);
     }
 
     /// A deterministic access pattern with plenty of reuse across any

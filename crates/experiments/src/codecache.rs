@@ -31,8 +31,8 @@ use crate::jobs::{self, Workload};
 use crate::report::verdict;
 use crate::runner::Mode;
 use crate::table::{count, Table};
-use crate::tape;
-use jrt_cache::SplitCaches;
+use crate::tape::{self, RunSummary};
+use jrt_cache::{CacheConfig, SplitCaches, SplitSweep};
 use jrt_trace::{CountingSink, FanoutSink, Phase, Region};
 use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, Vm, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
@@ -89,6 +89,26 @@ struct Measured {
     largest_bytes: u64,
 }
 
+impl Measured {
+    /// A run's counts and counters, with the code-cache write misses
+    /// its caller simulated.
+    fn new(run: &RunSummary, cc_write_misses: u64) -> Measured {
+        let (counts, result) = (&run.counts, &run.result);
+        Measured {
+            total: counts.total(),
+            translate: counts.phase(Phase::Translate),
+            cc_write_misses,
+            translations: result.counters.methods_translated,
+            retranslations: result.counters.retranslations,
+            evictions: result.counters.code_evictions,
+            tier2: result.counters.tier2_recompiles,
+            live_bytes: result.footprint.code_cache_bytes,
+            ever_bytes: result.footprint.code_ever_bytes,
+            largest_bytes: result.counters.largest_method_bytes,
+        }
+    }
+}
+
 /// Direct VM run under `cfg` with instruction counts and the paper's
 /// L1 caches attached.
 fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
@@ -101,40 +121,19 @@ fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
             .expect("workload runs clean")
     };
     w.check(&result);
-    let (_i, d) = caches.into_inner();
-    Measured {
-        total: counts.total(),
-        translate: counts.phase(Phase::Translate),
-        cc_write_misses: d.region_stats(Region::CodeCache).write_misses,
-        translations: result.counters.methods_translated,
-        retranslations: result.counters.retranslations,
-        evictions: result.counters.code_evictions,
-        tier2: result.counters.tier2_recompiles,
-        live_bytes: result.footprint.code_cache_bytes,
-        ever_bytes: result.footprint.code_ever_bytes,
-        largest_bytes: result.counters.largest_method_bytes,
-    }
+    let cc_write_misses = caches.dcache().region_stats(Region::CodeCache).write_misses;
+    Measured::new(&RunSummary { result, counts }, cc_write_misses)
 }
 
-/// The unbounded baseline, served from the tape cache (no extra VM
-/// run); the cache counters ride along on a replay.
-fn baseline(w: &Workload, mode: Mode) -> Measured {
-    let mut caches = SplitCaches::paper_l1();
-    let e = tape::replay(w, mode, &mut caches);
-    let (counts, result) = (&e.summary.counts, &e.summary.result);
-    let (_i, d) = caches.into_inner();
-    Measured {
-        total: counts.total(),
-        translate: counts.phase(Phase::Translate),
-        cc_write_misses: d.region_stats(Region::CodeCache).write_misses,
-        translations: result.counters.methods_translated,
-        retranslations: result.counters.retranslations,
-        evictions: result.counters.code_evictions,
-        tier2: result.counters.tier2_recompiles,
-        live_bytes: result.footprint.code_cache_bytes,
-        ever_bytes: result.footprint.code_ever_bytes,
-        largest_bytes: result.counters.largest_method_bytes,
-    }
+/// The unbounded JIT baseline, served from the tape cache (no extra
+/// VM run). Its code-cache write misses come from streaming the tape
+/// through the paper's L1 D-cache.
+fn baseline(w: &Workload) -> Measured {
+    let e = tape::recorded(w, Mode::Jit);
+    let mut sweep = SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]);
+    e.tape.replay_stream(|b| sweep.consume_block(b));
+    let d = &sweep.dcache().results()[0];
+    Measured::new(&e.summary, d.region_stats(Region::CodeCache).write_misses)
 }
 
 /// One row of the capacity sweep.
@@ -240,7 +239,7 @@ fn capacity_rows(loads: &[Workload]) -> (Vec<CapacityRow>, u64) {
     // The bounded runs need each benchmark's bytes-ever-translated to
     // size the cache, so the unbounded baselines come first (they are
     // tape replays — cheap and already parallel underneath).
-    let bases = jobs::par_map(loads, |w| baseline(w, Mode::Jit));
+    let bases = jobs::par_map(loads, baseline);
     let largest = bases.iter().map(|b| b.largest_bytes).max().unwrap_or(0);
 
     #[derive(Clone)]
@@ -343,8 +342,10 @@ fn sharing_rows(size: Size) -> Vec<SharingRow> {
 fn tiering_rows(loads: &[Workload]) -> Vec<TieringRow> {
     let modes: [&'static str; 2] = ["jit", "tiered"];
     let cells = jobs::cross(loads, &modes);
+    // The table reads no cache numbers, so the jit row is the JIT
+    // recording's summary.
     let measured = jobs::par_map(&cells, |(w, mode)| match *mode {
-        "jit" => baseline(w, Mode::Jit),
+        "jit" => Measured::new(&tape::recorded(w, Mode::Jit).summary, 0),
         _ => run_cfg(
             w,
             VmConfig {
@@ -369,7 +370,7 @@ fn tiering_rows(loads: &[Workload]) -> Vec<TieringRow> {
 }
 
 fn crossover_rows(loads: &[Workload], capacity: &[CapacityRow]) -> Vec<CrossoverRow> {
-    let opts = jobs::par_map(loads, |w| baseline(w, Mode::Opt));
+    let opts = jobs::par_map(loads, |w| tape::summary(w, Mode::Opt).counts.total());
     loads
         .iter()
         .zip(&opts)
@@ -387,7 +388,7 @@ fn crossover_rows(loads: &[Workload], capacity: &[CapacityRow]) -> Vec<Crossover
             CrossoverRow {
                 name,
                 thrash_extra: thrash.total as i64 - jit,
-                oracle_saving: jit - opt.total as i64,
+                oracle_saving: jit - *opt as i64,
             }
         })
         .collect()

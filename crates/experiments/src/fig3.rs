@@ -4,12 +4,11 @@
 //! JIT mode 50–90% of data misses are writes (code generation and
 //! installation), far more than in interpreter mode.
 
-use crate::jobs::{self, Workload};
+use crate::caches::{self, CachePass, Points};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitCaches};
-use jrt_workloads::{suite, Size};
+use jrt_cache::CacheConfig;
+use jrt_workloads::Size;
 
 /// One benchmark × mode measurement.
 #[derive(Debug, Clone, Copy)]
@@ -58,25 +57,35 @@ impl Fig3 {
     }
 }
 
-fn run_one(w: &Workload, mode: Mode) -> Fig3Row {
-    let mut caches = SplitCaches::new(
-        CacheConfig::paper_write_study(),
-        CacheConfig::paper_write_study(),
-    );
-    tape::replay(w, mode, &mut caches);
-    Fig3Row {
-        name: w.spec.name,
-        mode,
-        write_fraction: caches.dcache().stats().write_miss_fraction(),
+/// The cache points Figure 3 reads off the shared pass.
+pub fn points() -> Points {
+    Points {
+        icache: Vec::new(),
+        dcache: vec![CacheConfig::paper_write_study()],
     }
 }
 
-/// Runs the Figure 3 experiment, one job per benchmark × mode.
-pub fn run(size: Size) -> Fig3 {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
+/// Figure 3's view of the shared pass: one row per tape.
+pub fn view(pass: &CachePass) -> Fig3 {
     Fig3 {
-        rows: jobs::par_map(&work, |(w, mode)| run_one(w, *mode)),
+        rows: pass
+            .tapes
+            .iter()
+            .map(|t| Fig3Row {
+                name: t.name,
+                mode: t.mode,
+                write_fraction: t
+                    .dcache(CacheConfig::paper_write_study())
+                    .stats()
+                    .write_miss_fraction(),
+            })
+            .collect(),
     }
+}
+
+/// Runs the Figure 3 experiment: the shared pass over its points.
+pub fn run(size: Size) -> Fig3 {
+    view(&caches::sweep(size, &points()))
 }
 
 #[cfg(test)]

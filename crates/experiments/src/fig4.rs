@@ -10,11 +10,12 @@
 //! I-cache behaviour is close to compiled code; JIT D-cache is the
 //! worst of all (write misses).
 
-use crate::jobs::{self, Workload};
+use crate::caches::{self, CachePass, Points};
+use crate::jobs;
 use crate::runner::Mode;
 use crate::table::{pct, Table};
 use crate::tape;
-use jrt_cache::SplitCaches;
+use jrt_cache::{CacheConfig, SplitSweep};
 use jrt_trace::{Phase, PhaseFilter};
 use jrt_workloads::{suite, Size};
 
@@ -59,79 +60,60 @@ fn is_app_phase(p: Phase) -> bool {
     !matches!(p, Phase::Translate | Phase::ClassLoad)
 }
 
-/// The three execution styles of one benchmark, each its own job.
-fn run_one(w: &Workload, style: &'static str) -> (f64, f64) {
-    match style {
-        "interp" | "jit" => {
-            let mode = if style == "interp" {
-                Mode::Interp
-            } else {
-                Mode::Jit
-            };
-            let mut caches = SplitCaches::paper_l1();
-            tape::replay(w, mode, &mut caches);
-            (
-                caches.icache().stats().miss_rate(),
-                caches.dcache().stats().miss_rate(),
-            )
+/// The cache points Figure 4's interp and jit rows read off the
+/// shared pass.
+pub fn points() -> Points {
+    Points::paper_l1()
+}
+
+/// Figure 4 off the shared pass: the interp and jit rows are views of
+/// it; the C-like row replays each JIT tape (one job per benchmark).
+pub fn view(pass: &CachePass, size: Size) -> Fig4 {
+    let (icfg, dcfg) = (CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data());
+    let rates = |mode| {
+        pass.mode(mode)
+            .map(|t| {
+                let (i, d) = (t.icache(icfg), t.dcache(dcfg));
+                (i.stats().miss_rate(), d.stats().miss_rate())
+            })
+            .collect()
+    };
+    // AOT proxy: the cached JIT tape with translate/class-load
+    // filtered out before a one-point sweep.
+    let c_like = jobs::par_map(&jobs::prebuild(suite(), size), |w| {
+        let mut filtered = PhaseFilter::new(SplitSweep::new(&[icfg], &[dcfg]), is_app_phase);
+        tape::replay(w, Mode::Jit, &mut filtered);
+        let (i, d) = (filtered.inner().icache(), filtered.inner().dcache());
+        (
+            i.results()[0].stats().miss_rate(),
+            d.results()[0].stats().miss_rate(),
+        )
+    });
+    // Suite means, summed in suite order.
+    let row = |label, rates: Vec<(f64, f64)>| {
+        let n = rates.len() as f64;
+        let (i, d) = rates
+            .iter()
+            .fold((0.0, 0.0), |(i, d), (ri, rd)| (i + ri, d + rd));
+        Fig4Row {
+            label,
+            i_miss: i / n,
+            d_miss: d / n,
         }
-        // AOT proxy: the cached JIT tape with translate/class-load
-        // filtered out before the caches.
-        _ => {
-            let mut filtered = PhaseFilter::new(SplitCaches::paper_l1(), is_app_phase);
-            tape::replay(w, Mode::Jit, &mut filtered);
-            (
-                filtered.inner().icache().stats().miss_rate(),
-                filtered.inner().dcache().stats().miss_rate(),
-            )
-        }
+    };
+    Fig4 {
+        rows: vec![
+            row("interp", rates(Mode::Interp)),
+            row("jit", rates(Mode::Jit)),
+            row("c-like", c_like),
+        ],
     }
 }
 
-/// Runs the Figure 4 experiment: one job per benchmark × style, float
-/// averages summed in canonical (suite-major) order after collection.
+/// Runs the Figure 4 experiment: the shared pass over its points,
+/// plus the C-like replays.
 pub fn run(size: Size) -> Fig4 {
-    let styles = ["interp", "jit", "c-like"];
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &styles);
-    let rates = jobs::par_map(&work, |(w, style)| run_one(w, style));
-
-    let (mut ii, mut id, mut ji, mut jd, mut ci, mut cd) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let n = suite().len() as f64;
-    for ((_, style), (i_rate, d_rate)) in work.iter().zip(&rates) {
-        match *style {
-            "interp" => {
-                ii += i_rate;
-                id += d_rate;
-            }
-            "jit" => {
-                ji += i_rate;
-                jd += d_rate;
-            }
-            _ => {
-                ci += i_rate;
-                cd += d_rate;
-            }
-        }
-    }
-    Fig4 {
-        rows: vec![
-            Fig4Row {
-                label: "interp",
-                i_miss: ii / n,
-                d_miss: id / n,
-            },
-            Fig4Row {
-                label: "jit",
-                i_miss: ji / n,
-                d_miss: jd / n,
-            },
-            Fig4Row {
-                label: "c-like",
-                i_miss: ci / n,
-                d_miss: cd / n,
-            },
-        ],
-    }
+    view(&caches::sweep(size, &points()), size)
 }
 
 #[cfg(test)]

@@ -6,12 +6,11 @@
 //! 40–80% of all D-misses, and ~60% of the translate-portion misses
 //! are writes (code generation/installation).
 
-use crate::jobs::{self, Workload};
+use crate::caches::{self, CachePass, Points};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitSweep};
-use jrt_workloads::{suite, Size};
+use jrt_cache::CacheConfig;
+use jrt_workloads::Size;
 
 /// One benchmark's translate-portion shares.
 #[derive(Debug, Clone, Copy)]
@@ -65,29 +64,35 @@ impl Fig5 {
     }
 }
 
-fn run_one(w: &Workload) -> Fig5Row {
-    let mut sweep = SplitSweep::new(
-        &[CacheConfig::paper_l1_inst()],
-        &[CacheConfig::paper_l1_data()],
-    );
-    tape::for_each_block(w, Mode::Jit, |b| sweep.consume_block(b));
-    let i = &sweep.icache().results()[0];
-    let d = &sweep.dcache().results()[0];
-    Fig5Row {
-        name: w.spec.name,
-        i_share: i.translate_stats().misses() as f64 / i.stats().misses().max(1) as f64,
-        d_share: d.translate_stats().misses() as f64 / d.stats().misses().max(1) as f64,
-        write_share_in_translate: d.translate_stats().write_miss_fraction(),
-        i_rate_translate: i.translate_stats().miss_rate(),
-        i_rate_rest: i.rest_stats().miss_rate(),
+/// The cache points Figure 5 reads off the shared pass.
+pub fn points() -> Points {
+    Points::paper_l1()
+}
+
+/// Figure 5's view of the shared pass: one row per JIT tape.
+pub fn view(pass: &CachePass) -> Fig5 {
+    Fig5 {
+        rows: pass
+            .mode(Mode::Jit)
+            .map(|t| {
+                let i = t.icache(CacheConfig::paper_l1_inst());
+                let d = t.dcache(CacheConfig::paper_l1_data());
+                Fig5Row {
+                    name: t.name,
+                    i_share: i.translate_stats().misses() as f64 / i.stats().misses().max(1) as f64,
+                    d_share: d.translate_stats().misses() as f64 / d.stats().misses().max(1) as f64,
+                    write_share_in_translate: d.translate_stats().write_miss_fraction(),
+                    i_rate_translate: i.translate_stats().miss_rate(),
+                    i_rate_rest: i.rest_stats().miss_rate(),
+                }
+            })
+            .collect(),
     }
 }
 
-/// Runs the Figure 5 experiment, one JIT-mode job per benchmark.
+/// Runs the Figure 5 experiment: the shared pass over its points.
 pub fn run(size: Size) -> Fig5 {
-    Fig5 {
-        rows: jobs::par_map(&jobs::prebuild(suite(), size), run_one),
-    }
+    view(&caches::sweep(size, &points()))
 }
 
 #[cfg(test)]

@@ -4,12 +4,11 @@
 //! The paper: higher associativity reduces misses, with the largest
 //! step from direct-mapped to 2-way.
 
-use crate::jobs::{self, Workload};
+use crate::caches::{self, CachePass, Points, TapeSweep};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitSweep};
-use jrt_workloads::{suite, Size};
+use jrt_cache::{CacheConfig, CacheStats, SweepResult};
+use jrt_workloads::Size;
 
 /// Associativities swept.
 pub const ASSOCS: [u32; 4] = [1, 2, 4, 8];
@@ -58,72 +57,44 @@ pub(crate) fn sweep_table(title: &str, headers: &[&str], rows: &[Fig7Row]) -> Ta
     t
 }
 
-/// One benchmark × mode job: a single stack-distance pass over the
-/// decoded stream yields exact counts for all four points, returning
-/// `(i_refs, d_refs, i_misses, d_misses)` per point.
-fn run_one(w: &Workload, mode: Mode, points: &[CacheConfig; 4]) -> [(u64, u64, u64, u64); 4] {
-    let mut sweep = SplitSweep::new(points, points);
-    tape::for_each_block(w, mode, |b| sweep.consume_block(b));
-    let mut out = [(0, 0, 0, 0); 4];
-    for (k, (i, d)) in sweep
-        .icache()
-        .results()
-        .iter()
-        .zip(sweep.dcache().results())
-        .enumerate()
-    {
-        out[k] = (
-            i.stats().refs(),
-            d.stats().refs(),
-            i.stats().misses(),
-            d.stats().misses(),
-        );
-    }
-    out
-}
-
-/// The driver of Figures 7 and 8: one job per benchmark × mode, each
-/// sweeping the four `points` in one pass, with the suite aggregate
-/// folded mode-major after collection.
-pub(crate) fn sweep_rows(size: Size, points: [CacheConfig; 4]) -> Vec<Fig7Row> {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    let counts = jobs::par_map(&work, |(w, mode)| run_one(w, *mode, &points));
+/// The rows of Figures 7 and 8 off the shared pass: per mode, the
+/// suite aggregate miss rate at each of the four `points` (the same
+/// points on both sides).
+pub(crate) fn sweep_rows(pass: &CachePass, points: &[CacheConfig]) -> Vec<Fig7Row> {
+    let rates = |mode, side: fn(&TapeSweep, CacheConfig) -> &SweepResult| {
+        std::array::from_fn(|k| {
+            let mut total = CacheStats::default();
+            for t in pass.mode(mode) {
+                total.merge(side(t, points[k]).stats());
+            }
+            total.miss_rate()
+        })
+    };
     Mode::BOTH
         .iter()
-        .map(|&mode| {
-            let mut refs = [(0u64, 0u64); 4]; // (i_refs, d_refs)
-            let mut misses = [(0u64, 0u64); 4];
-            for ((_, m), per_point) in work.iter().zip(&counts) {
-                if *m != mode {
-                    continue;
-                }
-                for (k, &(ir, dr, im, dm)) in per_point.iter().enumerate() {
-                    refs[k].0 += ir;
-                    refs[k].1 += dr;
-                    misses[k].0 += im;
-                    misses[k].1 += dm;
-                }
-            }
-            let mut i_miss = [0.0; 4];
-            let mut d_miss = [0.0; 4];
-            for k in 0..4 {
-                i_miss[k] = misses[k].0 as f64 / refs[k].0.max(1) as f64;
-                d_miss[k] = misses[k].1 as f64 / refs[k].1.max(1) as f64;
-            }
-            Fig7Row {
-                mode,
-                i_miss,
-                d_miss,
-            }
+        .map(|&mode| Fig7Row {
+            mode,
+            i_miss: rates(mode, TapeSweep::icache),
+            d_miss: rates(mode, TapeSweep::dcache),
         })
         .collect()
 }
 
-/// Runs the Figure 7 experiment over the four [`ASSOCS`].
-pub fn run(size: Size) -> Fig7 {
+/// Figure 7's points: the four [`ASSOCS`], on both sides.
+pub fn points() -> Points {
+    Points::both(&ASSOCS.map(CacheConfig::paper_assoc_sweep))
+}
+
+/// Figure 7's view of the shared pass.
+pub fn view(pass: &CachePass) -> Fig7 {
     Fig7 {
-        rows: sweep_rows(size, ASSOCS.map(CacheConfig::paper_assoc_sweep)),
+        rows: sweep_rows(pass, &points().icache),
     }
+}
+
+/// Runs the Figure 7 experiment: the shared pass over its points.
+pub fn run(size: Size) -> Fig7 {
+    view(&caches::sweep(size, &points()))
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! beyond a method), while JIT mode does best at 32–64 B (object and
 //! array sizes).
 
+use crate::caches::{self, CachePass, Points};
 use crate::fig7::{sweep_rows, sweep_table, Fig7Row};
 use crate::runner::Mode;
 use crate::table::Table;
@@ -53,12 +54,21 @@ impl Fig8 {
     }
 }
 
-/// Runs the Figure 8 experiment: Figure 7's driver over the four
-/// [`LINES`], which one sweep walks as four line-size families.
-pub fn run(size: Size) -> Fig8 {
+/// Figure 8's points: the four [`LINES`], on both sides.
+pub fn points() -> Points {
+    Points::both(&LINES.map(CacheConfig::paper_line_sweep))
+}
+
+/// Figure 8's view of the shared pass.
+pub fn view(pass: &CachePass) -> Fig8 {
     Fig8 {
-        rows: sweep_rows(size, LINES.map(CacheConfig::paper_line_sweep)),
+        rows: sweep_rows(pass, &points().icache),
     }
+}
+
+/// Runs the Figure 8 experiment: the shared pass over its points.
+pub fn run(size: Size) -> Fig8 {
+    view(&caches::sweep(size, &points()))
 }
 
 #[cfg(test)]

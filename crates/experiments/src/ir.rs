@@ -177,25 +177,21 @@ fn measure(w: &Workload, ir: bool) -> IrMeasure {
     // stack JIT's stream is replayed by other drivers, so it comes from
     // its recording; the IR-backed JIT's nobody replays, so it runs
     // count-only.
-    let (interp, blocks, jit) = if ir {
+    let (interp, jit) = if ir {
         (
             tape::recorded_ir(w, Mode::Interp),
-            tape::decoded_ir(w, Mode::Interp),
             tape::summary_ir(w, Mode::Jit),
         )
     } else {
         (
             tape::recorded(w, Mode::Interp),
-            tape::decoded(w, Mode::Interp),
             tape::recorded(w, Mode::Jit).summary.clone(),
         )
     };
-    let interp = &interp.summary;
-    let ipoints = [CacheConfig::paper_l1_inst()];
-    let dpoints = [CacheConfig::paper_l1_data()];
-    let mut sweep = SplitSweep::new(&ipoints, &dpoints);
-    sweep.consume(&blocks);
+    let mut sweep = SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]);
+    interp.tape.replay_stream(|b| sweep.consume_block(b));
     let d = &sweep.dcache().results()[0];
+    let interp = &interp.summary;
     IrMeasure {
         insts: interp.counts.total(),
         bytecodes: interp.result.counters.bytecodes,

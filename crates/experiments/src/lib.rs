@@ -30,7 +30,8 @@
 //! | [`gc_study`] | Beyond the paper — generational copying GC: collection counts, survival, write-barrier overhead, Gc/GcBarrier cache slices, cross-collector equivalence |
 //!
 //! [`report::run_all`] executes everything and renders the
-//! `EXPERIMENTS.md` comparison document.
+//! `EXPERIMENTS.md` comparison document; its cache sections share one
+//! [`caches`] pass.
 //!
 //! Every driver fans its `(workload, mode)` cross-product out on the
 //! [`jobs`] work-queue scheduler (worker count from `JRT_JOBS` or the
@@ -40,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod caches;
 pub mod codecache;
 pub mod fig1;
 pub mod fig11;

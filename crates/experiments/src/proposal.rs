@@ -8,11 +8,12 @@
 //! (double-caching). This experiment implements the proposal in the
 //! cache model and measures what it saves in JIT mode.
 
-use crate::jobs::{self, Workload};
+use crate::caches::{self, CachePass, Points};
+use crate::jobs;
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape;
-use jrt_cache::SplitCaches;
+use jrt_cache::{CacheConfig, SplitCaches};
 use jrt_workloads::{suite, Size};
 
 /// Baseline-vs-proposal miss counts for one benchmark (JIT mode).
@@ -73,28 +74,42 @@ impl Proposal {
     }
 }
 
-fn run_one(w: &Workload) -> ProposalRow {
-    // One replay drives both configurations.
-    let mut sinks = (
-        SplitCaches::paper_l1(),
-        SplitCaches::paper_l1().with_install_into_icache(),
-    );
-    tape::replay(w, Mode::Jit, &mut sinks);
-    let (base, prop) = sinks;
-    ProposalRow {
-        name: w.spec.name,
-        base_misses: base.icache().stats().misses() + base.dcache().stats().misses(),
-        base_write_misses: base.dcache().stats().write_misses,
-        prop_misses: prop.icache().stats().misses() + prop.dcache().stats().misses(),
+/// The cache points the proposal's baseline reads off the shared pass.
+pub fn points() -> Points {
+    Points::paper_l1()
+}
+
+/// The proposal study (JIT mode only) off the shared pass: the
+/// baseline is a view of it; the install-into-I-cache variant, which
+/// no sweep models, replays each JIT tape (one job per benchmark).
+pub fn view(pass: &CachePass, size: Size) -> Proposal {
+    let prop = jobs::par_map(&jobs::prebuild(suite(), size), |w| {
+        let mut caches = SplitCaches::paper_l1().with_install_into_icache();
+        tape::replay(w, Mode::Jit, &mut caches);
+        caches.icache().stats().misses() + caches.dcache().stats().misses()
+    });
+    Proposal {
+        rows: pass
+            .mode(Mode::Jit)
+            .zip(prop)
+            .map(|(t, prop_misses)| {
+                let i = t.icache(CacheConfig::paper_l1_inst()).stats();
+                let d = t.dcache(CacheConfig::paper_l1_data()).stats();
+                ProposalRow {
+                    name: t.name,
+                    base_misses: i.misses() + d.misses(),
+                    base_write_misses: d.write_misses,
+                    prop_misses,
+                }
+            })
+            .collect(),
     }
 }
 
-/// Runs the proposal study (JIT mode only; the proposal does not
-/// apply to the interpreter), one job per benchmark.
+/// Runs the proposal study: the shared pass over its points, plus
+/// the variant's replays.
 pub fn run(size: Size) -> Proposal {
-    Proposal {
-        rows: jobs::par_map(&jobs::prebuild(suite(), size), run_one),
-    }
+    view(&caches::sweep(size, &points()), size)
 }
 
 #[cfg(test)]

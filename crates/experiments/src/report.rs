@@ -6,10 +6,11 @@
 //! regenerate one section in isolation; [`Report::to_markdown`]
 //! renders whatever subset is present.
 
+use crate::caches::{self, Points};
 use crate::runner::Mode;
 use crate::{
-    codecache, fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, gc_study, table1,
-    table2, table3,
+    codecache, fig1, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, gc_study, proposal,
+    table1, table2, table3,
 };
 use jrt_workloads::Size;
 use std::fmt::Write as _;
@@ -113,9 +114,10 @@ pub fn run_all(size: Size) -> Report {
 /// Runs the experiments whose name contains `filter` (all of them
 /// when `filter` is `None`), logging progress to stderr. Skipped
 /// sections are `None` in the returned [`Report`] and absent from its
-/// markdown. `sabotage_drop_barrier` arms the GC study's seeded
-/// missed-write-barrier bug ([`gc_study::run_sabotaged`]); `None` is
-/// the clean run.
+/// markdown. The cache sections share one [`caches::sweep`] over the
+/// union of their points, run by the first of them.
+/// `sabotage_drop_barrier` arms the GC study's seeded missed write
+/// barrier ([`gc_study::run_sabotaged`]); `None` is the clean run.
 pub fn run_filtered(
     size: Size,
     filter: Option<&str>,
@@ -135,24 +137,39 @@ pub fn run_filtered(
             }
         }};
     }
+    let points = Points::union(
+        [
+            ("table3", table3::points()),
+            ("fig3", fig3::points()),
+            ("fig4", fig4::points()),
+            ("fig5", fig5::points()),
+            ("fig7", fig7::points()),
+            ("fig8", fig8::points()),
+            ("proposal", proposal::points()),
+        ]
+        .into_iter()
+        .filter_map(|(name, p)| enabled(name).then_some(p)),
+    );
+    let pass = std::cell::OnceCell::new();
+    let pass = || pass.get_or_init(|| caches::sweep(size, &points));
     Report {
         size,
         fig1: step!("fig1", fig1::run(size)),
         table1: step!("table1", table1::run(size)),
         fig2: step!("fig2", fig2::run(size)),
         table2: step!("table2", table2::run(size)),
-        table3: step!("table3", table3::run(size)),
-        fig3: step!("fig3", fig3::run(size)),
-        fig4: step!("fig4", fig4::run(size)),
-        fig5: step!("fig5", fig5::run(size)),
+        table3: step!("table3", table3::view(pass())),
+        fig3: step!("fig3", fig3::view(pass())),
+        fig4: step!("fig4", fig4::view(pass(), size)),
+        fig5: step!("fig5", fig5::view(pass())),
         fig6: step!("fig6", fig6::run(size)),
-        fig7: step!("fig7", fig7::run(size)),
-        fig8: step!("fig8", fig8::run(size)),
+        fig7: step!("fig7", fig7::view(pass())),
+        fig8: step!("fig8", fig8::view(pass())),
         fig9: step!("fig9", fig9::run(size)),
         fig11: step!("fig11", fig11::run(size)),
         indirect: step!("indirect", crate::indirect::run(size)),
         folding: step!("folding", crate::folding::run(size)),
-        proposal: step!("proposal", crate::proposal::run(size)),
+        proposal: step!("proposal", proposal::view(pass(), size)),
         regir: step!("regir", crate::ir::run(size)),
         sizes: step!("sizes", crate::sizes::run()),
         codecache: step!("codecache", codecache::run(size)),

@@ -7,12 +7,11 @@
 //! far fewer references (registers replace the operand stack) but
 //! *more* misses (code generation/installation write misses).
 
-use crate::jobs::{self, Workload};
+use crate::caches::{self, CachePass, Points};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, CacheStats, SplitSweep};
-use jrt_workloads::{suite, Size};
+use jrt_cache::{CacheConfig, CacheStats};
+use jrt_workloads::Size;
 
 /// One benchmark × mode row.
 #[derive(Debug, Clone, Copy)]
@@ -71,31 +70,36 @@ impl Table3 {
     }
 }
 
-fn run_one(w: &Workload, mode: Mode) -> Table3Row {
-    let mut sweep = SplitSweep::new(
-        &[CacheConfig::paper_l1_inst()],
-        &[CacheConfig::paper_l1_data()],
-    );
-    tape::for_each_block(w, mode, |b| sweep.consume_block(b));
-    Table3Row {
-        name: w.spec.name,
-        mode,
-        icache: *sweep.icache().results()[0].stats(),
-        dcache: *sweep.dcache().results()[0].stats(),
+/// The cache points Table 3 reads off the shared pass.
+pub fn points() -> Points {
+    Points::paper_l1()
+}
+
+/// Table 3's view of the shared pass: one row per tape.
+pub fn view(pass: &CachePass) -> Table3 {
+    Table3 {
+        rows: pass
+            .tapes
+            .iter()
+            .map(|t| Table3Row {
+                name: t.name,
+                mode: t.mode,
+                icache: *t.icache(CacheConfig::paper_l1_inst()).stats(),
+                dcache: *t.dcache(CacheConfig::paper_l1_data()).stats(),
+            })
+            .collect(),
     }
 }
 
-/// Runs the Table 3 experiment, one job per benchmark × mode.
+/// Runs the Table 3 experiment: the shared pass over its points.
 pub fn run(size: Size) -> Table3 {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    Table3 {
-        rows: jobs::par_map(&work, |(w, mode)| run_one(w, *mode)),
-    }
+    view(&caches::sweep(size, &points()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jrt_workloads::suite;
 
     #[test]
     fn cache_shape_matches_paper() {

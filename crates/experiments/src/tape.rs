@@ -37,13 +37,11 @@
 //! reproduces the stream byte-identically (a property the tests pin
 //! down).
 //!
-//! On top of the packed tapes sits a second memo layer: [`decoded`]
-//! expands a tape once into flat structure-of-arrays
-//! [`AccessBlocks`] (pc/addr/kind/phase arrays in ~64K-event chunks)
-//! for the access-level consumers — the one-pass cache-sweep drivers
-//! iterate those arrays instead of paying the varint decoder and a
-//! virtual `accept` per event per pass. Decoded blocks are charged
-//! against their own instance of the same LRU byte budget.
+//! Only packed tapes are memoized. A consumer that wants decoded
+//! structure-of-arrays blocks streams them from the packed tape with
+//! [`Tape::replay_stream`], holding one ~64K-event block at a time;
+//! the shared cache pass ([`crate::caches`]) decodes each stock tape
+//! once per report that way.
 //!
 //! Beside the tapes sits a count-only memo: [`summary`] returns a
 //! key's [`RunSummary`] (run result plus per-phase instruction
@@ -57,9 +55,7 @@
 use crate::jobs::Workload;
 use crate::runner::{self, Mode};
 use jrt_bytecode::Program;
-use jrt_trace::{
-    AccessBlock, AccessBlocks, CountingSink, DiskTape, FanoutSink, Tape, TapeRecorder, TraceSink,
-};
+use jrt_trace::{CountingSink, DiskTape, FanoutSink, Tape, TapeRecorder, TraceSink};
 use jrt_vm::{OracleDecisions, RunResult, Vm};
 use jrt_workloads::{Size, Spec};
 use std::collections::HashMap;
@@ -199,29 +195,22 @@ fn record(w: &Workload, key: Key) -> Arc<TapeEntry> {
 }
 
 /// One store slot: the shared once-cell plus an LRU stamp.
-struct StoreSlot<V> {
-    slot: Slot<V>,
+struct StoreSlot {
+    slot: Slot<Arc<TapeEntry>>,
     last_use: u64,
 }
 
-/// A bounded LRU store: slots keyed by [`Key`], with a logical clock
-/// for recency ordering. Instantiated once for packed tapes and once
-/// for decoded blocks, each against its own copy of the byte budget.
-struct Store<V> {
-    map: HashMap<Key, StoreSlot<V>>,
+/// The bounded LRU store of packed tapes: slots keyed by [`Key`], with
+/// a logical clock for recency ordering.
+#[derive(Default)]
+struct Store {
+    map: HashMap<Key, StoreSlot>,
     tick: u64,
 }
 
-impl<V> Store<V> {
-    fn new() -> Self {
-        Store {
-            map: HashMap::new(),
-            tick: 0,
-        }
-    }
-
+impl Store {
     /// Bumps the LRU stamp for `key` and hands out its slot.
-    fn slot(&mut self, key: Key) -> Slot<V> {
+    fn slot(&mut self, key: Key) -> Slot<Arc<TapeEntry>> {
         self.tick += 1;
         let tick = self.tick;
         let ts = self.map.entry(key).or_insert_with(|| StoreSlot {
@@ -234,22 +223,19 @@ impl<V> Store<V> {
 
     /// Drops least-recently-used initialized entries until the store
     /// fits in `budget`, never touching `keep` (the entry the caller
-    /// is about to hand out), and returns the evicted `(key, value)`
-    /// pairs so the caller can demote them to a lower tier.
+    /// is about to hand out), and returns the evicted `(key, entry)`
+    /// pairs so the caller can demote them to the disk tier.
     /// Uninitialized slots (work in flight) are free and never
     /// dropped. Holders of an evicted `Arc` keep it alive; the store
     /// just forgets it, so the next request rebuilds.
-    fn enforce(&mut self, budget: u64, keep: Option<Key>, cost: impl Fn(&V) -> u64) -> Vec<(Key, V)>
-    where
-        V: Clone,
-    {
+    fn enforce(&mut self, budget: u64, keep: Option<Key>) -> Vec<(Key, Arc<TapeEntry>)> {
         let mut evicted = Vec::new();
         loop {
             let mut total = 0u64;
             let mut victim: Option<(u64, Key)> = None;
             for (k, ts) in &self.map {
                 let Some(e) = ts.slot.get() else { continue };
-                total += cost(e);
+                total += e.tape.size_bytes() as u64 + ENTRY_OVERHEAD_BYTES;
                 if keep != Some(*k) && victim.is_none_or(|(lu, _)| ts.last_use < lu) {
                     victim = Some((ts.last_use, *k));
                 }
@@ -267,14 +253,9 @@ impl<V> Store<V> {
     }
 }
 
-fn tape_store() -> &'static Mutex<Store<Arc<TapeEntry>>> {
-    static TAPES: OnceLock<Mutex<Store<Arc<TapeEntry>>>> = OnceLock::new();
-    TAPES.get_or_init(|| Mutex::new(Store::new()))
-}
-
-fn decoded_store() -> &'static Mutex<Store<Arc<AccessBlocks>>> {
-    static DECODED: OnceLock<Mutex<Store<Arc<AccessBlocks>>>> = OnceLock::new();
-    DECODED.get_or_init(|| Mutex::new(Store::new()))
+fn tape_store() -> &'static Mutex<Store> {
+    static TAPES: OnceLock<Mutex<Store>> = OnceLock::new();
+    TAPES.get_or_init(Default::default)
 }
 
 /// Flat per-entry charge for everything around the packed tape (the
@@ -322,32 +303,16 @@ pub fn budget_bytes() -> u64 {
     *BUDGET.get_or_init(|| parse_budget(std::env::var("JRT_TAPE_BUDGET").ok().as_deref()))
 }
 
-fn entry_cost(e: &TapeEntry) -> u64 {
-    e.tape.size_bytes() as u64 + ENTRY_OVERHEAD_BYTES
-}
-
 /// Enforces the byte budget on the packed-tape store; evicted entries
 /// are demoted to the disk tier (outside the store lock).
 fn enforce_budget(budget: u64, keep: Option<Key>) {
     let evicted = tape_store()
         .lock()
         .expect("tape cache poisoned")
-        .enforce(budget, keep, |e| entry_cost(e));
+        .enforce(budget, keep);
     for (key, e) in evicted {
         demote(key, &e);
     }
-}
-
-/// Enforces the byte budget on the decoded-block store. Evicted
-/// decodes are simply dropped — they rebuild from the (RAM- or
-/// disk-tier) packed tape, which is far cheaper than re-recording.
-fn enforce_decoded_budget(budget: u64, keep: Option<Key>) {
-    decoded_store()
-        .lock()
-        .expect("decoded cache poisoned")
-        .enforce(budget, keep, |b| {
-            b.size_bytes() as u64 + ENTRY_OVERHEAD_BYTES
-        });
 }
 
 /// One demoted entry: the on-disk tape plus the summary that
@@ -590,60 +555,6 @@ pub fn replay(w: &Workload, mode: Mode, sink: &mut impl TraceSink) -> Arc<TapeEn
     e
 }
 
-/// Returns the cached decoded-block expansion of the `(w, mode)` tape,
-/// decoding it (and recording the tape, if needed) on first use. The
-/// blocks are shared (`Arc`) across all callers; the sweep drivers
-/// iterate them instead of replaying the packed tape per pass.
-pub fn decoded(w: &Workload, mode: Mode) -> Arc<AccessBlocks> {
-    decoded_entry(w, mode, false)
-}
-
-/// Like [`decoded`], but over the register-IR tier's tape
-/// (see [`recorded_ir`]).
-pub fn decoded_ir(w: &Workload, mode: Mode) -> Arc<AccessBlocks> {
-    decoded_entry(w, mode, true)
-}
-
-/// Decoded-expansion cost per event: pc + addr (8 bytes each) plus
-/// kind/phase/pc-region/addr-region bytes.
-const DECODED_BYTES_PER_EVENT: u64 = 20;
-
-/// Streams the `(w, mode)` access stream to `f` one decoded
-/// [`AccessBlock`] at a time — the out-of-core consumer entry point
-/// every sweep driver goes through.
-///
-/// When the full decoded expansion comfortably fits the tape budget
-/// the blocks come from the shared [`decoded`] memo (repeated sweeps
-/// over the same workload pay the decode once); otherwise the packed
-/// tape is streamed block-by-block with O(one block) decoded state
-/// ([`Tape::replay_stream`]). Both paths deliver byte-identical
-/// blocks in the same order — the budget only picks the cheaper one.
-pub fn for_each_block(w: &Workload, mode: Mode, mut f: impl FnMut(&AccessBlock)) {
-    let e = recorded(w, mode);
-    let decoded_est = e.tape.len().saturating_mul(DECODED_BYTES_PER_EVENT);
-    if decoded_est.saturating_mul(2) <= budget_bytes() {
-        for b in decoded(w, mode).blocks() {
-            f(b);
-        }
-    } else {
-        e.tape.replay_stream(f);
-    }
-}
-
-fn decoded_entry(w: &Workload, mode: Mode, ir: bool) -> Arc<AccessBlocks> {
-    let key = Key::new(w, mode, false, ir);
-    let slot = decoded_store()
-        .lock()
-        .expect("decoded cache poisoned")
-        .slot(key);
-    // As with tapes, the expensive decode runs outside the store lock.
-    let b = slot
-        .get_or_init(|| Arc::new(AccessBlocks::from_tape(&entry(w, mode, false, ir).tape)))
-        .clone();
-    enforce_decoded_budget(budget_bytes(), Some(key));
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,35 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_blocks_are_shared_and_complete() {
-        let w = hello_workload();
-        let a = decoded(&w, Mode::Interp);
-        let b = decoded(&w, Mode::Interp);
-        assert!(Arc::ptr_eq(&a, &b), "same key must share one decode");
-        let e = recorded(&w, Mode::Interp);
-        assert_eq!(a.len(), e.tape.len(), "every event must be decoded");
-    }
-
-    #[test]
-    fn decoded_eviction_then_redecode_is_identical() {
-        let w = hello_workload();
-        let a = decoded(&w, Mode::Jit);
-        enforce_decoded_budget(0, None);
-        let b = decoded(&w, Mode::Jit);
-        assert!(
-            !Arc::ptr_eq(&a, &b),
-            "blocks must have been dropped and re-decoded"
-        );
-        assert_eq!(a.len(), b.len());
-        for (ba, bb) in a.blocks().iter().zip(b.blocks()) {
-            assert_eq!(ba.pc, bb.pc);
-            assert_eq!(ba.addr, bb.addr);
-            assert_eq!(ba.kind, bb.kind);
-            assert_eq!(ba.phase, bb.phase);
-        }
-    }
-
-    #[test]
     fn budget_parsing_clamps_and_defaults() {
         // Unset: default.
         assert_eq!(parse_budget(None), DEFAULT_BUDGET_BYTES);
@@ -866,23 +748,6 @@ mod tests {
             before.events, after.events,
             "re-recording must reproduce the stream exactly"
         );
-    }
-
-    #[test]
-    fn for_each_block_matches_decoded_blocks() {
-        let w = hello_workload();
-        let want = decoded(&w, Mode::Interp);
-        let mut got: Vec<AccessBlock> = Vec::new();
-        for_each_block(&w, Mode::Interp, |b| got.push(b.clone()));
-        assert_eq!(got.len(), want.blocks().len());
-        for (g, m) in got.iter().zip(want.blocks()) {
-            assert_eq!(g.pc, m.pc);
-            assert_eq!(g.addr, m.addr);
-            assert_eq!(g.kind, m.kind);
-            assert_eq!(g.phase, m.phase);
-            assert_eq!(g.pc_region, m.pc_region);
-            assert_eq!(g.addr_region, m.addr_region);
-        }
     }
 
     #[test]

@@ -211,9 +211,12 @@ impl DiskTape {
         let mut pos = 8usize;
         let events = get_u64(body, &mut pos)?;
         let nsegs = get_u64(body, &mut pos)?;
-        if body.len() != 24 + nsegs as usize * 64 {
+        // Checked: a crafted count must not wrap into a plausible
+        // length. Once it matches, `nsegs` is bounded by the file size.
+        if nsegs.checked_mul(64).and_then(|n| n.checked_add(24)) != Some(body.len() as u64) {
             return Err(StoreError::Corrupt("index truncated".into()));
         }
+        let overflow = || StoreError::Corrupt("index field overflows".into());
         let mut segments = Vec::with_capacity(nsegs as usize);
         let mut seg_events = 0u64;
         let mut data_end = 0u64;
@@ -228,8 +231,12 @@ impl DiskTape {
                 last_addr: get_u64(body, &mut pos)?,
                 hash: get_u64(body, &mut pos)?,
             };
-            seg_events += seg.events;
-            data_end = data_end.max(seg.byte_off + seg.byte_len);
+            seg_events = seg_events.checked_add(seg.events).ok_or_else(overflow)?;
+            let seg_end = seg
+                .byte_off
+                .checked_add(seg.byte_len)
+                .ok_or_else(overflow)?;
+            data_end = data_end.max(seg_end);
             segments.push(seg);
         }
         if seg_events != events {
@@ -237,11 +244,11 @@ impl DiskTape {
                 "segment event counts disagree with index total".into(),
             ));
         }
+        let need = data_end.checked_add(8).ok_or_else(overflow)?;
         let data_len = std::fs::metadata(path)?.len();
-        if data_len < 8 + data_end {
+        if data_len < need {
             return Err(StoreError::Corrupt(format!(
-                "data file truncated: {data_len} bytes, index spans {}",
-                8 + data_end
+                "data file truncated: {data_len} bytes, index spans {need}"
             )));
         }
         Ok(DiskTape {

@@ -8,6 +8,8 @@
 //! reports are bit-identical at any worker count). The report must
 //! also pass the checks `run_all` exits 1 on, and its GC rows must
 //! show real collector work: a golden full of zeros would pin nothing.
+//! Each cache section run alone — whose shared cache pass then sweeps
+//! only that section's points — must reproduce its golden section.
 
 use javart::experiments::report::{self, Report};
 use javart::experiments::{gc_study, jobs};
@@ -82,4 +84,38 @@ fn check_fails_on_a_broken_section(clean: &Report) {
         err.starts_with("scale: "),
         "check named the wrong section: {err}"
     );
+}
+
+/// The sections that read the shared cache pass, with the start of
+/// their golden headings.
+const CACHE_SECTIONS: [(&str, &str); 7] = [
+    ("table3", "## Table 3 "),
+    ("fig3", "## Figure 3 "),
+    ("fig4", "## Figure 4 "),
+    ("fig5", "## Figure 5 "),
+    ("fig7", "## Figure 7 "),
+    ("fig8", "## Figure 8 "),
+    ("proposal", "## Section 6 proposal "),
+];
+
+#[test]
+fn cache_sections_alone_match_their_golden_sections() {
+    let header = &GOLDEN[..=GOLDEN.find("\n## ").expect("a section heading")];
+    for (section, heading) in CACHE_SECTIONS {
+        let start = GOLDEN.find(heading).expect(heading);
+        let end = GOLDEN[start..]
+            .find("\n## ")
+            .map_or(GOLDEN.len(), |k| start + k + 1);
+        let want = format!("{header}{}", &GOLDEN[start..end]);
+        let md = report::run_filtered(Size::Tiny, Some(section), None).to_markdown();
+        assert!(
+            md == want,
+            "run_filtered(Tiny, {section}) diverged from its section of \
+             tests/golden/experiments_tiny.md (lengths: got {}, golden {}); \
+             first differing byte at offset {:?}",
+            md.len(),
+            want.len(),
+            md.bytes().zip(want.bytes()).position(|(a, b)| a != b),
+        );
+    }
 }

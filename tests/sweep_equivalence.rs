@@ -19,6 +19,14 @@ fn assoc_points() -> Vec<CacheConfig> {
         .collect()
 }
 
+/// Streams the `(w, mode)` tape into `sweep` one decoded block at a
+/// time, as the report's shared cache pass does.
+fn stream(w: &Workload, mode: Mode, sweep: &mut SplitSweep) {
+    tape::recorded(w, mode)
+        .tape
+        .replay_stream(|b| sweep.consume_block(b));
+}
+
 /// Asserts the sweep and the per-point caches agree on every counter
 /// of every attribution slice, for both sides of the split.
 fn assert_equivalent(sweep: &SplitSweep, pairs: &[SplitCaches], ctx: &str) {
@@ -104,17 +112,20 @@ fn sweep_matches_split_caches_on_synthetic_streams() {
     });
 }
 
-/// Every workload × mode at `tiny`: the sweep consuming the decoded
+/// Every workload × mode at `tiny`: the sweep streaming the decoded
 /// blocks equals per-point `SplitCaches` replaying the tape, slice by
-/// slice — the exactness guarantee behind the Figure 7 port.
+/// slice — the exactness guarantee behind the Figure 7 port and behind
+/// Figure 3, which reads the direct-mapped write-study point off the
+/// shared pass.
 #[test]
 fn sweep_matches_split_caches_for_every_workload_and_mode() {
-    let points = assoc_points();
+    let mut points = assoc_points();
+    points.push(CacheConfig::paper_write_study());
     for spec in suite_with_hello() {
         let w: Workload = tape::workload(&spec, Size::Tiny);
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
             let mut sweep = SplitSweep::new(&points, &points);
-            sweep.consume(&tape::decoded(&w, mode));
+            stream(&w, mode, &mut sweep);
             let mut pairs: Vec<SplitCaches> =
                 points.iter().map(|&c| SplitCaches::new(c, c)).collect();
             tape::replay(&w, mode, &mut pairs);
@@ -124,12 +135,12 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
 }
 
 /// The line-size family used by Figure 8 (one pass per line size) must
-/// also match, including the paper L1 geometry used by Table 3/Figure 5.
+/// also match, including the paper L1 geometry that Table 3, Figures 4
+/// and 5 and the proposal's baseline read.
 #[test]
 fn sweep_matches_split_caches_across_line_sizes() {
     let spec = suite_with_hello().remove(0);
     let w = tape::workload(&spec, Size::Tiny);
-    let blocks = tape::decoded(&w, Mode::Jit);
     let mut configs: Vec<(CacheConfig, CacheConfig)> = [16u32, 32, 64, 128]
         .iter()
         .map(|&l| {
@@ -140,7 +151,7 @@ fn sweep_matches_split_caches_across_line_sizes() {
     configs.push((CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data()));
     for (icfg, dcfg) in configs {
         let mut sweep = SplitSweep::new(&[icfg], &[dcfg]);
-        sweep.consume(&blocks);
+        stream(&w, Mode::Jit, &mut sweep);
         let mut pair = vec![SplitCaches::new(icfg, dcfg)];
         tape::replay(&w, Mode::Jit, &mut pair);
         assert_equivalent(&sweep, &pair, &format!("{icfg}/{dcfg}"));
