@@ -28,12 +28,13 @@
 //! [`CacheScope::PerThread`]: jrt_vm::CacheScope::PerThread
 
 use crate::jobs::{self, Workload};
+use crate::pass::{self, Pass};
 use crate::report::verdict;
 use crate::runner::Mode;
 use crate::table::{count, Table};
 use crate::tape::{self, RunSummary};
-use jrt_cache::{CacheConfig, SplitCaches, SplitSweep};
-use jrt_trace::{CountingSink, FanoutSink, Phase, Region};
+use jrt_cache::{CacheConfig, SplitCaches};
+use jrt_trace::{CountingSink, Phase, Region};
 use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, Vm, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
 
@@ -112,28 +113,26 @@ impl Measured {
 /// Direct VM run under `cfg` with instruction counts and the paper's
 /// L1 caches attached.
 fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
-    let mut counts = CountingSink::new();
-    let mut caches = SplitCaches::paper_l1();
-    let result = {
-        let mut fan = FanoutSink::new().with(&mut counts).with(&mut caches);
-        Vm::new(&w.program, cfg)
-            .run(&mut fan)
-            .expect("workload runs clean")
-    };
+    let mut sinks = (CountingSink::new(), SplitCaches::paper_l1());
+    let result = Vm::new(&w.program, cfg)
+        .run(&mut sinks)
+        .expect("workload runs clean");
     w.check(&result);
+    let (counts, caches) = sinks;
     let cc_write_misses = caches.dcache().region_stats(Region::CodeCache).write_misses;
     Measured::new(&RunSummary { result, counts }, cc_write_misses)
 }
 
-/// The unbounded JIT baseline, served from the tape cache (no extra
-/// VM run). Its code-cache write misses come from streaming the tape
-/// through the paper's L1 D-cache.
-fn baseline(w: &Workload) -> Measured {
-    let e = tape::recorded(w, Mode::Jit);
-    let mut sweep = SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]);
-    e.tape.replay_stream(|b| sweep.consume_block(b));
-    let d = &sweep.dcache().results()[0];
-    Measured::new(&e.summary, d.region_stats(Region::CodeCache).write_misses)
+/// The unbounded JIT baseline: the JIT recording's summary (no extra
+/// VM run) and its code-cache write misses off the shared pass.
+fn baseline(pass: &Pass, w: &Workload) -> Measured {
+    let d = pass
+        .tape(w.spec.name, Mode::Jit)
+        .dcache(CacheConfig::paper_l1_data());
+    Measured::new(
+        &tape::summary(w, Mode::Jit),
+        d.region_stats(Region::CodeCache).write_misses,
+    )
 }
 
 /// One row of the capacity sweep.
@@ -235,11 +234,10 @@ fn sweep_specs() -> Vec<Spec> {
         .collect()
 }
 
-fn capacity_rows(loads: &[Workload]) -> (Vec<CapacityRow>, u64) {
+fn capacity_rows(pass: &Pass, loads: &[Workload]) -> (Vec<CapacityRow>, u64) {
     // The bounded runs need each benchmark's bytes-ever-translated to
-    // size the cache, so the unbounded baselines come first (they are
-    // tape replays — cheap and already parallel underneath).
-    let bases = jobs::par_map(loads, baseline);
+    // size the cache, so the unbounded baselines come first.
+    let bases: Vec<Measured> = loads.iter().map(|w| baseline(pass, w)).collect();
     let largest = bases.iter().map(|b| b.largest_bytes).max().unwrap_or(0);
 
     #[derive(Clone)]
@@ -394,10 +392,11 @@ fn crossover_rows(loads: &[Workload], capacity: &[CapacityRow]) -> Vec<Crossover
         .collect()
 }
 
-/// Runs the full study at `size`.
-pub fn run(size: Size) -> CodeCacheStudy {
+/// The full study at `size`, its unbounded baseline off the shared
+/// pass.
+pub fn view(pass: &Pass, size: Size) -> CodeCacheStudy {
     let loads = jobs::prebuild(sweep_specs(), size);
-    let (capacity, largest_method_bytes) = capacity_rows(&loads);
+    let (capacity, largest_method_bytes) = capacity_rows(pass, &loads);
     let crossover = crossover_rows(&loads, &capacity);
     CodeCacheStudy {
         crossover,
@@ -406,6 +405,12 @@ pub fn run(size: Size) -> CodeCacheStudy {
         capacity,
         largest_method_bytes,
     }
+}
+
+/// Runs the full study at `size`: the shared pass for it alone, plus
+/// the study's own VM runs.
+pub fn run(size: Size) -> CodeCacheStudy {
+    view(&pass::run(size, &["codecache"]), size)
 }
 
 impl CodeCacheStudy {

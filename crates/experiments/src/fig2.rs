@@ -6,12 +6,11 @@
 //! heavier on indirect jumps (`switch` dispatch), while the JIT shows
 //! more direct branches and calls.
 
-use crate::jobs;
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
 use jrt_trace::InstMix;
-use jrt_workloads::{suite, Size};
+use jrt_workloads::Size;
 
 /// Cumulative mixes for the two modes.
 #[derive(Debug, Clone)]
@@ -53,23 +52,25 @@ impl Fig2 {
     }
 }
 
-/// Runs the Figure 2 experiment: one job per benchmark × mode, with
-/// per-mode cumulative mixes merged in canonical suite order.
-pub fn run(size: Size) -> Fig2 {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    let mixes = jobs::par_map(&work, |(w, mode)| {
+/// Figure 2's view of the shared pass: per-mode cumulative mixes,
+/// merged in suite order.
+pub fn view(pass: &Pass) -> Fig2 {
+    let merged = |mode| {
         let mut mix = InstMix::new();
-        tape::replay(w, *mode, &mut mix);
+        for t in pass.mode(mode) {
+            mix.merge(t.mix.as_ref().expect("instruction mix"));
+        }
         mix
-    });
-
-    let mut interp = InstMix::new();
-    let mut jit = InstMix::new();
-    for pair in mixes.chunks(2) {
-        interp.merge(&pair[0]);
-        jit.merge(&pair[1]);
+    };
+    Fig2 {
+        interp: merged(Mode::Interp),
+        jit: merged(Mode::Jit),
     }
-    Fig2 { interp, jit }
+}
+
+/// Runs the Figure 2 experiment: the shared pass for it alone.
+pub fn run(size: Size) -> Fig2 {
+    view(&pass::run(size, &["fig2"]))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! JIT mode 50–90% of data misses are writes (code generation and
 //! installation), far more than in interpreter mode.
 
-use crate::caches::{self, CachePass, Points};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
 use jrt_cache::CacheConfig;
@@ -57,16 +57,8 @@ impl Fig3 {
     }
 }
 
-/// The cache points Figure 3 reads off the shared pass.
-pub fn points() -> Points {
-    Points {
-        icache: Vec::new(),
-        dcache: vec![CacheConfig::paper_write_study()],
-    }
-}
-
 /// Figure 3's view of the shared pass: one row per tape.
-pub fn view(pass: &CachePass) -> Fig3 {
+pub fn view(pass: &Pass) -> Fig3 {
     Fig3 {
         rows: pass
             .tapes
@@ -83,9 +75,9 @@ pub fn view(pass: &CachePass) -> Fig3 {
     }
 }
 
-/// Runs the Figure 3 experiment: the shared pass over its points.
+/// Runs the Figure 3 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Fig3 {
-    view(&caches::sweep(size, &points()))
+    view(&pass::run(size, &["fig3"]))
 }
 
 #[cfg(test)]

@@ -10,14 +10,11 @@
 //! I-cache behaviour is close to compiled code; JIT D-cache is the
 //! worst of all (write misses).
 
-use crate::caches::{self, CachePass, Points};
-use crate::jobs;
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitSweep};
-use jrt_trace::{Phase, PhaseFilter};
-use jrt_workloads::{suite, Size};
+use jrt_cache::CacheConfig;
+use jrt_workloads::Size;
 
 /// Average miss rates for one execution style.
 #[derive(Debug, Clone, Copy)]
@@ -56,19 +53,8 @@ impl Fig4 {
     }
 }
 
-fn is_app_phase(p: Phase) -> bool {
-    !matches!(p, Phase::Translate | Phase::ClassLoad)
-}
-
-/// The cache points Figure 4's interp and jit rows read off the
-/// shared pass.
-pub fn points() -> Points {
-    Points::paper_l1()
-}
-
-/// Figure 4 off the shared pass: the interp and jit rows are views of
-/// it; the C-like row replays each JIT tape (one job per benchmark).
-pub fn view(pass: &CachePass, size: Size) -> Fig4 {
+/// Figure 4's view of the shared pass.
+pub fn view(pass: &Pass) -> Fig4 {
     let (icfg, dcfg) = (CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data());
     let rates = |mode| {
         pass.mode(mode)
@@ -78,17 +64,13 @@ pub fn view(pass: &CachePass, size: Size) -> Fig4 {
             })
             .collect()
     };
-    // AOT proxy: the cached JIT tape with translate/class-load
-    // filtered out before a one-point sweep.
-    let c_like = jobs::par_map(&jobs::prebuild(suite(), size), |w| {
-        let mut filtered = PhaseFilter::new(SplitSweep::new(&[icfg], &[dcfg]), is_app_phase);
-        tape::replay(w, Mode::Jit, &mut filtered);
-        let (i, d) = (filtered.inner().icache(), filtered.inner().dcache());
-        (
-            i.results()[0].stats().miss_rate(),
-            d.results()[0].stats().miss_rate(),
-        )
-    });
+    let c_like = pass
+        .mode(Mode::Jit)
+        .map(|t| {
+            let [i, d] = t.app_phase.expect("app-phase sweep");
+            (i.miss_rate(), d.miss_rate())
+        })
+        .collect();
     // Suite means, summed in suite order.
     let row = |label, rates: Vec<(f64, f64)>| {
         let n = rates.len() as f64;
@@ -110,10 +92,9 @@ pub fn view(pass: &CachePass, size: Size) -> Fig4 {
     }
 }
 
-/// Runs the Figure 4 experiment: the shared pass over its points,
-/// plus the C-like replays.
+/// Runs the Figure 4 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Fig4 {
-    view(&caches::sweep(size, &points()), size)
+    view(&pass::run(size, &["fig4"]))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! 40–80% of all D-misses, and ~60% of the translate-portion misses
 //! are writes (code generation/installation).
 
-use crate::caches::{self, CachePass, Points};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
 use jrt_cache::CacheConfig;
@@ -64,13 +64,8 @@ impl Fig5 {
     }
 }
 
-/// The cache points Figure 5 reads off the shared pass.
-pub fn points() -> Points {
-    Points::paper_l1()
-}
-
 /// Figure 5's view of the shared pass: one row per JIT tape.
-pub fn view(pass: &CachePass) -> Fig5 {
+pub fn view(pass: &Pass) -> Fig5 {
     Fig5 {
         rows: pass
             .mode(Mode::Jit)
@@ -90,9 +85,9 @@ pub fn view(pass: &CachePass) -> Fig5 {
     }
 }
 
-/// Runs the Figure 5 experiment: the shared pass over its points.
+/// Runs the Figure 5 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Fig5 {
-    view(&caches::sweep(size, &points()))
+    view(&pass::run(size, &["fig5"]))
 }
 
 #[cfg(test)]

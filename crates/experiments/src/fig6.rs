@@ -5,12 +5,11 @@
 //! into consistent locality, while the JIT shows many more spikes,
 //! clustered where groups of methods get translated (write misses).
 
-use crate::jobs::{self, Workload};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::Table;
-use crate::tape;
-use jrt_cache::{SplitCaches, TimelineSample};
-use jrt_workloads::{suite, Size};
+use jrt_cache::TimelineSample;
+use jrt_workloads::Size;
 
 /// Timeline for one mode.
 #[derive(Debug, Clone)]
@@ -65,40 +64,41 @@ impl Fig6 {
     }
 }
 
-fn run_one(w: &Workload, mode: Mode, window: u64) -> ModeTimeline {
-    let mut caches = SplitCaches::paper_l1().with_timeline(window);
-    tape::replay(w, mode, &mut caches);
-    let timeline = caches.timeline().expect("timeline enabled").clone();
-    ModeTimeline {
-        mode,
-        spikes: timeline.spike_count(2.0),
-        translate_clusters: timeline.translate_clusters(),
-        samples: timeline.samples().to_vec(),
+/// The benchmark whose timeline the figure plots.
+pub(crate) const BENCHMARK: &str = "db";
+
+/// The timeline window in instructions: fine-grained enough that
+/// translation bursts are not diluted by surrounding class-load and
+/// execution traffic (the paper samples at comparable granularity).
+pub(crate) fn window(size: Size) -> u64 {
+    match size {
+        Size::Tiny => 10_000,
+        _ => 20_000,
     }
 }
 
-/// Runs the Figure 6 experiment. The window is fine-grained enough
-/// that translation bursts are not diluted by surrounding class-load
-/// and execution traffic (the paper samples at comparable
-/// granularity).
-pub fn run(size: Size) -> Fig6 {
-    let window = match size {
-        Size::Tiny => 10_000,
-        _ => 20_000,
+/// Figure 6's view of the shared pass.
+pub fn view(pass: &Pass, size: Size) -> Fig6 {
+    let timeline = |mode| {
+        let tape = pass.tape(BENCHMARK, mode);
+        let t = tape.timeline.as_ref().expect("timeline");
+        ModeTimeline {
+            mode,
+            spikes: t.spike_count(2.0),
+            translate_clusters: t.translate_clusters(),
+            samples: t.samples().to_vec(),
+        }
     };
-    let spec = suite()
-        .into_iter()
-        .find(|s| s.name == "db")
-        .expect("db in suite");
-    let w = tape::workload(&spec, size);
-    let mut timelines = jobs::par_map(&Mode::BOTH, |&mode| run_one(&w, mode, window));
-    let jit = timelines.pop().expect("jit timeline");
-    let interp = timelines.pop().expect("interp timeline");
     Fig6 {
-        window,
-        interp,
-        jit,
+        window: window(size),
+        interp: timeline(Mode::Interp),
+        jit: timeline(Mode::Jit),
     }
+}
+
+/// Runs the Figure 6 experiment: the shared pass for it alone.
+pub fn run(size: Size) -> Fig6 {
+    view(&pass::run(size, &["fig6"]), size)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! The paper: higher associativity reduces misses, with the largest
 //! step from direct-mapped to 2-way.
 
-use crate::caches::{self, CachePass, Points, TapeSweep};
+use crate::pass::{self, Pass, TapeResult};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
 use jrt_cache::{CacheConfig, CacheStats, SweepResult};
@@ -60,8 +60,8 @@ pub(crate) fn sweep_table(title: &str, headers: &[&str], rows: &[Fig7Row]) -> Ta
 /// The rows of Figures 7 and 8 off the shared pass: per mode, the
 /// suite aggregate miss rate at each of the four `points` (the same
 /// points on both sides).
-pub(crate) fn sweep_rows(pass: &CachePass, points: &[CacheConfig]) -> Vec<Fig7Row> {
-    let rates = |mode, side: fn(&TapeSweep, CacheConfig) -> &SweepResult| {
+pub(crate) fn sweep_rows(pass: &Pass, points: &[CacheConfig]) -> Vec<Fig7Row> {
+    let rates = |mode, side: fn(&TapeResult, CacheConfig) -> &SweepResult| {
         std::array::from_fn(|k| {
             let mut total = CacheStats::default();
             for t in pass.mode(mode) {
@@ -74,27 +74,22 @@ pub(crate) fn sweep_rows(pass: &CachePass, points: &[CacheConfig]) -> Vec<Fig7Ro
         .iter()
         .map(|&mode| Fig7Row {
             mode,
-            i_miss: rates(mode, TapeSweep::icache),
-            d_miss: rates(mode, TapeSweep::dcache),
+            i_miss: rates(mode, TapeResult::icache),
+            d_miss: rates(mode, TapeResult::dcache),
         })
         .collect()
 }
 
-/// Figure 7's points: the four [`ASSOCS`], on both sides.
-pub fn points() -> Points {
-    Points::both(&ASSOCS.map(CacheConfig::paper_assoc_sweep))
-}
-
 /// Figure 7's view of the shared pass.
-pub fn view(pass: &CachePass) -> Fig7 {
+pub fn view(pass: &Pass) -> Fig7 {
     Fig7 {
-        rows: sweep_rows(pass, &points().icache),
+        rows: sweep_rows(pass, &ASSOCS.map(CacheConfig::paper_assoc_sweep)),
     }
 }
 
-/// Runs the Figure 7 experiment: the shared pass over its points.
+/// Runs the Figure 7 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Fig7 {
-    view(&caches::sweep(size, &points()))
+    view(&pass::run(size, &["fig7"]))
 }
 
 #[cfg(test)]

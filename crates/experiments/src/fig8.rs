@@ -6,8 +6,8 @@
 //! beyond a method), while JIT mode does best at 32–64 B (object and
 //! array sizes).
 
-use crate::caches::{self, CachePass, Points};
 use crate::fig7::{sweep_rows, sweep_table, Fig7Row};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::Table;
 use jrt_cache::CacheConfig;
@@ -54,21 +54,16 @@ impl Fig8 {
     }
 }
 
-/// Figure 8's points: the four [`LINES`], on both sides.
-pub fn points() -> Points {
-    Points::both(&LINES.map(CacheConfig::paper_line_sweep))
-}
-
 /// Figure 8's view of the shared pass.
-pub fn view(pass: &CachePass) -> Fig8 {
+pub fn view(pass: &Pass) -> Fig8 {
     Fig8 {
-        rows: sweep_rows(pass, &points().icache),
+        rows: sweep_rows(pass, &LINES.map(CacheConfig::paper_line_sweep)),
     }
 }
 
-/// Runs the Figure 8 experiment: the shared pass over its points.
+/// Runs the Figure 8 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Fig8 {
-    view(&caches::sweep(size, &points()))
+    view(&pass::run(size, &["fig8"]))
 }
 
 #[cfg(test)]

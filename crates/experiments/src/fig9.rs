@@ -7,12 +7,11 @@
 //! starves the front end; the JIT scales more evenly. Figure 10 plots
 //! the same runs as execution time normalized to width 1.
 
-use crate::jobs::{self, Workload};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::Table;
-use crate::tape;
-use jrt_ilp::{PipelineConfig, PipelineReport, PipelineSweep};
-use jrt_workloads::{suite, Size};
+use jrt_ilp::PipelineReport;
+use jrt_workloads::Size;
 
 /// Issue widths swept.
 pub const WIDTHS: [u32; 4] = [1, 2, 4, 8];
@@ -125,23 +124,24 @@ impl Fig9 {
     }
 }
 
-fn run_one(w: &Workload, mode: Mode) -> Fig9Row {
-    let mut sweep = PipelineSweep::new(&WIDTHS.map(PipelineConfig::paper));
-    tape::replay(w, mode, &mut sweep);
-    Fig9Row {
-        name: w.spec.name,
-        mode,
-        reports: sweep.reports().try_into().expect("one report per width"),
+/// Figures 9/10's view of the shared pass: one row per tape.
+pub fn view(pass: &Pass) -> Fig9 {
+    Fig9 {
+        rows: pass
+            .tapes
+            .iter()
+            .map(|t| Fig9Row {
+                name: t.name,
+                mode: t.mode,
+                reports: WIDTHS.map(|w| *t.ilp(w)),
+            })
+            .collect(),
     }
 }
 
-/// Runs the Figures 9/10 experiment, one job per benchmark × mode
-/// (each job drives one four-width sweep over its tape).
+/// Runs the Figures 9/10 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Fig9 {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    Fig9 {
-        rows: jobs::par_map(&work, |(w, mode)| run_one(w, *mode)),
-    }
+    view(&pass::run(size, &["fig9"]))
 }
 
 #[cfg(test)]

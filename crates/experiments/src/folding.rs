@@ -10,12 +10,16 @@
 //! experiment implements folding in the interpreter and measures
 //! instruction count and IPC at issue widths 1–8.
 
-use crate::jobs::{self, Workload};
+use crate::jobs;
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape;
 use jrt_ilp::{PipelineConfig, PipelineSweep};
 use jrt_workloads::{suite, Size};
+
+/// The issue width the study compares at.
+pub const WIDTH: u32 = 8;
 
 /// Folding-vs-baseline interpreter measurements for one benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -26,10 +30,10 @@ pub struct FoldingRow {
     pub base_insts: u64,
     /// Folding interpreter instructions.
     pub fold_insts: u64,
-    /// Baseline IPC at widths 1 and 8.
-    pub base_ipc: [f64; 2],
-    /// Folding IPC at widths 1 and 8.
-    pub fold_ipc: [f64; 2],
+    /// Baseline IPC at width 8.
+    pub base_ipc_w8: f64,
+    /// Folding IPC at width 8.
+    pub fold_ipc_w8: f64,
 }
 
 impl FoldingRow {
@@ -41,7 +45,7 @@ impl FoldingRow {
     /// Wide-issue (w=8) speedup in cycles: (base insts / base IPC) /
     /// (fold insts / fold IPC).
     pub fn w8_speedup(&self) -> f64 {
-        (self.base_insts as f64 / self.base_ipc[1]) / (self.fold_insts as f64 / self.fold_ipc[1])
+        (self.base_insts as f64 / self.base_ipc_w8) / (self.fold_insts as f64 / self.fold_ipc_w8)
     }
 }
 
@@ -73,8 +77,8 @@ impl Folding {
                 count(r.base_insts),
                 count(r.fold_insts),
                 pct(r.inst_savings()),
-                format!("{:.2}", r.base_ipc[1]),
-                format!("{:.2}", r.fold_ipc[1]),
+                format!("{:.2}", r.base_ipc_w8),
+                format!("{:.2}", r.fold_ipc_w8),
                 format!("{:.2}x", r.w8_speedup()),
             ]);
         }
@@ -87,41 +91,37 @@ impl Folding {
     }
 }
 
-fn measure(w: &Workload, folding: bool) -> (u64, [f64; 2]) {
-    // The folding interpreter emits a genuinely different stream, so
-    // it has its own tape-cache key.
-    let entry = if folding {
-        tape::recorded_folding(w)
-    } else {
-        tape::recorded(w, Mode::Interp)
-    };
-    let mut sweep = PipelineSweep::new(&[PipelineConfig::paper(1), PipelineConfig::paper(8)]);
-    entry.tape.replay(&mut sweep);
-    let r = sweep.reports();
-    (entry.summary.counts.total(), [r[0].ipc(), r[1].ipc()])
+/// The folding study (interpreter mode only) off the shared pass: the
+/// baseline is a view of it; the folded tapes, which no other section
+/// reads, are decoded here into an 8-issue pipeline (one job per
+/// benchmark).
+pub fn view(pass: &Pass, size: Size) -> Folding {
+    let folded = jobs::par_map(&jobs::prebuild(suite(), size), |w| {
+        // The folding interpreter emits a genuinely different stream,
+        // so it has its own tape-cache key.
+        let mut sweep = PipelineSweep::new(&[PipelineConfig::paper(WIDTH)]);
+        tape::recorded_folding(w).decode(&mut sweep);
+        sweep.reports()[0]
+    });
+    Folding {
+        rows: pass
+            .mode(Mode::Interp)
+            .zip(folded)
+            .map(|(t, fold)| FoldingRow {
+                name: t.name,
+                base_insts: t.ilp(WIDTH).instructions,
+                fold_insts: fold.instructions,
+                base_ipc_w8: t.ilp(WIDTH).ipc(),
+                fold_ipc_w8: fold.ipc(),
+            })
+            .collect(),
+    }
 }
 
-/// Runs the folding study (interpreter mode only), one job per
-/// benchmark × {baseline, folding}, paired back up in suite order.
+/// Runs the folding study: the shared pass for it alone, plus the
+/// folded tapes.
 pub fn run(size: Size) -> Folding {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &[false, true]);
-    let measured = jobs::par_map(&work, |(w, folding)| measure(w, *folding));
-    let rows = work
-        .chunks(2)
-        .zip(measured.chunks(2))
-        .map(|(pair, m)| {
-            let (base_insts, base_ipc) = m[0];
-            let (fold_insts, fold_ipc) = m[1];
-            FoldingRow {
-                name: pair[0].0.spec.name,
-                base_insts,
-                fold_insts,
-                base_ipc,
-                fold_ipc,
-            }
-        })
-        .collect();
-    Folding { rows }
+    view(&pass::run(size, &["folding"]), size)
 }
 
 #[cfg(test)]

@@ -4,16 +4,15 @@
 //! Table 2's conclusion is that JIT mode is fine with conventional
 //! predictors while interpreted mode needs an indirect-branch
 //! predictor (the paper cites target-cache style designs). This
-//! experiment runs both modes with the plain BTB and with a
-//! path-history target cache of the same entry count, and reports the
-//! misprediction reduction.
+//! experiment compares Gshare with the plain BTB — Table 2's Gshare
+//! column — against Gshare with a path-history target cache of the
+//! same entry count, in both modes, and reports the misprediction
+//! reduction.
 
-use crate::jobs::{self, Workload};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
-use jrt_bpred::{BranchEval, DirectionPredictor, Gshare};
-use jrt_workloads::{suite, Size};
+use jrt_workloads::Size;
 
 /// BTB-vs-target-cache rates for one benchmark × mode.
 #[derive(Debug, Clone, Copy)]
@@ -77,31 +76,31 @@ impl Indirect {
     }
 }
 
-fn run_one(w: &Workload, mode: Mode) -> IndirectRow {
-    // Two evaluators, not one shared one: with the target cache the
-    // BTB never sees indirect jumps, so its state diverges.
-    let gshare = || DirectionPredictor::Gshare(Gshare::paper());
-    let mut evals = vec![
-        BranchEval::new(gshare()),
-        BranchEval::new(gshare()).with_target_cache(),
-    ];
-    tape::replay(w, mode, &mut evals);
-    IndirectRow {
-        name: w.spec.name,
-        mode,
-        btb_rate: evals[0].stats().overall_rate(),
-        tc_rate: evals[1].stats().overall_rate(),
-        btb_indirect: evals[0].stats().indirect_rate(),
-        tc_indirect: evals[1].stats().indirect_rate(),
+/// The study's view of the shared pass: one row per tape.
+pub fn view(pass: &Pass) -> Indirect {
+    Indirect {
+        rows: pass
+            .tapes
+            .iter()
+            .map(|t| {
+                let [_, _, btb, _] = t.predictors.expect("Table 2's predictors");
+                let tc = t.target_cache.expect("target cache");
+                IndirectRow {
+                    name: t.name,
+                    mode: t.mode,
+                    btb_rate: btb.overall_rate(),
+                    tc_rate: tc.overall_rate(),
+                    btb_indirect: btb.indirect_rate(),
+                    tc_indirect: tc.indirect_rate(),
+                }
+            })
+            .collect(),
     }
 }
 
-/// Runs the study, one job per benchmark × mode.
+/// Runs the study: the shared pass for it alone.
 pub fn run(size: Size) -> Indirect {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    Indirect {
-        rows: jobs::par_map(&work, |(w, mode)| run_one(w, *mode)),
-    }
+    view(&pass::run(size, &["indirect"]))
 }
 
 #[cfg(test)]

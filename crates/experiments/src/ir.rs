@@ -12,14 +12,16 @@
 //! registers, and the IR-backed JIT installs denser code because
 //! fused pcs generate nothing. This experiment measures both engines
 //! against their stack counterparts: dispatch counts, native
-//! instructions, data references and misses through the one-pass
-//! cache sweep, and installed code bytes.
+//! instructions, data references and misses at the paper's L1 D-cache,
+//! and installed code bytes.
 
-use crate::jobs::{self, Workload};
+use crate::jobs;
+use crate::pass::{self, Pass, TapeResult};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitSweep};
+use crate::tape::{self, RunSummary};
+use jrt_cache::{CacheConfig, CacheStats, SplitSweep};
+use jrt_trace::AccessBlockSink;
 use jrt_workloads::{suite, Size};
 
 /// One engine family's measurements for one benchmark (stack engines
@@ -172,57 +174,58 @@ impl IrStudy {
     }
 }
 
-fn measure(w: &Workload, ir: bool) -> IrMeasure {
-    // Only the installed code bytes are read of the JIT runs. The
-    // stack JIT's stream is replayed by other drivers, so it comes from
-    // its recording; the IR-backed JIT's nobody replays, so it runs
-    // count-only.
-    let (interp, jit) = if ir {
-        (
-            tape::recorded_ir(w, Mode::Interp),
-            tape::summary_ir(w, Mode::Jit),
-        )
-    } else {
-        (
-            tape::recorded(w, Mode::Interp),
-            tape::recorded(w, Mode::Jit).summary.clone(),
-        )
-    };
-    let mut sweep = SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]);
-    interp.tape.replay_stream(|b| sweep.consume_block(b));
-    let d = &sweep.dcache().results()[0];
-    let interp = &interp.summary;
+/// One engine family's measure: its interpreter run, its JIT run (only
+/// the installed code bytes are read) and the interpreter's D-cache
+/// statistics.
+fn measure(interp: &RunSummary, jit: &RunSummary, d: &CacheStats, ir: bool) -> IrMeasure {
+    let counters = &interp.result.counters;
     IrMeasure {
         insts: interp.counts.total(),
-        bytecodes: interp.result.counters.bytecodes,
+        bytecodes: counters.bytecodes,
+        // The stack interpreter dispatches exactly once per bytecode.
         dispatches: if ir {
-            interp.result.counters.ir_dispatches
+            counters.ir_dispatches
         } else {
-            // The stack interpreter dispatches exactly once per
-            // bytecode.
-            interp.result.counters.bytecodes
+            counters.bytecodes
         },
-        drefs: d.stats().refs(),
-        dmisses: d.stats().misses(),
+        drefs: d.refs(),
+        dmisses: d.misses(),
         code_bytes: jit.result.counters.code_ever_bytes,
     }
 }
 
-/// Runs the register-IR study, one job per benchmark × {stack, IR},
-/// paired back up in suite order.
-pub fn run(size: Size) -> IrStudy {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &[false, true]);
-    let measured = jobs::par_map(&work, |(w, ir)| measure(w, *ir));
-    let rows = work
-        .chunks(2)
-        .zip(measured.chunks(2))
-        .map(|(pair, m)| IrRow {
-            name: pair[0].0.spec.name,
-            base: m[0],
-            ir: m[1],
-        })
-        .collect();
+/// The register-IR study off the shared pass, one job per benchmark:
+/// the stack row reads the stock interpreter tape's D point; the IR
+/// interpreter tape, which no other section reads, streams through the
+/// same D point here. The IR-backed JIT, which nobody replays, runs
+/// count-only.
+pub fn view(pass: &Pass, size: Size) -> IrStudy {
+    let dcfg = CacheConfig::paper_l1_data();
+    let loads = jobs::prebuild(suite(), size);
+    let work: Vec<(&TapeResult, &jobs::Workload)> = pass.mode(Mode::Interp).zip(&loads).collect();
+    let rows = jobs::par_map(&work, |&(t, w)| {
+        let (interp, jit) = (tape::summary(w, Mode::Interp), tape::summary(w, Mode::Jit));
+        let ir_interp = tape::recorded_ir(w, Mode::Interp);
+        let mut sweep = SplitSweep::new(&[], &[dcfg]);
+        ir_interp.decode(&mut AccessBlockSink::new(|b| sweep.consume_block(b)));
+        IrRow {
+            name: t.name,
+            base: measure(&interp, &jit, t.dcache(dcfg).stats(), false),
+            ir: measure(
+                &ir_interp.summary,
+                &tape::summary_ir(w, Mode::Jit),
+                sweep.dcache().results()[0].stats(),
+                true,
+            ),
+        }
+    });
     IrStudy { rows }
+}
+
+/// Runs the register-IR study: the shared pass for it alone, plus the
+/// IR tapes.
+pub fn run(size: Size) -> IrStudy {
+    view(&pass::run(size, &["regir"]), size)
 }
 
 #[cfg(test)]

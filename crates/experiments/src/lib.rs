@@ -30,8 +30,9 @@
 //! | [`gc_study`] | Beyond the paper — generational copying GC: collection counts, survival, write-barrier overhead, Gc/GcBarrier cache slices, cross-collector equivalence |
 //!
 //! [`report::run_all`] executes everything and renders the
-//! `EXPERIMENTS.md` comparison document; its cache sections share one
-//! [`caches`] pass.
+//! `EXPERIMENTS.md` comparison document. Every section that reads the
+//! stock tapes is a view of one shared [`pass`], which decodes each
+//! tape once for all of them.
 //!
 //! Every driver fans its `(workload, mode)` cross-product out on the
 //! [`jobs`] work-queue scheduler (worker count from `JRT_JOBS` or the
@@ -41,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod caches;
 pub mod codecache;
 pub mod fig1;
 pub mod fig11;
@@ -58,6 +58,7 @@ pub mod gc_study;
 pub mod indirect;
 pub mod ir;
 pub mod jobs;
+pub mod pass;
 pub mod proposal;
 pub mod report;
 pub mod runner;

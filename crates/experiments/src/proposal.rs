@@ -8,13 +8,11 @@
 //! (double-caching). This experiment implements the proposal in the
 //! cache model and measures what it saves in JIT mode.
 
-use crate::caches::{self, CachePass, Points};
-use crate::jobs;
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
-use crate::tape;
-use jrt_cache::{CacheConfig, SplitCaches};
-use jrt_workloads::{suite, Size};
+use jrt_cache::CacheConfig;
+use jrt_workloads::Size;
 
 /// Baseline-vs-proposal miss counts for one benchmark (JIT mode).
 #[derive(Debug, Clone, Copy)]
@@ -74,42 +72,29 @@ impl Proposal {
     }
 }
 
-/// The cache points the proposal's baseline reads off the shared pass.
-pub fn points() -> Points {
-    Points::paper_l1()
-}
-
-/// The proposal study (JIT mode only) off the shared pass: the
-/// baseline is a view of it; the install-into-I-cache variant, which
-/// no sweep models, replays each JIT tape (one job per benchmark).
-pub fn view(pass: &CachePass, size: Size) -> Proposal {
-    let prop = jobs::par_map(&jobs::prebuild(suite(), size), |w| {
-        let mut caches = SplitCaches::paper_l1().with_install_into_icache();
-        tape::replay(w, Mode::Jit, &mut caches);
-        caches.icache().stats().misses() + caches.dcache().stats().misses()
-    });
+/// The proposal study (JIT mode only): a view of the shared pass.
+pub fn view(pass: &Pass) -> Proposal {
     Proposal {
         rows: pass
             .mode(Mode::Jit)
-            .zip(prop)
-            .map(|(t, prop_misses)| {
+            .map(|t| {
                 let i = t.icache(CacheConfig::paper_l1_inst()).stats();
                 let d = t.dcache(CacheConfig::paper_l1_data()).stats();
+                let [pi, pd] = t.install.expect("install-into-I-cache caches");
                 ProposalRow {
                     name: t.name,
                     base_misses: i.misses() + d.misses(),
                     base_write_misses: d.write_misses,
-                    prop_misses,
+                    prop_misses: pi.misses() + pd.misses(),
                 }
             })
             .collect(),
     }
 }
 
-/// Runs the proposal study: the shared pass over its points, plus
-/// the variant's replays.
+/// Runs the proposal study: the shared pass for it alone.
 pub fn run(size: Size) -> Proposal {
-    view(&caches::sweep(size, &points()), size)
+    view(&pass::run(size, &["proposal"]))
 }
 
 #[cfg(test)]

@@ -241,6 +241,7 @@ fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
     if let Err(e) = disk.remove() {
         eprintln!("warning: cannot remove tiled tape {}: {e}", path.display());
     }
+    tape::tidy_spill_dir();
 
     ScaleRow {
         name: w.spec.name.to_string(),

@@ -6,12 +6,10 @@
 //! accuracy 65–87% interp vs. 80–92% JIT) because of its indirect
 //! dispatch jumps.
 
-use crate::jobs::{self, Workload};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use crate::tape;
-use jrt_bpred::{BranchEval, DirectionPredictor};
-use jrt_workloads::{suite, Size};
+use jrt_workloads::Size;
 
 /// Misprediction rates (0–1) for the four predictors.
 #[derive(Debug, Clone, Copy)]
@@ -76,29 +74,33 @@ impl Table2 {
     }
 }
 
-fn run_one(w: &Workload, mode: Mode) -> Table2Row {
-    // One BTB and return stack serve all four predictors.
-    let mut eval = BranchEval::shared(DirectionPredictor::paper_set());
-    tape::replay(w, mode, &mut eval);
-    let s = eval.all_stats();
-    Table2Row {
-        name: w.spec.name,
-        mode,
-        rates: PredictorRates {
-            two_bit: s[0].overall_rate(),
-            bht: s[1].overall_rate(),
-            gshare: s[2].overall_rate(),
-            gap: s[3].overall_rate(),
-        },
+/// Table 2's view of the shared pass: one row per tape.
+pub fn view(pass: &Pass) -> Table2 {
+    Table2 {
+        rows: pass
+            .tapes
+            .iter()
+            .map(|t| {
+                let stats = t.predictors.expect("Table 2's predictors");
+                let [two_bit, bht, gshare, gap] = stats.map(|s| s.overall_rate());
+                Table2Row {
+                    name: t.name,
+                    mode: t.mode,
+                    rates: PredictorRates {
+                        two_bit,
+                        bht,
+                        gshare,
+                        gap,
+                    },
+                }
+            })
+            .collect(),
     }
 }
 
-/// Runs the Table 2 experiment, one job per benchmark × mode.
+/// Runs the Table 2 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Table2 {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    Table2 {
-        rows: jobs::par_map(&work, |(w, mode)| run_one(w, *mode)),
-    }
+    view(&pass::run(size, &["table2"]))
 }
 
 #[cfg(test)]

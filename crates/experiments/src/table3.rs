@@ -7,7 +7,7 @@
 //! far fewer references (registers replace the operand stack) but
 //! *more* misses (code generation/installation write misses).
 
-use crate::caches::{self, CachePass, Points};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use jrt_cache::{CacheConfig, CacheStats};
@@ -70,13 +70,8 @@ impl Table3 {
     }
 }
 
-/// The cache points Table 3 reads off the shared pass.
-pub fn points() -> Points {
-    Points::paper_l1()
-}
-
 /// Table 3's view of the shared pass: one row per tape.
-pub fn view(pass: &CachePass) -> Table3 {
+pub fn view(pass: &Pass) -> Table3 {
     Table3 {
         rows: pass
             .tapes
@@ -91,9 +86,9 @@ pub fn view(pass: &CachePass) -> Table3 {
     }
 }
 
-/// Runs the Table 3 experiment: the shared pass over its points.
+/// Runs the Table 3 experiment: the shared pass for it alone.
 pub fn run(size: Size) -> Table3 {
-    view(&caches::sweep(size, &points()))
+    view(&pass::run(size, &["table3"]))
 }
 
 #[cfg(test)]

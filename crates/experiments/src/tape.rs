@@ -7,8 +7,8 @@
 //! same `(workload, mode)` stream up to a dozen times. This module
 //! restores the paper's architecture: a process-global cache memoizes
 //! one packed [`Tape`] (plus the recording pass's [`RunSummary`]) per
-//! `(workload, size, mode)` key, and drivers [`replay`] from it at
-//! memory speed.
+//! `(workload, size, mode)` key, and drivers decode it
+//! ([`TapeEntry::decode`]) at memory speed.
 //!
 //! Concurrency: keys are looked up under a brief mutex that hands out
 //! an `Arc<OnceLock>` slot per key, and the expensive record happens
@@ -37,11 +37,13 @@
 //! reproduces the stream byte-identically (a property the tests pin
 //! down).
 //!
-//! Only packed tapes are memoized. A consumer that wants decoded
-//! structure-of-arrays blocks streams them from the packed tape with
-//! [`Tape::replay_stream`], holding one ~64K-event block at a time;
-//! the shared cache pass ([`crate::caches`]) decodes each stock tape
-//! once per report that way.
+//! Only packed tapes are memoized, and [`TapeEntry::decode`] is the
+//! one way drivers decode them ([`decodes`] counts the calls). The
+//! report's shared pass ([`crate::pass`]) decodes each stock tape once
+//! per report, feeding every consumer from that decode; a consumer that
+//! wants structure-of-arrays blocks rides it through an
+//! [`AccessBlockSink`](jrt_trace::AccessBlockSink), holding one
+//! ~64K-event block at a time.
 //!
 //! Beside the tapes sits a count-only memo: [`summary`] returns a
 //! key's [`RunSummary`] (run result plus per-phase instruction
@@ -55,7 +57,7 @@
 use crate::jobs::Workload;
 use crate::runner::{self, Mode};
 use jrt_bytecode::Program;
-use jrt_trace::{CountingSink, DiskTape, FanoutSink, Tape, TapeRecorder, TraceSink};
+use jrt_trace::{CountingSink, DiskTape, Tape, TapeRecorder, TraceSink};
 use jrt_vm::{OracleDecisions, RunResult, Vm};
 use jrt_workloads::{Size, Spec};
 use std::collections::HashMap;
@@ -106,6 +108,18 @@ pub struct TapeEntry {
     pub tape: Tape,
     /// The recording pass's summary, shared with the [`summary`] memo.
     pub summary: Arc<RunSummary>,
+}
+
+/// Tape-store entries decoded so far.
+static DECODES: AtomicU64 = AtomicU64::new(0);
+
+impl TapeEntry {
+    /// Decodes the tape into `sink` (see [`Tape::replay`]) and counts
+    /// the decode in [`decodes`].
+    pub fn decode(&self, sink: &mut impl TraceSink) {
+        DECODES.fetch_add(1, Ordering::Relaxed);
+        self.tape.replay(sink);
+    }
 }
 
 type Slot<V> = Arc<OnceLock<V>>;
@@ -176,13 +190,9 @@ static RECORDINGS: AtomicU64 = AtomicU64::new(0);
 
 fn record(w: &Workload, key: Key) -> Arc<TapeEntry> {
     RECORDINGS.fetch_add(1, Ordering::Relaxed);
-    let mut rec = TapeRecorder::new();
-    let mut counts = CountingSink::new();
-    let result = run(
-        w,
-        key,
-        &mut FanoutSink::new().with(&mut rec).with(&mut counts),
-    );
+    let mut sinks = (TapeRecorder::new(), CountingSink::new());
+    let result = run(w, key, &mut sinks);
+    let (rec, counts) = sinks;
     // Publish the summary; a key recorded again (or summarized first)
     // keeps the first one, which is equal.
     let summary = slot_of(&SUMMARIES, key)
@@ -347,6 +357,11 @@ pub fn recordings() -> u64 {
     RECORDINGS.load(Ordering::Relaxed)
 }
 
+/// Tape-store entries decoded so far ([`TapeEntry::decode`] calls).
+pub fn decodes() -> u64 {
+    DECODES.load(Ordering::Relaxed)
+}
+
 /// Evicted tapes written to the disk tier so far.
 pub fn disk_demotions() -> u64 {
     DISK_DEMOTIONS.load(Ordering::Relaxed)
@@ -364,52 +379,60 @@ pub fn disk_fallbacks() -> u64 {
     DISK_FALLBACKS.load(Ordering::Relaxed)
 }
 
-/// The spill directory, created on first use, and whether this
+/// The spill directory's path, chosen on first use, and whether this
 /// process chose it (the per-process default) rather than the user
 /// (`JRT_TAPE_DIR`).
-static DISK_DIR: OnceLock<Option<(PathBuf, bool)>> = OnceLock::new();
+static DISK_DIR: OnceLock<(PathBuf, bool)> = OnceLock::new();
 
 /// The disk-tier directory: `JRT_TAPE_DIR`, default a per-process
-/// directory under the system temp dir. `None` if it cannot be
-/// created (the store then degrades to evict-and-re-record).
+/// directory under the system temp dir, created if it does not exist
+/// (again, after [`tidy_spill_dir`] removed it). `None` if it cannot
+/// be created (the store then degrades to evict-and-re-record).
 pub(crate) fn disk_dir() -> Option<&'static PathBuf> {
-    DISK_DIR
-        .get_or_init(|| {
-            let (dir, owned) = match std::env::var_os("JRT_TAPE_DIR") {
-                Some(dir) => (PathBuf::from(dir), false),
-                None => (
-                    std::env::temp_dir().join(format!("jrt-tapes-{}", std::process::id())),
-                    true,
-                ),
-            };
-            match std::fs::create_dir_all(&dir) {
-                Ok(()) => Some((dir, owned)),
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot create tape spill dir {}: {e}; \
-                         evicted tapes will re-record instead",
-                        dir.display()
-                    );
-                    None
-                }
-            }
-        })
-        .as_ref()
-        .map(|(dir, _)| dir)
+    let (dir, _) = DISK_DIR.get_or_init(|| match std::env::var_os("JRT_TAPE_DIR") {
+        Some(dir) => (PathBuf::from(dir), false),
+        None => (
+            std::env::temp_dir().join(format!("jrt-tapes-{}", std::process::id())),
+            true,
+        ),
+    });
+    match std::fs::create_dir_all(dir) {
+        Ok(()) => Some(dir),
+        Err(e) => {
+            eprintln!(
+                "warning: cannot create tape spill dir {}: {e}; \
+                 evicted tapes will re-record instead",
+                dir.display()
+            );
+            None
+        }
+    }
+}
+
+/// Removes the process-owned spill directory if it is empty, so an
+/// in-process run that spilled only transient files leaves nothing
+/// behind; the next demotion creates it again.
+pub(crate) fn tidy_spill_dir() {
+    if let Some((dir, true)) = DISK_DIR.get() {
+        let _demotions_wait = disk_map().lock().expect("disk tier poisoned");
+        // Fails, harmlessly, while a demoted tape still lives there.
+        let _ = std::fs::remove_dir(dir);
+    }
 }
 
 /// Deletes the spill directory and everything in it, if this process
 /// created it under its default name; a `JRT_TAPE_DIR` directory
 /// belongs to the user and is left alone. Call it once no spilled tape
-/// will be read again, just before the process exits: later demotions
-/// would fail and re-record.
+/// will be read again, just before the process exits: demoted tapes
+/// are lost and would re-record.
 pub fn remove_spill_dir() {
-    if let Some(Some((dir, true))) = DISK_DIR.get() {
-        if let Err(e) = std::fs::remove_dir_all(dir) {
-            eprintln!(
+    if let Some((dir, true)) = DISK_DIR.get() {
+        match std::fs::remove_dir_all(dir) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => eprintln!(
                 "warning: cannot remove tape spill dir {}: {e}",
                 dir.display()
-            );
+            ),
+            _ => {}
         }
     }
 }
@@ -422,12 +445,13 @@ fn spill_file(key: Key) -> String {
 }
 
 /// Writes an evicted entry to the disk tier. Holding the disk-map
-/// lock across the write serializes concurrent demotions of the same
-/// key; a failed write only warns — the entry just re-records later.
+/// lock from creating the directory to the end of the write serializes
+/// concurrent demotions of the same key and keeps [`tidy_spill_dir`]
+/// out; a failed write only warns — the entry just re-records later.
 fn demote(key: Key, e: &TapeEntry) {
+    let mut map = disk_map().lock().expect("disk tier poisoned");
     let Some(dir) = disk_dir() else { return };
     let path = dir.join(spill_file(key));
-    let mut map = disk_map().lock().expect("disk tier poisoned");
     match DiskTape::write(&path, &e.tape) {
         Ok(disk) => {
             DISK_DEMOTIONS.fetch_add(1, Ordering::Relaxed);
@@ -547,14 +571,6 @@ pub fn summary_ir(w: &Workload, mode: Mode) -> Arc<RunSummary> {
     summary_of(w, Key::new(w, mode, false, true))
 }
 
-/// Replays the cached `(w, mode)` stream into `sink` (recording it
-/// first if needed) and returns the entry the replay came from.
-pub fn replay(w: &Workload, mode: Mode, sink: &mut impl TraceSink) -> Arc<TapeEntry> {
-    let e = recorded(w, mode);
-    e.tape.replay(sink);
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,7 +610,7 @@ mod tests {
         let w = hello_workload();
         let a = recorded(&w, Mode::Interp);
         let mut before = RecordingSink::new();
-        a.tape.replay(&mut before);
+        a.decode(&mut before);
 
         // A zero budget evicts every initialized entry.
         enforce_budget(0, None);
@@ -605,7 +621,7 @@ mod tests {
         );
 
         let mut after = RecordingSink::new();
-        b.tape.replay(&mut after);
+        b.decode(&mut after);
         assert_eq!(
             before.events, after.events,
             "re-recording after eviction must reproduce the stream byte-for-byte"
@@ -626,14 +642,17 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_direct_run() {
+    fn decode_matches_direct_run() {
         let w = hello_workload();
         let mut direct = RecordingSink::new();
         let r = crate::runner::run_mode(&w.program, Mode::Jit, &mut direct);
         w.check(&r);
 
         let mut replayed = RecordingSink::new();
-        let e = replay(&w, Mode::Jit, &mut replayed);
+        let decodes_0 = decodes();
+        let e = recorded(&w, Mode::Jit);
+        e.decode(&mut replayed);
+        assert!(decodes() > decodes_0, "the decode must be counted");
         assert_eq!(replayed.events, direct.events);
         assert_eq!(e.summary.result.exit_value, r.exit_value);
         assert_eq!(e.summary.counts.total(), direct.events.len() as u64);
@@ -684,7 +703,7 @@ mod tests {
         let key = Key::new(&w, Mode::Interp, false, false);
         let a = recorded(&w, Mode::Interp);
         let mut before = RecordingSink::new();
-        a.tape.replay(&mut before);
+        a.decode(&mut before);
 
         let demotions_0 = disk_demotions();
         let promotions_0 = disk_promotions();
@@ -702,7 +721,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(disk_promotions() > promotions_0, "reload must promote");
         let mut after = RecordingSink::new();
-        b.tape.replay(&mut after);
+        b.decode(&mut after);
         assert_eq!(before.events, after.events);
         assert_eq!(a.summary.result.exit_value, b.summary.result.exit_value);
         assert_eq!(a.summary.counts, b.summary.counts);
@@ -715,7 +734,7 @@ mod tests {
         let key = Key::new(&w, Mode::Jit, false, false);
         let a = recorded(&w, Mode::Jit);
         let mut before = RecordingSink::new();
-        a.tape.replay(&mut before);
+        a.decode(&mut before);
         enforce_budget(0, None);
 
         // Damage the spilled payload.
@@ -743,7 +762,7 @@ mod tests {
             "damaged spill entry must be forgotten"
         );
         let mut after = RecordingSink::new();
-        b.tape.replay(&mut after);
+        b.decode(&mut after);
         assert_eq!(
             before.events, after.events,
             "re-recording must reproduce the stream exactly"

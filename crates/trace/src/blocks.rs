@@ -144,11 +144,15 @@ pub struct AccessBlocks {
 }
 
 impl AccessBlocks {
-    /// Decodes `tape` into blocks (one full replay pass).
+    /// Decodes `tape` into blocks (one full replay pass), keeping a
+    /// copy of every block [`Tape::replay_stream`] streams.
     pub fn from_tape(tape: &Tape) -> Self {
-        let mut b = AccessBlocksBuilder::new();
-        tape.replay(&mut b);
-        b.into_blocks()
+        let mut all = AccessBlocks::default();
+        tape.replay_stream(|b| {
+            all.events += b.len() as u64;
+            all.blocks.push(b.clone());
+        });
+        all
     }
 
     /// The decoded blocks, in stream order.
@@ -182,47 +186,10 @@ impl AccessBlocks {
     }
 }
 
-/// A [`TraceSink`] that decodes the stream into [`AccessBlocks`].
-#[derive(Debug, Clone, Default)]
-pub struct AccessBlocksBuilder {
-    done: AccessBlocks,
-    current: AccessBlock,
-}
-
-impl AccessBlocksBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes building and returns the blocks.
-    pub fn into_blocks(mut self) -> AccessBlocks {
-        if !self.current.is_empty() {
-            self.done.blocks.push(self.current);
-        }
-        self.done
-    }
-}
-
-impl TraceSink for AccessBlocksBuilder {
-    fn accept(&mut self, inst: &NativeInst) {
-        if self.current.pc.capacity() == 0 {
-            self.current = AccessBlock::with_capacity(BLOCK_EVENTS);
-        }
-        self.current.push(inst);
-        self.done.events += 1;
-        if self.current.len() == BLOCK_EVENTS {
-            let full = std::mem::take(&mut self.current);
-            self.done.blocks.push(full);
-        }
-    }
-}
-
 /// A [`TraceSink`] that decodes the stream into [`AccessBlock`]s of
-/// [`BLOCK_EVENTS`] events and hands each finished block to a callback
-/// — the out-of-core counterpart of [`AccessBlocksBuilder`]: one block
-/// (~1.3 MB decoded) is alive at a time, its buffers reused, so a
-/// consumer can stream a tape far larger than RAM through
+/// [`BLOCK_EVENTS`] events and hands each finished block to a callback:
+/// one block (~1.3 MB decoded) is alive at a time, its buffers reused,
+/// so a consumer can stream a tape far larger than RAM through
 /// [`Tape::replay_stream`] without materializing [`AccessBlocks`].
 #[derive(Debug)]
 pub struct AccessBlockSink<F: FnMut(&AccessBlock)> {

@@ -47,14 +47,14 @@ pub mod sink;
 pub mod store;
 pub mod tape;
 
-pub use blocks::{AccessBlock, AccessBlockSink, AccessBlocks, AccessBlocksBuilder, BLOCK_EVENTS};
+pub use blocks::{AccessBlock, AccessBlockSink, AccessBlocks, BLOCK_EVENTS};
 pub use hash::{IdBuildHasher, IdHashMap, IdHashSet, IdHasher};
 pub use inst::{AccessKind, CtrlInfo, InstClass, MemRef, NativeInst, Phase, Reg, NUM_REGS};
 pub use mix::{InstMix, MixSummary};
 pub use region::{layout, Region};
 pub use sink::{CountingSink, NullSink, PhaseFilter, RecordingSink, TraceSink};
 pub use store::{DiskTape, StoreError};
-pub use tape::{content_hash, FanoutSink, Segment, Tape, TapeRecorder, SEGMENT_EVENTS};
+pub use tape::{content_hash, Segment, Tape, TapeRecorder, SEGMENT_EVENTS};
 
 /// A simulated memory address.
 ///

@@ -66,6 +66,22 @@ tuple_sink!(A: 0, B: 1);
 tuple_sink!(A: 0, B: 1, C: 2);
 tuple_sink!(A: 0, B: 1, C: 2, D: 3);
 tuple_sink!(A: 0, B: 1, C: 2, D: 3, E: 4);
+tuple_sink!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
+
+/// An optional consumer: `None` observes nothing, so a tuple can
+/// carry only the consumers a run asks for.
+impl<S: TraceSink> TraceSink for Option<S> {
+    fn accept(&mut self, inst: &NativeInst) {
+        if let Some(s) = self {
+            s.accept(inst);
+        }
+    }
+    fn finish(&mut self) {
+        if let Some(s) = self {
+            s.finish();
+        }
+    }
+}
 
 /// Homogeneous fan-out: every element observes every event. Lets one
 /// execution drive an entire parameter sweep (e.g. four cache
@@ -222,6 +238,10 @@ mod tests {
         pair.finish();
         assert_eq!(pair.0.total(), 1);
         assert_eq!(pair.1.total(), 1);
+        // `None` elements are skipped; `Some` ones observe everything.
+        let mut some_none = (Some(CountingSink::new()), None::<CountingSink>);
+        some_none.accept(&NativeInst::alu(0, Phase::Runtime));
+        assert_eq!(some_none.0.map(|c| c.total()), Some(1));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! analog: a [`TapeRecorder`] is a [`TraceSink`] that packs the event
 //! stream into a compact in-memory [`Tape`], and [`Tape::replay`]
 //! regenerates the exact [`NativeInst`] sequence for any number of
-//! downstream consumers — combined, if desired, through a
-//! [`FanoutSink`] so one pass feeds N simulators.
+//! downstream consumers — combined, if desired, into a sink tuple so
+//! one pass feeds N simulators.
 //!
 //! # Encoding
 //!
@@ -381,8 +381,8 @@ impl Tape {
 
 /// A [`TraceSink`] that packs every observed event onto a [`Tape`].
 ///
-/// Attach it to an execution (optionally alongside other sinks via a
-/// [`FanoutSink`] or sink tuple), then call [`TapeRecorder::into_tape`].
+/// Attach it to an execution (optionally alongside other sinks in a
+/// sink tuple), then call [`TapeRecorder::into_tape`].
 #[derive(Debug, Clone, Default)]
 pub struct TapeRecorder {
     tape: Tape,
@@ -503,77 +503,6 @@ impl TraceSink for TapeRecorder {
     }
 }
 
-/// Heterogeneous fan-out: broadcasts one trace pass to N borrowed
-/// consumers of *different* concrete types.
-///
-/// The tuple sink impls cover small fixed combinations and `Vec<S>`
-/// covers homogeneous sweeps; `FanoutSink` is the dynamic counterpart
-/// used when the consumer set is assembled at run time — e.g. a
-/// [`TapeRecorder`] plus a [`CountingSink`] watching the same
-/// recording pass.
-///
-/// [`CountingSink`]: crate::CountingSink
-///
-/// # Examples
-///
-/// ```
-/// use jrt_trace::{CountingSink, FanoutSink, InstMix, NativeInst, Phase, TraceSink};
-///
-/// let mut counts = CountingSink::new();
-/// let mut mix = InstMix::new();
-/// let mut fan = FanoutSink::new().with(&mut counts).with(&mut mix);
-/// fan.accept(&NativeInst::alu(0, Phase::Runtime));
-/// fan.finish();
-/// drop(fan);
-/// assert_eq!(counts.total(), 1);
-/// assert_eq!(mix.total(), 1);
-/// ```
-#[derive(Default)]
-pub struct FanoutSink<'a> {
-    sinks: Vec<&'a mut dyn TraceSink>,
-}
-
-impl<'a> FanoutSink<'a> {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        FanoutSink { sinks: Vec::new() }
-    }
-
-    /// Adds a consumer (builder style).
-    pub fn with(mut self, sink: &'a mut (impl TraceSink + 'a)) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Adds a consumer.
-    pub fn push(&mut self, sink: &'a mut (impl TraceSink + 'a)) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached consumers.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no consumer is attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TraceSink for FanoutSink<'_> {
-    fn accept(&mut self, inst: &NativeInst) {
-        for s in self.sinks.iter_mut() {
-            s.accept(inst);
-        }
-    }
-    fn finish(&mut self) {
-        for s in self.sinks.iter_mut() {
-            s.finish();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,22 +611,6 @@ mod tests {
             assert_eq!(unzigzag(get_varint(&bytes, &mut pos)), v);
             assert_eq!(pos, bytes.len());
         }
-    }
-
-    #[test]
-    fn fanout_broadcasts_and_finishes() {
-        let mut a = CountingSink::new();
-        let mut b = RecordingSink::new();
-        {
-            let mut fan = FanoutSink::new().with(&mut a).with(&mut b);
-            assert_eq!(fan.len(), 2);
-            assert!(!fan.is_empty());
-            fan.accept(&NativeInst::alu(0, Phase::Runtime));
-            fan.accept(&NativeInst::alu(4, Phase::Runtime));
-            fan.finish();
-        }
-        assert_eq!(a.total(), 2);
-        assert_eq!(b.len(), 2);
     }
 
     #[test]

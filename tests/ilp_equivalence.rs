@@ -426,7 +426,7 @@ fn shared_btb_evaluator_matches_one_evaluator_per_predictor() {
         for mode in Mode::BOTH {
             let ctx = format!("{} {mode:?}", spec.name);
             assert_shared_matches_singles(&ctx, |mut sink| {
-                tape::replay(&w, mode, &mut sink);
+                tape::recorded(&w, mode).tape.replay(&mut sink);
             });
         }
     }
@@ -440,8 +440,9 @@ fn cond_counts(s: &BranchStats) -> (u64, u64) {
 
 /// With the target cache, indirect transfers never reach the BTB: its
 /// conditional branches fare exactly as in a plain evaluator that never
-/// sees an indirect transfer at all. A BTB shared with the plain
-/// evaluator of the `indirect` study would break this.
+/// sees an indirect transfer at all. A BTB shared with Table 2's
+/// evaluator, which the `indirect` study reads as its plain-BTB
+/// scheme, would break this.
 #[test]
 fn target_cache_keeps_indirect_transfers_out_of_the_btb() {
     let check = |ctx: &str, events: &[NativeInst]| {
@@ -465,6 +466,6 @@ fn target_cache_keeps_indirect_transfers_out_of_the_btb() {
     });
     let w = tape::workload(&suite()[0], Size::Tiny);
     let mut events = javart::trace::RecordingSink::new();
-    tape::replay(&w, Mode::Interp, &mut events);
+    tape::recorded(&w, Mode::Interp).tape.replay(&mut events);
     check("compress interp", &events.events);
 }

@@ -20,7 +20,7 @@ fn assoc_points() -> Vec<CacheConfig> {
 }
 
 /// Streams the `(w, mode)` tape into `sweep` one decoded block at a
-/// time, as the report's shared cache pass does.
+/// time, as the report's shared pass does.
 fn stream(w: &Workload, mode: Mode, sweep: &mut SplitSweep) {
     tape::recorded(w, mode)
         .tape
@@ -128,7 +128,7 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
             stream(&w, mode, &mut sweep);
             let mut pairs: Vec<SplitCaches> =
                 points.iter().map(|&c| SplitCaches::new(c, c)).collect();
-            tape::replay(&w, mode, &mut pairs);
+            tape::recorded(&w, mode).tape.replay(&mut pairs);
             assert_equivalent(&sweep, &pairs, &format!("{} {mode:?}", spec.name));
         }
     }
@@ -153,7 +153,7 @@ fn sweep_matches_split_caches_across_line_sizes() {
         let mut sweep = SplitSweep::new(&[icfg], &[dcfg]);
         stream(&w, Mode::Jit, &mut sweep);
         let mut pair = vec![SplitCaches::new(icfg, dcfg)];
-        tape::replay(&w, Mode::Jit, &mut pair);
+        tape::recorded(&w, Mode::Jit).tape.replay(&mut pair);
         assert_equivalent(&sweep, &pair, &format!("{icfg}/{dcfg}"));
     }
 }
