@@ -22,9 +22,8 @@ the report is byte-identical at any worker count.
                    available parallelism. 1 runs fully sequentially.
   --filter SUBSTR  run only the experiments whose name contains SUBSTR
                    (e.g. fig1, table, codecache); skipped sections are
-                   absent from the report (also: the JRT_FILTER
-                   environment variable; the flag wins). A filter that
-                   matches no section is an error.
+                   absent from the report. A filter that matches no
+                   section is an error.
   --sabotage-drop-barrier N
                    arm the GC study's seeded missed-write-barrier bug:
                    the measured engine drops its N-th remembered-set
@@ -47,7 +46,7 @@ fn usage(msg: &str) -> ! {
 
 fn main() {
     let mut positional = Vec::new();
-    let mut filter = std::env::var("JRT_FILTER").ok();
+    let mut filter = None;
     let mut sabotage = None;
     let mut args = jobs::cli_args().into_iter();
     while let Some(arg) = args.next() {

@@ -33,8 +33,8 @@ use crate::report::verdict;
 use crate::runner::Mode;
 use crate::table::{count, Table};
 use crate::tape::{self, RunSummary};
-use jrt_cache::{CacheConfig, SplitCaches};
-use jrt_trace::{CountingSink, Phase, Region};
+use jrt_cache::{CacheConfig, SplitSweep};
+use jrt_trace::{AccessBlockSink, CountingSink, Phase, Region};
 use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, Vm, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
 
@@ -110,21 +110,28 @@ impl Measured {
     }
 }
 
-/// Direct VM run under `cfg` with instruction counts and the paper's
-/// L1 caches attached.
+/// Direct VM run under `cfg`, counting instructions and the paper's L1
+/// D-cache write misses to the code cache, the point [`baseline`]
+/// reads off the shared pass.
 fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
-    let mut sinks = (CountingSink::new(), SplitCaches::paper_l1());
+    let mut sweep = SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]);
+    let mut sinks = (
+        CountingSink::new(),
+        AccessBlockSink::new(|b| sweep.consume_block(b)),
+    );
     let result = Vm::new(&w.program, cfg)
         .run(&mut sinks)
         .expect("workload runs clean");
     w.check(&result);
-    let (counts, caches) = sinks;
-    let cc_write_misses = caches.dcache().region_stats(Region::CodeCache).write_misses;
+    let (counts, blocks) = sinks;
+    drop(blocks);
+    let d = &sweep.dcache().results()[0];
+    let cc_write_misses = d.region_stats(Region::CodeCache).write_misses;
     Measured::new(&RunSummary { result, counts }, cc_write_misses)
 }
 
-/// The unbounded JIT baseline: the JIT recording's summary (no extra
-/// VM run) and its code-cache write misses off the shared pass.
+/// The unbounded per-VM JIT baseline: the JIT recording's summary (no
+/// extra VM run) and its code-cache write misses off the shared pass.
 fn baseline(pass: &Pass, w: &Workload) -> Measured {
     let d = pass
         .tape(w.spec.name, Mode::Jit)
@@ -311,7 +318,7 @@ fn capacity_rows(pass: &Pass, loads: &[Workload]) -> (Vec<CapacityRow>, u64) {
     (rows, largest)
 }
 
-fn sharing_rows(size: Size) -> Vec<SharingRow> {
+fn sharing_rows(pass: &Pass, size: Size) -> Vec<SharingRow> {
     let mtrt = suite()
         .into_iter()
         .find(|s| s.name == "mtrt")
@@ -319,9 +326,13 @@ fn sharing_rows(size: Size) -> Vec<SharingRow> {
     let loads = jobs::prebuild(vec![mtrt, multi_spec()], size);
     let scopes = [CacheScope::PerThread, CacheScope::PerVm, CacheScope::Shared];
     let cells = jobs::cross(&loads, &scopes);
-    let measured = jobs::par_map(&cells, |(w, scope)| {
-        let cfg = VmConfig::jit().with_code_cache(CodeCacheConfig::default().with_scope(*scope));
-        run_cfg(w, cfg)
+    let measured = jobs::par_map(&cells, |(w, scope)| match scope {
+        // The default cache is the unbounded per-VM one.
+        CacheScope::PerVm if SWEEP.contains(&w.spec.name) => baseline(pass, w),
+        _ => {
+            let cc = CodeCacheConfig::default().with_scope(*scope);
+            run_cfg(w, VmConfig::jit().with_code_cache(cc))
+        }
     });
     cells
         .iter()
@@ -341,9 +352,9 @@ fn tiering_rows(loads: &[Workload]) -> Vec<TieringRow> {
     let modes: [&'static str; 2] = ["jit", "tiered"];
     let cells = jobs::cross(loads, &modes);
     // The table reads no cache numbers, so the jit row is the JIT
-    // recording's summary.
+    // run's summary.
     let measured = jobs::par_map(&cells, |(w, mode)| match *mode {
-        "jit" => Measured::new(&tape::recorded(w, Mode::Jit).summary, 0),
+        "jit" => Measured::new(&tape::summary(w, Mode::Jit), 0),
         _ => run_cfg(
             w,
             VmConfig {
@@ -400,7 +411,7 @@ pub fn view(pass: &Pass, size: Size) -> CodeCacheStudy {
     let crossover = crossover_rows(&loads, &capacity);
     CodeCacheStudy {
         crossover,
-        sharing: sharing_rows(size),
+        sharing: sharing_rows(pass, size),
         tiering: tiering_rows(&loads),
         capacity,
         largest_method_bytes,

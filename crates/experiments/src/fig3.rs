@@ -57,12 +57,11 @@ impl Fig3 {
     }
 }
 
-/// Figure 3's view of the shared pass: one row per tape.
+/// Figure 3's view of the shared pass: one row per stock tape.
 pub fn view(pass: &Pass) -> Fig3 {
     Fig3 {
         rows: pass
-            .tapes
-            .iter()
+            .stock()
             .map(|t| Fig3Row {
                 name: t.name,
                 mode: t.mode,

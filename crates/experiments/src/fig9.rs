@@ -124,12 +124,11 @@ impl Fig9 {
     }
 }
 
-/// Figures 9/10's view of the shared pass: one row per tape.
+/// Figures 9/10's view of the shared pass: one row per stock tape.
 pub fn view(pass: &Pass) -> Fig9 {
     Fig9 {
         rows: pass
-            .tapes
-            .iter()
+            .stock()
             .map(|t| Fig9Row {
                 name: t.name,
                 mode: t.mode,

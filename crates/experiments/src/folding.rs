@@ -10,13 +10,10 @@
 //! experiment implements folding in the interpreter and measures
 //! instruction count and IPC at issue widths 1–8.
 
-use crate::jobs;
 use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
-use crate::tape;
-use jrt_ilp::{PipelineConfig, PipelineSweep};
-use jrt_workloads::{suite, Size};
+use jrt_workloads::Size;
 
 /// The issue width the study compares at.
 pub const WIDTH: u32 = 8;
@@ -91,37 +88,28 @@ impl Folding {
     }
 }
 
-/// The folding study (interpreter mode only) off the shared pass: the
-/// baseline is a view of it; the folded tapes, which no other section
-/// reads, are decoded here into an 8-issue pipeline (one job per
-/// benchmark).
-pub fn view(pass: &Pass, size: Size) -> Folding {
-    let folded = jobs::par_map(&jobs::prebuild(suite(), size), |w| {
-        // The folding interpreter emits a genuinely different stream,
-        // so it has its own tape-cache key.
-        let mut sweep = PipelineSweep::new(&[PipelineConfig::paper(WIDTH)]);
-        tape::recorded_folding(w).decode(&mut sweep);
-        sweep.reports()[0]
-    });
+/// The folding study (interpreter mode only), a view of the shared
+/// pass: the 8-issue pipeline over the stock and the folding
+/// interpreter's tapes.
+pub fn view(pass: &Pass) -> Folding {
     Folding {
         rows: pass
             .mode(Mode::Interp)
-            .zip(folded)
-            .map(|(t, fold)| FoldingRow {
-                name: t.name,
-                base_insts: t.ilp(WIDTH).instructions,
-                fold_insts: fold.instructions,
-                base_ipc_w8: t.ilp(WIDTH).ipc(),
-                fold_ipc_w8: fold.ipc(),
+            .zip(pass.mode(Mode::Folding))
+            .map(|(base, fold)| FoldingRow {
+                name: base.name,
+                base_insts: base.ilp(WIDTH).instructions,
+                fold_insts: fold.ilp(WIDTH).instructions,
+                base_ipc_w8: base.ilp(WIDTH).ipc(),
+                fold_ipc_w8: fold.ilp(WIDTH).ipc(),
             })
             .collect(),
     }
 }
 
-/// Runs the folding study: the shared pass for it alone, plus the
-/// folded tapes.
+/// Runs the folding study: the shared pass for it alone.
 pub fn run(size: Size) -> Folding {
-    view(&pass::run(size, &["folding"]), size)
+    view(&pass::run(size, &["folding"]))
 }
 
 #[cfg(test)]

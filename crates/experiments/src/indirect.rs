@@ -76,12 +76,11 @@ impl Indirect {
     }
 }
 
-/// The study's view of the shared pass: one row per tape.
+/// The study's view of the shared pass: one row per stock tape.
 pub fn view(pass: &Pass) -> Indirect {
     Indirect {
         rows: pass
-            .tapes
-            .iter()
+            .stock()
             .map(|t| {
                 let [_, _, btb, _] = t.predictors.expect("Table 2's predictors");
                 let tc = t.target_cache.expect("target cache");

@@ -16,12 +16,11 @@
 //! and installed code bytes.
 
 use crate::jobs;
-use crate::pass::{self, Pass, TapeResult};
+use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape::{self, RunSummary};
-use jrt_cache::{CacheConfig, CacheStats, SplitSweep};
-use jrt_trace::AccessBlockSink;
+use jrt_cache::{CacheConfig, CacheStats};
 use jrt_workloads::{suite, Size};
 
 /// One engine family's measurements for one benchmark (stack engines
@@ -195,26 +194,28 @@ fn measure(interp: &RunSummary, jit: &RunSummary, d: &CacheStats, ir: bool) -> I
 }
 
 /// The register-IR study off the shared pass, one job per benchmark:
-/// the stack row reads the stock interpreter tape's D point; the IR
-/// interpreter tape, which no other section reads, streams through the
-/// same D point here. The IR-backed JIT, which nobody replays, runs
-/// count-only.
+/// each family's D point is a view of its interpreter's tape (stock or
+/// IR), and its counts and code bytes come from the run summaries. The
+/// IR-backed JIT, which nothing decodes, runs count-only.
 pub fn view(pass: &Pass, size: Size) -> IrStudy {
     let dcfg = CacheConfig::paper_l1_data();
     let loads = jobs::prebuild(suite(), size);
-    let work: Vec<(&TapeResult, &jobs::Workload)> = pass.mode(Mode::Interp).zip(&loads).collect();
-    let rows = jobs::par_map(&work, |&(t, w)| {
-        let (interp, jit) = (tape::summary(w, Mode::Interp), tape::summary(w, Mode::Jit));
-        let ir_interp = tape::recorded_ir(w, Mode::Interp);
-        let mut sweep = SplitSweep::new(&[], &[dcfg]);
-        ir_interp.decode(&mut AccessBlockSink::new(|b| sweep.consume_block(b)));
+    let tapes = pass.mode(Mode::Interp).zip(pass.mode(Mode::IrInterp));
+    let work: Vec<_> = loads.iter().zip(tapes).collect();
+    let rows = jobs::par_map(&work, |&(w, (base, ir))| {
+        let summary = |mode| tape::summary(w, mode);
         IrRow {
-            name: t.name,
-            base: measure(&interp, &jit, t.dcache(dcfg).stats(), false),
+            name: w.spec.name,
+            base: measure(
+                &summary(Mode::Interp),
+                &summary(Mode::Jit),
+                base.dcache(dcfg).stats(),
+                false,
+            ),
             ir: measure(
-                &ir_interp.summary,
-                &tape::summary_ir(w, Mode::Jit),
-                sweep.dcache().results()[0].stats(),
+                &summary(Mode::IrInterp),
+                &summary(Mode::IrJit),
+                ir.dcache(dcfg).stats(),
                 true,
             ),
         }
@@ -222,8 +223,8 @@ pub fn view(pass: &Pass, size: Size) -> IrStudy {
     IrStudy { rows }
 }
 
-/// Runs the register-IR study: the shared pass for it alone, plus the
-/// IR tapes.
+/// Runs the register-IR study: the shared pass for it alone, plus
+/// count-only runs of both JITs.
 pub fn run(size: Size) -> IrStudy {
     view(&pass::run(size, &["regir"]), size)
 }

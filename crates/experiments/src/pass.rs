@@ -1,13 +1,18 @@
-//! The report's one pass over the stock tapes. As the paper fed one
-//! Shade trace to cachesim5, its branch predictors and its superscalar
-//! model, [`run`] decodes each stock `(workload, mode)` tape of
-//! [`suite`] once and fans the decode out, through one sink tuple, to
-//! every consumer the requested sections ask of that tape. `ask` is
-//! the table of who asks what. Nothing is memoized. The sections are
-//! views of the [`Pass`]: `run_all` runs it once for every enabled
-//! section, a section's own `run` for itself alone. Every consumer sees
-//! the whole stream whatever else shares the decode, so both give the
-//! same numbers.
+//! The report's one pass over its recorded streams. As the paper fed
+//! one Shade trace to cachesim5, its branch predictors and its
+//! superscalar model, [`run`] records each `(workload, mode)` stream of
+//! [`suite`] the requested sections ask anything of, decodes it once
+//! and fans the decode out, through one sink tuple, to every consumer
+//! they ask of it. `ask` is the table of who asks what, by section and
+//! mode: the stock interpreter and JIT streams feed most sections, the
+//! folding interpreter's only the folding study, and the register-IR
+//! interpreter's only the register-IR study. The pass is the only code
+//! that records or decodes a report stream, and it memoizes nothing
+//! itself. The sections are views of the [`Pass`]: `run_all` runs it
+//! once, before the first section, for every enabled section, and a
+//! section's own `run` for itself alone. Every consumer sees the whole
+//! stream whatever else shares the decode, so both give the same
+//! numbers.
 
 use crate::jobs::{self, Workload};
 use crate::runner::Mode;
@@ -18,7 +23,7 @@ use jrt_ilp::{PipelineConfig, PipelineReport, PipelineSweep};
 use jrt_trace::{AccessBlockSink, InstMix, Phase, PhaseFilter};
 use jrt_workloads::{suite, Size};
 
-/// The consumers one stock tape feeds; the default feeds none. Cache
+/// The consumers one stream feeds; the default feeds none. Cache
 /// points and widths are sets, kept in first-seen order.
 #[derive(Debug, Default, PartialEq)]
 struct Needs {
@@ -58,50 +63,51 @@ impl Needs {
         merge(&mut self.dcache, dcache);
     }
 
-    /// Adds what `section` asks of the `(name, mode)` tape.
+    /// Adds what `section` asks of the `(name, mode)` stream.
     fn ask(&mut self, section: &str, size: Size, name: &str, mode: Mode) {
-        let jit = mode == Mode::Jit;
         let l1i = [CacheConfig::paper_l1_inst()];
         let l1d = [CacheConfig::paper_l1_data()];
-        match section {
-            "fig2" => self.mix = true,
-            "table2" => self.predictors = true,
-            "table3" => self.sweep(&l1i, &l1d),
-            "fig3" => self.sweep(&[], &[CacheConfig::paper_write_study()]),
-            "fig4" => {
+        match (section, mode) {
+            // Figure 9's w=8 report, stock vs folding interpreter.
+            ("folding", Mode::Interp | Mode::Folding) => merge(&mut self.widths, &[folding::WIDTH]),
+            // Table 3's interpreter D point, stock vs IR interpreter.
+            ("regir", Mode::Interp | Mode::IrInterp) => self.sweep(&[], &l1d),
+            // Every other section reads the stock streams alone.
+            _ if !Mode::BOTH.contains(&mode) => {}
+            ("fig2", _) => self.mix = true,
+            ("table2", _) => self.predictors = true,
+            ("table3", _) => self.sweep(&l1i, &l1d),
+            ("fig3", _) => self.sweep(&[], &[CacheConfig::paper_write_study()]),
+            ("fig4", _) => {
                 self.sweep(&l1i, &l1d);
-                self.app_phase |= jit;
+                self.app_phase |= mode == Mode::Jit;
             }
-            "fig5" if jit => self.sweep(&l1i, &l1d),
-            "fig6" if name == fig6::BENCHMARK => self.timeline = Some(fig6::window(size)),
-            "fig7" => {
+            ("fig5", Mode::Jit) => self.sweep(&l1i, &l1d),
+            ("fig6", _) if name == fig6::BENCHMARK => self.timeline = Some(fig6::window(size)),
+            ("fig7", _) => {
                 let points = fig7::ASSOCS.map(CacheConfig::paper_assoc_sweep);
                 self.sweep(&points, &points);
             }
-            "fig8" => {
+            ("fig8", _) => {
                 let points = fig8::LINES.map(CacheConfig::paper_line_sweep);
                 self.sweep(&points, &points);
             }
-            "fig9" => merge(&mut self.widths, &fig9::WIDTHS),
+            ("fig9", _) => merge(&mut self.widths, &fig9::WIDTHS),
             // The plain-BTB scheme is Table 2's Gshare column.
-            "indirect" => (self.predictors, self.target_cache) = (true, true),
-            // Figure 9's w=8 report on the stock interpreter.
-            "folding" if !jit => merge(&mut self.widths, &[folding::WIDTH]),
-            "proposal" if jit => {
+            ("indirect", _) => (self.predictors, self.target_cache) = (true, true),
+            ("proposal", Mode::Jit) => {
                 self.sweep(&l1i, &l1d);
                 self.install = true;
             }
-            // Table 3's interpreter D point.
-            "regir" if !jit => self.sweep(&[], &l1d),
             // Table 3's JIT D point, for the unbounded baseline.
-            "codecache" if jit && codecache::SWEEP.contains(&name) => self.sweep(&[], &l1d),
+            ("codecache", Mode::Jit) if codecache::SWEEP.contains(&name) => self.sweep(&[], &l1d),
             _ => {}
         }
     }
 }
 
-/// One stock tape's results, one field per consumer: `None` where no
-/// requested section asked for it on this tape.
+/// One stream's results, one field per consumer: `None` where no
+/// requested section asked for it on this stream.
 #[derive(Debug)]
 pub struct TapeResult {
     /// Benchmark name.
@@ -153,12 +159,18 @@ impl TapeResult {
 /// The results of one pass.
 #[derive(Debug)]
 pub struct Pass {
-    /// One entry per tape some requested section asked anything of:
-    /// suite order, interp before jit.
-    pub tapes: Vec<TapeResult>,
+    /// One entry per stream some requested section asked anything of:
+    /// suite order, then [`MODES`] order.
+    tapes: Vec<TapeResult>,
 }
 
 impl Pass {
+    /// The stock interpreter and JIT tapes, in suite order, interp
+    /// before jit: the rows of a section that reads every stock tape.
+    pub fn stock(&self) -> impl Iterator<Item = &TapeResult> {
+        self.tapes.iter().filter(|t| Mode::BOTH.contains(&t.mode))
+    }
+
     /// The tapes of one mode, in suite order.
     pub fn mode(&self, mode: Mode) -> impl Iterator<Item = &TapeResult> {
         self.tapes.iter().filter(move |t| t.mode == mode)
@@ -171,22 +183,31 @@ impl Pass {
     }
 }
 
+/// The streams the pass can record, in the order it keeps them per
+/// benchmark.
+const MODES: [Mode; 4] = [Mode::Interp, Mode::Jit, Mode::Folding, Mode::IrInterp];
+
 /// Runs the pass at `size` for `sections` (report section names; the
-/// ones that read no stock tape ask nothing): one job per stock tape
-/// they ask anything of, each decoding its tape once into every
-/// consumer they ask of it.
+/// ones that read no stream ask nothing): one job per stream they ask
+/// anything of, each recording its tape if no earlier pass did and
+/// decoding it once into every consumer they ask of it. Programs are
+/// built for those jobs alone, so a pass nobody asks anything of
+/// builds and runs nothing.
 pub fn run(size: Size, sections: &[&str]) -> Pass {
-    let work = jobs::cross(&jobs::prebuild(suite(), size), &Mode::BOTH);
-    let tapes = jobs::par_map(&work, |(w, mode)| {
+    let mut work = Vec::new();
+    for (spec, mode) in jobs::cross(&suite(), &MODES) {
         let mut needs = Needs::default();
         for section in sections {
-            needs.ask(section, size, w.spec.name, *mode);
+            needs.ask(section, size, spec.name, mode);
         }
-        (needs != Needs::default()).then(|| feed(w, *mode, &needs))
-    });
-    Pass {
-        tapes: tapes.into_iter().flatten().collect(),
+        if needs != Needs::default() {
+            work.push((spec, mode, needs));
+        }
     }
+    let tapes = jobs::par_map(&work, |(spec, mode, needs)| {
+        feed(&tape::workload(spec, size), *mode, needs)
+    });
+    Pass { tapes }
 }
 
 fn is_app_phase(p: Phase) -> bool {

@@ -111,11 +111,21 @@ pub fn run_all(size: Size) -> Report {
     run_filtered(size, None, None)
 }
 
+/// Runs `f`, logging its start and wall time to stderr under `name`.
+fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
+    eprintln!("[run_all] {name} ...");
+    let t = std::time::Instant::now();
+    let v = f();
+    eprintln!("[run_all] {name} done in {:.1?}", t.elapsed());
+    v
+}
+
 /// Runs the experiments whose name contains `filter` (all of them
 /// when `filter` is `None`), logging progress to stderr. Skipped
 /// sections are `None` in the returned [`Report`] and absent from its
-/// markdown. The sections that read the stock tapes share one
-/// [`pass::run`] for all of them, run by the first of them.
+/// markdown. One [`pass::run`] for every enabled section runs before
+/// the first of them: it records and decodes every stream they read,
+/// so the run summaries the other sections read find its recordings.
 /// `sabotage_drop_barrier` arms the GC study's seeded missed write
 /// barrier ([`gc_study::run_sabotaged`]); `None` is the clean run.
 pub fn run_filtered(
@@ -125,42 +135,33 @@ pub fn run_filtered(
 ) -> Report {
     let enabled = |name: &str| filter.is_none_or(|f| name.contains(f));
     macro_rules! step {
-        ($name:literal, $e:expr) => {{
-            if enabled($name) {
-                eprintln!("[run_all] {} ...", $name);
-                let t = std::time::Instant::now();
-                let v = $e;
-                eprintln!("[run_all] {} done in {:.1?}", $name, t.elapsed());
-                Some(v)
-            } else {
-                None
-            }
-        }};
+        ($name:literal, $e:expr) => {
+            enabled($name).then(|| timed($name, || $e))
+        };
     }
     let sections = matching_sections(filter.unwrap_or(""));
-    let shared = std::cell::OnceCell::new();
-    let shared = || shared.get_or_init(|| pass::run(size, &sections));
+    let shared = timed("shared pass", || pass::run(size, &sections));
     Report {
         size,
         fig1: step!("fig1", fig1::run(size)),
         table1: step!("table1", table1::run(size)),
-        fig2: step!("fig2", fig2::view(shared())),
-        table2: step!("table2", table2::view(shared())),
-        table3: step!("table3", table3::view(shared())),
-        fig3: step!("fig3", fig3::view(shared())),
-        fig4: step!("fig4", fig4::view(shared())),
-        fig5: step!("fig5", fig5::view(shared())),
-        fig6: step!("fig6", fig6::view(shared(), size)),
-        fig7: step!("fig7", fig7::view(shared())),
-        fig8: step!("fig8", fig8::view(shared())),
-        fig9: step!("fig9", fig9::view(shared())),
+        fig2: step!("fig2", fig2::view(&shared)),
+        table2: step!("table2", table2::view(&shared)),
+        table3: step!("table3", table3::view(&shared)),
+        fig3: step!("fig3", fig3::view(&shared)),
+        fig4: step!("fig4", fig4::view(&shared)),
+        fig5: step!("fig5", fig5::view(&shared)),
+        fig6: step!("fig6", fig6::view(&shared, size)),
+        fig7: step!("fig7", fig7::view(&shared)),
+        fig8: step!("fig8", fig8::view(&shared)),
+        fig9: step!("fig9", fig9::view(&shared)),
         fig11: step!("fig11", fig11::run(size)),
-        indirect: step!("indirect", indirect::view(shared())),
-        folding: step!("folding", folding::view(shared(), size)),
-        proposal: step!("proposal", proposal::view(shared())),
-        regir: step!("regir", ir::view(shared(), size)),
+        indirect: step!("indirect", indirect::view(&shared)),
+        folding: step!("folding", folding::view(&shared)),
+        proposal: step!("proposal", proposal::view(&shared)),
+        regir: step!("regir", ir::view(&shared, size)),
         sizes: step!("sizes", crate::sizes::run()),
-        codecache: step!("codecache", codecache::view(shared(), size)),
+        codecache: step!("codecache", codecache::view(&shared, size)),
         serve: step!("serve", crate::serve::run(size)),
         scale: step!("scale", crate::scale::run(size)),
         gc: step!("gc", gc_study::run_sabotaged(size, sabotage_drop_barrier)),

@@ -2,10 +2,11 @@
 
 use jrt_bytecode::Program;
 use jrt_trace::{CountingSink, TraceSink};
-use jrt_vm::{OracleDecisions, RunResult, SyncKind, Vm, VmConfig};
+use jrt_vm::{OracleDecisions, RunResult, Vm, VmConfig};
 use jrt_workloads::{Size, Spec};
 
-/// Execution mode of an experiment run.
+/// Execution mode of an experiment run: the engine that runs it, and
+/// so the native stream it emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Pure interpretation.
@@ -14,6 +15,13 @@ pub enum Mode {
     Jit,
     /// The paper's per-method oracle ("opt").
     Opt,
+    /// The interpreter with picoJava-style stack-op folding (Section
+    /// 4.4's suggestion).
+    Folding,
+    /// The register-IR interpreter.
+    IrInterp,
+    /// The JIT translating from the register IR.
+    IrJit,
 }
 
 impl Mode {
@@ -26,6 +34,9 @@ impl Mode {
             Mode::Interp => "interp",
             Mode::Jit => "jit",
             Mode::Opt => "opt",
+            Mode::Folding => "interp-fold",
+            Mode::IrInterp => "ir-interp",
+            Mode::IrJit => "ir-jit",
         }
     }
 }
@@ -38,23 +49,18 @@ pub fn derive_oracle(program: &Program) -> OracleDecisions {
     OracleDecisions::from_profiles(&interp.profile, &jit.profile)
 }
 
-/// The VM configuration of `mode` on the stack engines (`ir` false) or
-/// the register-IR tier (`ir` true): the one mapping from a [`Mode`]
-/// to an engine, shared by recordings, count-only summaries and
+/// The VM configuration of `mode`: the one mapping from a [`Mode`] to
+/// an engine, shared by recordings, count-only summaries and
 /// [`run_mode`]. `oracle` supplies the [`Mode::Opt`] decisions and is
 /// called only for that mode.
-///
-/// # Panics
-///
-/// On `Mode::Opt` with `ir`: the opt oracle has no IR variant.
-pub fn vm_config(mode: Mode, ir: bool, oracle: impl FnOnce() -> OracleDecisions) -> VmConfig {
-    match (mode, ir) {
-        (Mode::Interp, false) => VmConfig::interpreter(),
-        (Mode::Interp, true) => VmConfig::ir_interp(),
-        (Mode::Jit, false) => VmConfig::jit(),
-        (Mode::Jit, true) => VmConfig::ir_jit(),
-        (Mode::Opt, false) => VmConfig::oracle(oracle()),
-        (Mode::Opt, true) => unreachable!("no IR variant of the opt oracle"),
+pub fn vm_config(mode: Mode, oracle: impl FnOnce() -> OracleDecisions) -> VmConfig {
+    match mode {
+        Mode::Interp => VmConfig::interpreter(),
+        Mode::Jit => VmConfig::jit(),
+        Mode::Opt => VmConfig::oracle(oracle()),
+        Mode::Folding => VmConfig::interpreter().with_folding(),
+        Mode::IrInterp => VmConfig::ir_interp(),
+        Mode::IrJit => VmConfig::ir_jit(),
     }
 }
 
@@ -65,28 +71,7 @@ pub fn vm_config(mode: Mode, ir: bool, oracle: impl FnOnce() -> OracleDecisions)
 /// Panics if the program faults — workloads are self-checking and
 /// must not fail.
 pub fn run_mode(program: &Program, mode: Mode, sink: &mut impl TraceSink) -> RunResult {
-    let cfg = vm_config(mode, false, || derive_oracle(program));
-    Vm::new(program, cfg)
-        .run(sink)
-        .expect("workload runs clean")
-}
-
-/// Runs `program` under `mode` with an explicit monitor scheme.
-///
-/// For [`Mode::Opt`] the caller should pass a pre-derived `oracle`
-/// (e.g. from [`crate::tape::oracle`]); with `None` the oracle is
-/// re-derived here at the cost of two extra profiling runs.
-pub fn run_mode_sync(
-    program: &Program,
-    mode: Mode,
-    sync: SyncKind,
-    oracle: Option<&OracleDecisions>,
-    sink: &mut impl TraceSink,
-) -> RunResult {
-    let cfg = vm_config(mode, false, || {
-        oracle.cloned().unwrap_or_else(|| derive_oracle(program))
-    })
-    .with_sync(sync);
+    let cfg = vm_config(mode, || derive_oracle(program));
     Vm::new(program, cfg)
         .run(sink)
         .expect("workload runs clean")

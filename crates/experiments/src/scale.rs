@@ -303,6 +303,7 @@ mod tests {
 
     #[test]
     fn tiny_scale_study_is_exact_at_every_worker_count() {
+        let _g = tape::test_gate();
         let study = run(Size::Tiny);
         assert_eq!(study.rows.len(), 2);
         for row in &study.rows {

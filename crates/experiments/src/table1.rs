@@ -68,12 +68,12 @@ impl Table1 {
 }
 
 fn run_one(w: &Workload) -> Table1Row {
-    // Footprints ride along on the cached recordings; no dedicated
-    // runs needed.
+    // Footprints ride along on the run summaries (the shared pass's
+    // recordings in a full report); no dedicated runs needed.
     Table1Row {
         name: w.spec.name,
-        interp: tape::recorded(w, Mode::Interp).summary.result.footprint,
-        jit: tape::recorded(w, Mode::Jit).summary.result.footprint,
+        interp: tape::summary(w, Mode::Interp).result.footprint,
+        jit: tape::summary(w, Mode::Jit).result.footprint,
     }
 }
 

@@ -74,12 +74,11 @@ impl Table2 {
     }
 }
 
-/// Table 2's view of the shared pass: one row per tape.
+/// Table 2's view of the shared pass: one row per stock tape.
 pub fn view(pass: &Pass) -> Table2 {
     Table2 {
         rows: pass
-            .tapes
-            .iter()
+            .stock()
             .map(|t| {
                 let stats = t.predictors.expect("Table 2's predictors");
                 let [two_bit, bht, gshare, gap] = stats.map(|s| s.overall_rate());

@@ -70,12 +70,11 @@ impl Table3 {
     }
 }
 
-/// Table 3's view of the shared pass: one row per tape.
+/// Table 3's view of the shared pass: one row per stock tape.
 pub fn view(pass: &Pass) -> Table3 {
     Table3 {
         rows: pass
-            .tapes
-            .iter()
+            .stock()
             .map(|t| Table3Row {
                 name: t.name,
                 mode: t.mode,

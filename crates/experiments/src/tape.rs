@@ -1,14 +1,13 @@
-//! The record-once/replay-many tape cache behind every driver.
+//! The record-once tape cache behind the report.
 //!
 //! The paper's measurement pipeline collected each benchmark's native
 //! instruction stream **once** with Shade and then fed the recorded
-//! trace to every simulator. The drivers in this crate historically
-//! re-executed the VM per consumer instead — `run_all` regenerated the
-//! same `(workload, mode)` stream up to a dozen times. This module
-//! restores the paper's architecture: a process-global cache memoizes
-//! one packed [`Tape`] (plus the recording pass's [`RunSummary`]) per
-//! `(workload, size, mode)` key, and drivers decode it
-//! ([`TapeEntry::decode`]) at memory speed.
+//! trace to every simulator. This module keeps that architecture: a
+//! process-global cache memoizes one packed [`Tape`] per
+//! `(workload, size, mode)` key, and the report's shared pass
+//! ([`crate::pass`]) records each stream it needs and decodes it
+//! ([`TapeEntry::decode`]) once per report, feeding every consumer from
+//! that decode.
 //!
 //! Concurrency: keys are looked up under a brief mutex that hands out
 //! an `Arc<OnceLock>` slot per key, and the expensive record happens
@@ -18,11 +17,10 @@
 //! any-worker-count determinism (the cache only changes *when* a
 //! stream is produced, never its contents).
 //!
-//! Assembled [`Program`]s are memoized the same way, so the eighteen
-//! drivers stop re-assembling the suite once per driver, and the
-//! Figure 1 oracle is derived once per workload from the cached
-//! interpreter/JIT profiles instead of two fresh profiling runs per
-//! call site.
+//! Assembled [`Program`]s are memoized the same way, so the drivers
+//! stop re-assembling the suite once per driver, and the Figure 1
+//! oracle is derived once per workload from the memoized interpreter
+//! and JIT summaries instead of two fresh profiling runs per call site.
 //!
 //! The tape store is bounded and tiered: cached tapes are charged
 //! against a byte budget (`JRT_TAPE_BUDGET` bytes, default 4 GiB,
@@ -37,22 +35,14 @@
 //! reproduces the stream byte-identically (a property the tests pin
 //! down).
 //!
-//! Only packed tapes are memoized, and [`TapeEntry::decode`] is the
-//! one way drivers decode them ([`decodes`] counts the calls). The
-//! report's shared pass ([`crate::pass`]) decodes each stock tape once
-//! per report, feeding every consumer from that decode; a consumer that
-//! wants structure-of-arrays blocks rides it through an
-//! [`AccessBlockSink`](jrt_trace::AccessBlockSink), holding one
-//! ~64K-event block at a time.
-//!
-//! Beside the tapes sits a count-only memo: [`summary`] returns a
-//! key's [`RunSummary`] (run result plus per-phase instruction
-//! counts). Every recording publishes its summary there, so a key that
-//! was ever recorded answers without touching the VM, the tape store
-//! or the disk tier; any other key runs the VM once straight into a
-//! [`CountingSink`], with no tape. A driver uses [`summary`] for a key
-//! when it reads only counts and no driver replays that key's stream —
-//! otherwise the count-only run would be a second VM run of the key.
+//! Beside the tapes sits the count-only memo, the one home of a run's
+//! [`RunSummary`] (run result plus per-phase instruction counts):
+//! [`summary`] returns a key's summary. Every recording publishes its
+//! summary there, so a key the pass recorded answers without touching
+//! the VM, the tape store or the disk tier; any other key runs the VM
+//! once straight into a [`CountingSink`], with no tape. Only the pass
+//! and the scale study call [`recorded`]; every other reader of a run
+//! calls [`summary`].
 
 use crate::jobs::Workload;
 use crate::runner::{self, Mode};
@@ -65,30 +55,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cache key: workload identity plus the stream-shaping knobs. The
-/// folding flag matters because a folding interpreter emits a
-/// genuinely different native stream than the stock one; the IR flag
-/// selects the register-IR tier (IR interpreter / IR-backed JIT),
-/// whose streams differ again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
-    name: &'static str,
-    size: Size,
-    mode: Mode,
-    folding: bool,
-    ir: bool,
-}
+/// Cache key: workload identity plus the mode, which names the engine
+/// and so the stream (the folding interpreter and the register-IR tier
+/// emit genuinely different streams than the stock engines).
+type Key = (&'static str, Size, Mode);
 
-impl Key {
-    fn new(w: &Workload, mode: Mode, folding: bool, ir: bool) -> Key {
-        Key {
-            name: w.spec.name,
-            size: w.size,
-            mode,
-            folding,
-            ir,
-        }
-    }
+fn key(w: &Workload, mode: Mode) -> Key {
+    (w.spec.name, w.size, mode)
 }
 
 /// What one run yields besides its stream: all that a driver reading
@@ -101,13 +74,12 @@ pub struct RunSummary {
     pub counts: CountingSink,
 }
 
-/// Everything one recording pass produces, shared immutably.
+/// One recording, shared immutably; its run's summary lives in the
+/// [`summary`] memo.
 #[derive(Debug)]
 pub struct TapeEntry {
     /// The packed native-instruction stream.
     pub tape: Tape,
-    /// The recording pass's summary, shared with the [`summary`] memo.
-    pub summary: Arc<RunSummary>,
 }
 
 /// Tape-store entries decoded so far.
@@ -154,26 +126,23 @@ pub fn workload(spec: &Spec, size: Size) -> Workload {
 }
 
 /// Returns the memoized oracle for a workload, derived once from the
-/// cached interpreter and JIT profiles (no extra profiling runs).
+/// memoized interpreter and JIT profiles (no extra profiling runs).
 pub fn oracle(w: &Workload) -> Arc<OracleDecisions> {
     static ORACLES: Memo<(&'static str, Size), Arc<OracleDecisions>> = OnceLock::new();
     slot_of(&ORACLES, (w.spec.name, w.size))
         .get_or_init(|| {
-            let interp = recorded(w, Mode::Interp);
-            let jit = recorded(w, Mode::Jit);
             Arc::new(OracleDecisions::from_profiles(
-                &interp.summary.result.profile,
-                &jit.summary.result.profile,
+                &summary(w, Mode::Interp).result.profile,
+                &summary(w, Mode::Jit).result.profile,
             ))
         })
         .clone()
 }
 
-/// Runs `w` under the engine `key` names, streaming into `sink`, and
-/// checks the workload's checksum.
-fn run(w: &Workload, key: Key, sink: &mut impl TraceSink) -> RunResult {
-    let cfg = runner::vm_config(key.mode, key.ir, || oracle(w).as_ref().clone());
-    let cfg = if key.folding { cfg.with_folding() } else { cfg };
+/// Runs `w` under `mode`'s engine, streaming into `sink`, and checks
+/// the workload's checksum.
+fn run(w: &Workload, mode: Mode, sink: &mut impl TraceSink) -> RunResult {
+    let cfg = runner::vm_config(mode, || oracle(w).as_ref().clone());
     let result = Vm::new(&w.program, cfg)
         .run(sink)
         .expect("workload runs clean");
@@ -188,19 +157,16 @@ static SUMMARIES: Memo<Key, Arc<RunSummary>> = OnceLock::new();
 /// VM recording passes so far.
 static RECORDINGS: AtomicU64 = AtomicU64::new(0);
 
-fn record(w: &Workload, key: Key) -> Arc<TapeEntry> {
+fn record(w: &Workload, mode: Mode) -> Arc<TapeEntry> {
     RECORDINGS.fetch_add(1, Ordering::Relaxed);
     let mut sinks = (TapeRecorder::new(), CountingSink::new());
-    let result = run(w, key, &mut sinks);
+    let result = run(w, mode, &mut sinks);
     let (rec, counts) = sinks;
     // Publish the summary; a key recorded again (or summarized first)
     // keeps the first one, which is equal.
-    let summary = slot_of(&SUMMARIES, key)
-        .get_or_init(|| Arc::new(RunSummary { result, counts }))
-        .clone();
+    slot_of(&SUMMARIES, key(w, mode)).get_or_init(|| Arc::new(RunSummary { result, counts }));
     Arc::new(TapeEntry {
         tape: rec.into_tape(),
-        summary,
     })
 }
 
@@ -269,7 +235,8 @@ fn tape_store() -> &'static Mutex<Store> {
 }
 
 /// Flat per-entry charge for everything around the packed tape (the
-/// run result, profile, counting snapshot, map slot).
+/// map slot, and the run result, profile and counting snapshot its
+/// recording published to the summary memo).
 const ENTRY_OVERHEAD_BYTES: u64 = 4096;
 
 /// Default tape-store byte budget: 4 GiB.
@@ -325,15 +292,14 @@ fn enforce_budget(budget: u64, keep: Option<Key>) {
     }
 }
 
-/// One demoted entry: the on-disk tape plus the summary that
-/// promotion must restore (tiny next to the tape bytes).
+/// One demoted entry: the on-disk tape. Its run's summary stays in the
+/// summary memo, so promotion restores the tape alone.
 #[derive(Debug, Clone)]
 struct DiskEntry {
     disk: DiskTape,
     /// Logical-content fingerprint taken at demotion; promotion
     /// re-derives it from what it read back and refuses a mismatch.
     expect: u64,
-    summary: Arc<RunSummary>,
 }
 
 fn disk_map() -> &'static Mutex<HashMap<Key, DiskEntry>> {
@@ -437,11 +403,8 @@ pub fn remove_spill_dir() {
     }
 }
 
-fn spill_file(key: Key) -> String {
-    format!(
-        "{}-{:?}-{:?}-fold{}-ir{}.tape",
-        key.name, key.size, key.mode, key.folding as u8, key.ir as u8
-    )
+fn spill_file((name, size, mode): Key) -> String {
+    format!("{name}-{size:?}-{mode:?}.tape")
 }
 
 /// Writes an evicted entry to the disk tier. Holding the disk-map
@@ -460,7 +423,6 @@ fn demote(key: Key, e: &TapeEntry) {
                 DiskEntry {
                     disk,
                     expect: jrt_trace::store::fingerprint(e.tape.len(), e.tape.segments()),
-                    summary: e.summary.clone(),
                 },
             );
         }
@@ -495,10 +457,7 @@ fn promote(key: Key) -> Option<Arc<TapeEntry>> {
     match read {
         Ok(tape) => {
             DISK_PROMOTIONS.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::new(TapeEntry {
-                tape,
-                summary: entry.summary,
-            }))
+            Some(Arc::new(TapeEntry { tape }))
         }
         Err(err) => {
             DISK_FALLBACKS.fetch_add(1, Ordering::Relaxed);
@@ -512,63 +471,47 @@ fn promote(key: Key) -> Option<Arc<TapeEntry>> {
     }
 }
 
-fn entry(w: &Workload, mode: Mode, folding: bool, ir: bool) -> Arc<TapeEntry> {
-    let key = Key::new(w, mode, folding, ir);
+/// Returns the cached recording of `w` under `mode`, recording it on
+/// first use. The entry is shared (`Arc`) across all callers. The
+/// report's shared pass, which decodes it, and the scale study, which
+/// tiles it, are its only readers.
+pub fn recorded(w: &Workload, mode: Mode) -> Arc<TapeEntry> {
+    let key = key(w, mode);
     let slot = tape_store().lock().expect("tape cache poisoned").slot(key);
     // The promote/record happens outside the store lock (other keys
     // proceed in parallel); the budget check runs after, so a giant
     // fresh tape can push out colder ones but is itself protected.
     let e = slot
-        .get_or_init(|| promote(key).unwrap_or_else(|| record(w, key)))
+        .get_or_init(|| promote(key).unwrap_or_else(|| record(w, mode)))
         .clone();
     enforce_budget(budget_bytes(), Some(key));
     e
 }
 
-/// Returns the cached recording of `w` under `mode`, recording it on
-/// first use. The entry is shared (`Arc`) across all callers.
-pub fn recorded(w: &Workload, mode: Mode) -> Arc<TapeEntry> {
-    entry(w, mode, false, false)
-}
-
-/// Like [`recorded`], but for the folding interpreter variant
-/// (Section 4.4's picoJava-style stack-op folding), whose native
-/// stream differs from the stock interpreter's.
-pub fn recorded_folding(w: &Workload) -> Arc<TapeEntry> {
-    entry(w, Mode::Interp, true, false)
-}
-
-/// Like [`recorded`], but for the register-IR tier: `Mode::Interp`
-/// records the IR interpreter, `Mode::Jit` the IR-backed JIT. Both
-/// emit genuinely different native streams than their stack-engine
-/// counterparts.
-pub fn recorded_ir(w: &Workload, mode: Mode) -> Arc<TapeEntry> {
-    entry(w, mode, false, true)
-}
-
-fn summary_of(w: &Workload, key: Key) -> Arc<RunSummary> {
-    slot_of(&SUMMARIES, key)
+/// Returns the memoized [`RunSummary`] of `w` under `mode`. A key that
+/// was ever recorded answers from its recording; otherwise the first
+/// call runs the VM once into a [`CountingSink`] alone and records no
+/// tape. A key the pass will record must not be summarized before it
+/// runs, or the key runs twice.
+pub fn summary(w: &Workload, mode: Mode) -> Arc<RunSummary> {
+    slot_of(&SUMMARIES, key(w, mode))
         .get_or_init(|| {
             let mut counts = CountingSink::new();
-            let result = run(w, key, &mut counts);
+            let result = run(w, mode, &mut counts);
             Arc::new(RunSummary { result, counts })
         })
         .clone()
 }
 
-/// Returns the memoized [`RunSummary`] of `w` under `mode` without
-/// recording a tape. A key that was ever recorded answers from its
-/// recording; otherwise the first call runs the VM once into a
-/// [`CountingSink`] alone. For keys some driver replays, call
-/// [`recorded`] instead, or the key runs twice.
-pub fn summary(w: &Workload, mode: Mode) -> Arc<RunSummary> {
-    summary_of(w, Key::new(w, mode, false, false))
-}
-
-/// Like [`summary`], but for the register-IR tier (see
-/// [`recorded_ir`]).
-pub fn summary_ir(w: &Workload, mode: Mode) -> Arc<RunSummary> {
-    summary_of(w, Key::new(w, mode, false, true))
+/// Serializes the unit tests that record hello's tapes or use the spill
+/// directory: sharing asserts an entry stays, eviction drops them all
+/// to disk, a damaged spill must not be promoted by another test first,
+/// and the scale study writes its tiled tapes into the directory the
+/// demoting tests tidy away.
+#[cfg(test)]
+pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -583,30 +526,32 @@ mod tests {
         workload(&spec, Size::Tiny)
     }
 
-    /// Serializes the tests that depend on the tape store's contents
-    /// (sharing asserts an entry stays; eviction drops them all).
-    fn store_lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().expect("test gate poisoned")
+    /// Deletes every demoted tape and forgets it, then the spill
+    /// directory if that empties it. A zero budget demotes every tape
+    /// this test binary holds, not just hello's, so a demoting test
+    /// calls this before it releases the gate.
+    fn remove_spills() {
+        for (_, e) in disk_map().lock().expect("disk tier poisoned").drain() {
+            e.disk.remove().expect("remove a demoted tape");
+        }
+        tidy_spill_dir();
     }
 
     #[test]
     fn recorded_entry_is_shared() {
-        let _g = store_lock();
+        let _g = test_gate();
         let w = hello_workload();
         let a = recorded(&w, Mode::Interp);
         let b = recorded(&w, Mode::Interp);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one entry");
-        assert_eq!(a.summary.counts.total(), a.tape.len());
-        assert_eq!(
-            a.summary.result.exit_value,
-            Some(hello::expected(Size::Tiny))
-        );
+        let s = summary(&w, Mode::Interp);
+        assert_eq!(s.counts.total(), a.tape.len());
+        assert_eq!(s.result.exit_value, Some(hello::expected(Size::Tiny)));
     }
 
     #[test]
     fn eviction_then_rerecord_replays_identically() {
-        let _g = store_lock();
+        let _g = test_gate();
         let w = hello_workload();
         let a = recorded(&w, Mode::Interp);
         let mut before = RecordingSink::new();
@@ -614,6 +559,7 @@ mod tests {
 
         // A zero budget evicts every initialized entry.
         enforce_budget(0, None);
+        remove_spills();
         let b = recorded(&w, Mode::Interp);
         assert!(
             !Arc::ptr_eq(&a, &b),
@@ -626,23 +572,24 @@ mod tests {
             before.events, after.events,
             "re-recording after eviction must reproduce the stream byte-for-byte"
         );
-        assert_eq!(a.summary.result.exit_value, b.summary.result.exit_value);
     }
 
     #[test]
     fn budget_keeps_the_entry_just_requested() {
-        let _g = store_lock();
+        let _g = test_gate();
         let w = hello_workload();
-        let key = Key::new(&w, Mode::Interp, false, false);
+        let key = key(&w, Mode::Interp);
         let _e = recorded(&w, Mode::Interp);
         // Even an impossible budget spares the protected key.
         enforce_budget(0, Some(key));
+        remove_spills();
         let st = tape_store().lock().expect("tape cache poisoned");
         assert!(st.map.contains_key(&key));
     }
 
     #[test]
     fn decode_matches_direct_run() {
+        let _g = test_gate();
         let w = hello_workload();
         let mut direct = RecordingSink::new();
         let r = crate::runner::run_mode(&w.program, Mode::Jit, &mut direct);
@@ -654,27 +601,43 @@ mod tests {
         e.decode(&mut replayed);
         assert!(decodes() > decodes_0, "the decode must be counted");
         assert_eq!(replayed.events, direct.events);
-        assert_eq!(e.summary.result.exit_value, r.exit_value);
-        assert_eq!(e.summary.counts.total(), direct.events.len() as u64);
+        let s = summary(&w, Mode::Jit);
+        assert_eq!(s.result.exit_value, r.exit_value);
+        assert_eq!(s.counts.total(), direct.events.len() as u64);
     }
 
     #[test]
     fn summary_reuses_the_recording_wherever_its_tape_lives() {
-        let _g = store_lock();
+        let _g = test_gate();
         let w = hello_workload();
-        let e = recorded(&w, Mode::Jit);
-        assert!(Arc::ptr_eq(&summary(&w, Mode::Jit), &e.summary));
+        // No other test touches this key, so no count-only run fills
+        // its summary first.
+        let k = key(&w, Mode::IrInterp);
+        assert!(slot_of(&SUMMARIES, k).get().is_none(), "key must be fresh");
+        let e = recorded(&w, Mode::IrInterp);
+        let published = slot_of(&SUMMARIES, k)
+            .get()
+            .expect("a recording publishes its summary")
+            .clone();
+        let s = summary(&w, Mode::IrInterp);
+        assert!(
+            Arc::ptr_eq(&s, &published),
+            "the summary must be the recording's"
+        );
+        assert_eq!(s.counts.total(), e.tape.len());
         // Demoted to disk (or dropped), the tape need not come back.
         enforce_budget(0, None);
-        assert!(Arc::ptr_eq(&summary(&w, Mode::Jit), &e.summary));
+        remove_spills();
+        assert!(Arc::ptr_eq(&summary(&w, Mode::IrInterp), &s));
     }
 
     #[test]
     fn folding_tape_differs_from_stock_interp() {
+        let _g = test_gate();
         let w = hello_workload();
         let stock = recorded(&w, Mode::Interp);
-        let folded = recorded_folding(&w);
-        assert!(folded.summary.counts.total() < stock.summary.counts.total());
+        let folded = recorded(&w, Mode::Folding);
+        assert!(folded.tape.len() < stock.tape.len());
     }
 
     #[test]
@@ -698,9 +661,9 @@ mod tests {
 
     #[test]
     fn eviction_demotes_to_disk_and_promotes_back() {
-        let _g = store_lock();
+        let _g = test_gate();
         let w = hello_workload();
-        let key = Key::new(&w, Mode::Interp, false, false);
+        let key = key(&w, Mode::Interp);
         let a = recorded(&w, Mode::Interp);
         let mut before = RecordingSink::new();
         a.decode(&mut before);
@@ -718,38 +681,37 @@ mod tests {
         );
 
         let b = recorded(&w, Mode::Interp);
+        remove_spills();
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(disk_promotions() > promotions_0, "reload must promote");
         let mut after = RecordingSink::new();
         b.decode(&mut after);
         assert_eq!(before.events, after.events);
-        assert_eq!(a.summary.result.exit_value, b.summary.result.exit_value);
-        assert_eq!(a.summary.counts, b.summary.counts);
     }
 
     #[test]
     fn corrupt_spill_falls_back_to_rerecord() {
-        let _g = store_lock();
+        let _g = test_gate();
         let w = hello_workload();
-        let key = Key::new(&w, Mode::Jit, false, false);
+        let key = key(&w, Mode::Jit);
         let a = recorded(&w, Mode::Jit);
         let mut before = RecordingSink::new();
         a.decode(&mut before);
         enforce_budget(0, None);
 
         // Damage the spilled payload.
-        let path = disk_map()
+        let spilled = disk_map()
             .lock()
             .expect("disk tier poisoned")
             .get(&key)
             .expect("entry spilled")
             .disk
-            .path()
-            .to_path_buf();
-        let mut bytes = std::fs::read(&path).unwrap();
+            .clone();
+        let path = spilled.path();
+        let mut bytes = std::fs::read(path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(path, &bytes).unwrap();
 
         let fallbacks_0 = disk_fallbacks();
         let b = recorded(&w, Mode::Jit);
@@ -761,6 +723,9 @@ mod tests {
                 .contains_key(&key),
             "damaged spill entry must be forgotten"
         );
+        // Forgotten, the damaged file is no longer the store's to delete.
+        spilled.remove().expect("remove the damaged spill");
+        remove_spills();
         let mut after = RecordingSink::new();
         b.decode(&mut after);
         assert_eq!(
@@ -783,10 +748,7 @@ mod tests {
         let o1 = oracle(&w);
         let o2 = oracle(&w);
         assert!(Arc::ptr_eq(&o1, &o2));
-        let opt = recorded(&w, Mode::Opt);
-        assert_eq!(
-            opt.summary.result.exit_value,
-            Some(hello::expected(Size::Tiny))
-        );
+        let opt = summary(&w, Mode::Opt);
+        assert_eq!(opt.result.exit_value, Some(hello::expected(Size::Tiny)));
     }
 }

@@ -30,7 +30,6 @@ fn run(args: &[&str], env: (&str, &Path)) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args(args)
         .env_remove("JRT_TAPE_DIR")
-        .env_remove("JRT_FILTER")
         .env(env.0, env.1)
         .output()
         .expect("spawn run_all");

@@ -374,10 +374,23 @@ mod tests {
     use crate::inst::{NativeInst, Phase};
     use crate::sink::{CountingSink, RecordingSink};
 
-    fn tmp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("jrt-store-test-{}", std::process::id()));
+    /// Removes its directory, with everything in it, when dropped.
+    struct TmpDir(PathBuf);
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A path named `name` in a directory of its own under the temp
+    /// dir, and the guard that removes that directory.
+    fn tmp_path(name: &str) -> (TmpDir, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("jrt-store-test-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let path = dir.join(name);
+        (TmpDir(dir), path)
     }
 
     fn sample_tape() -> Tape {
@@ -401,7 +414,7 @@ mod tests {
     #[test]
     fn write_open_replay_round_trips() {
         let tape = sample_tape();
-        let path = tmp_path("roundtrip.tape");
+        let (_dir, path) = tmp_path("roundtrip.tape");
         let written = DiskTape::write(&path, &tape).unwrap();
         assert_eq!(written.len(), tape.len());
         assert_eq!(
@@ -427,7 +440,7 @@ mod tests {
     #[test]
     fn corrupt_segment_is_detected_not_decoded() {
         let tape = sample_tape();
-        let path = tmp_path("corrupt.tape");
+        let (_dir, path) = tmp_path("corrupt.tape");
         DiskTape::write(&path, &tape).unwrap();
 
         // Flip one payload byte in the second segment.
@@ -451,7 +464,7 @@ mod tests {
     #[test]
     fn truncated_index_is_rejected() {
         let tape = sample_tape();
-        let path = tmp_path("truncidx.tape");
+        let (_dir, path) = tmp_path("truncidx.tape");
         DiskTape::write(&path, &tape).unwrap();
         let idx_path = index_path(&path);
         let idx = std::fs::read(&idx_path).unwrap();
@@ -462,7 +475,7 @@ mod tests {
     #[test]
     fn truncated_data_is_rejected_at_open() {
         let tape = sample_tape();
-        let path = tmp_path("truncdata.tape");
+        let (_dir, path) = tmp_path("truncdata.tape");
         DiskTape::write(&path, &tape).unwrap();
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() / 2]).unwrap();
@@ -471,7 +484,7 @@ mod tests {
 
     #[test]
     fn missing_files_surface_as_io() {
-        let path = tmp_path("missing.tape");
+        let (_dir, path) = tmp_path("missing.tape");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(index_path(&path));
         assert!(matches!(DiskTape::open(&path), Err(StoreError::Io(_))));
@@ -480,7 +493,7 @@ mod tests {
     #[test]
     fn disk_replay_stream_matches_ram() {
         let tape = sample_tape();
-        let path = tmp_path("stream.tape");
+        let (_dir, path) = tmp_path("stream.tape");
         let disk = DiskTape::write(&path, &tape).unwrap();
 
         let mut ram_pcs = Vec::new();
@@ -504,7 +517,7 @@ mod tests {
             }
         });
         let tiled = base.tiled(3, 1 << 20);
-        let path = tmp_path("tiled.tape");
+        let (_dir, path) = tmp_path("tiled.tape");
         let disk = DiskTape::write(&path, &tiled).unwrap();
         // Tiling shares bytes in RAM but the disk layout is one run
         // per tile.

@@ -1,9 +1,11 @@
-//! Decode and recording counts of a tiny report. One pass over the
-//! stock tapes feeds every section that reads them, so a `run_all`
-//! decodes each tape-store entry once: the 14 stock tapes, plus the 7
-//! folding and 7 IR-interpreter tapes only their own sections read.
-//! The counters (`tape::decodes`, `tape::recordings`) are process-global,
-//! so this test has a binary of its own.
+//! Decode and recording counts of a tiny report. The shared pass is
+//! the only code that records or decodes a report stream, and it
+//! decodes each once: the 14 stock tapes, plus the 7 folding and 7
+//! IR-interpreter tapes. Every other reader takes run summaries, so
+//! Table 1 alone records and decodes nothing, and `hello`, which only
+//! Figure 1 reads, runs count-only. The counters (`tape::decodes`,
+//! `tape::recordings`) are process-global, so this test has a binary
+//! of its own.
 
 use javart::experiments::{jobs, report, tape};
 use javart::workloads::Size;
@@ -15,8 +17,12 @@ fn run_all_decodes_each_tape_once_per_pass_and_leaves_tmpdir_empty() {
     // Before anything reads it: the tape spill directory goes here.
     std::env::set_var("TMPDIR", &tmp);
     jobs::set_jobs(2);
+    let counts = || (tape::decodes(), tape::recordings());
+    let before = counts();
+    report::run_filtered(Size::Tiny, Some("table1"), None);
+    assert_eq!(counts(), before, "table1 alone: (decodes, recordings)");
     // The cold pass records every tape; the warm one finds them all.
-    for (pass, recorded) in [("cold", 30), ("warm", 0)] {
+    for (pass, recorded) in [("cold", 28), ("warm", 0)] {
         let (decodes, recordings) = (tape::decodes(), tape::recordings());
         report::run_all(Size::Tiny);
         assert_eq!(tape::decodes() - decodes, 28, "{pass} pass: tapes decoded");

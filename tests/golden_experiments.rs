@@ -8,9 +8,10 @@
 //! reports are bit-identical at any worker count). The report must
 //! also pass the checks `run_all` exits 1 on, and its GC rows must
 //! show real collector work: a golden full of zeros would pin nothing.
-//! Each section that reads the shared pass over the stock tapes, run
-//! alone — the pass then feeds only that section's consumers — must
-//! reproduce its golden section.
+//! Each section that reads the shared pass, run alone — the pass then
+//! feeds only that section's consumers — must reproduce its golden
+//! section, as must Figures 1 and 11 and Table 1, whose run summaries
+//! are then count-only runs rather than the pass's recordings.
 
 use javart::experiments::report::{self, Report};
 use javart::experiments::{gc_study, jobs};
@@ -87,9 +88,11 @@ fn check_fails_on_a_broken_section(clean: &Report) {
     );
 }
 
-/// The sections that read the shared pass, with the start of their
-/// golden headings. `tests/golden_codecache.rs` pins codecache alone.
-const PASS_SECTIONS: [(&str, &str); 14] = [
+/// The sections checked alone, with the start of their golden
+/// headings. `tests/golden_codecache.rs` pins codecache alone.
+const ALONE_SECTIONS: [(&str, &str); 17] = [
+    ("fig1", "## Figure 1 "),
+    ("table1", "## Table 1 "),
     ("fig2", "## Figure 2 "),
     ("table2", "## Table 2 — "),
     ("table3", "## Table 3 "),
@@ -100,21 +103,33 @@ const PASS_SECTIONS: [(&str, &str); 14] = [
     ("fig7", "## Figure 7 "),
     ("fig8", "## Figure 8 "),
     ("fig9", "## Figures 9 & 10 "),
+    ("fig11", "## Figure 11 "),
     ("indirect", "## Table 2 recommendation "),
     ("folding", "## Section 4.4 suggestion "),
     ("proposal", "## Section 6 proposal "),
     ("regir", "## Register-IR tier "),
 ];
 
+/// The golden's section `name`, one of [`ALONE_SECTIONS`].
+fn golden_section(name: &str) -> &'static str {
+    let (_, heading) = ALONE_SECTIONS.iter().find(|(s, _)| *s == name).expect(name);
+    let start = GOLDEN.find(heading).expect(heading);
+    let end = GOLDEN[start..]
+        .find("\n## ")
+        .map_or(GOLDEN.len(), |k| start + k + 1);
+    &GOLDEN[start..end]
+}
+
 #[test]
 fn cache_sections_alone_match_their_golden_sections() {
     let header = &GOLDEN[..=GOLDEN.find("\n## ").expect("a section heading")];
-    for (section, heading) in PASS_SECTIONS {
-        let start = GOLDEN.find(heading).expect(heading);
-        let end = GOLDEN[start..]
-            .find("\n## ")
-            .map_or(GOLDEN.len(), |k| start + k + 1);
-        let want = format!("{header}{}", &GOLDEN[start..end]);
+    for (section, _) in ALONE_SECTIONS {
+        // The filter matches by substring: `fig1` also runs `fig11`.
+        let want: String = report::matching_sections(section)
+            .into_iter()
+            .map(golden_section)
+            .collect();
+        let want = format!("{header}{want}");
         let md = report::run_filtered(Size::Tiny, Some(section), None).to_markdown();
         assert!(
             md == want,

@@ -351,7 +351,10 @@ fn ilp_tapes() -> Vec<(String, Arc<TapeEntry>)> {
             tape::recorded(&w, Mode::Interp),
         ));
         tapes.push((format!("{} jit", spec.name), tape::recorded(&w, Mode::Jit)));
-        tapes.push((format!("{} folding", spec.name), tape::recorded_folding(&w)));
+        tapes.push((
+            format!("{} folding", spec.name),
+            tape::recorded(&w, Mode::Folding),
+        ));
     }
     tapes
 }

@@ -84,11 +84,7 @@ fn tape_reproduces_vm_event_stream_for_every_workload_and_mode() {
                 VmConfig::interpreter(),
             ),
             ("jit", tape::summary(&w, Mode::Jit), VmConfig::jit()),
-            (
-                "ir-jit",
-                tape::summary_ir(&w, Mode::Jit),
-                VmConfig::ir_jit(),
-            ),
+            ("ir-jit", tape::summary(&w, Mode::IrJit), VmConfig::ir_jit()),
         ] {
             let mut counts = CountingSink::new();
             let r = Vm::new(&w.program, cfg).run(&mut counts).unwrap();
