@@ -30,8 +30,7 @@ use jrt_ilp::{PipelineConfig, PipelineSweep};
 use jrt_sync::{FatLockEngine, OneBitLockEngine, SyncEngine, ThinLockEngine};
 use jrt_testkit::bench::Harness;
 use jrt_trace::{
-    AccessBlocks, CountingSink, DiskTape, InstMix, NativeInst, Phase, RecordingSink, Tape,
-    TraceSink,
+    CountingSink, DiskTape, InstMix, NativeInst, Phase, RecordingSink, Tape, TraceSink,
 };
 use jrt_vm::{CodeCacheConfig, EvictionPolicy, GcConfig, Vm, VmConfig};
 use jrt_workloads::{churn, db, jess, Size};
@@ -206,33 +205,33 @@ pub fn bench_simulators(h: &mut Harness) {
     });
 
     // Streamed replay from the on-disk segment store: the out-of-core
-    // path every spilled tape pays — decode straight from disk into
-    // 64K-event blocks, nothing materialized. Compare
+    // path every spilled tape pays — read and decode one segment at a
+    // time straight into the sink, nothing materialized. Compare
     // tape/replay_counting for the in-RAM cost of the same stream.
     let spill_dir = std::env::temp_dir().join(format!("jrt-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&spill_dir).expect("bench spill dir");
     let disk = DiskTape::write(&spill_dir.join("db-tiny.tape"), &tape).expect("persist bench tape");
     h.bench("consumer/stream_replay", || {
-        let mut events = 0u64;
-        disk.replay_stream(|b| events += b.len() as u64)
-            .expect("streamed replay");
-        events
+        let mut c = CountingSink::new();
+        disk.replay(&mut c).expect("streamed replay");
+        c.total()
     });
     disk.remove().expect("remove bench tape");
     std::fs::remove_dir(&spill_dir).expect("remove bench spill dir");
 
-    // The one-pass stack-distance sweep over the decoded blocks: the
-    // per-pass cost the Figure 7 port pays for all four
-    // associativities at once (compare consumer/split_caches, which
-    // simulates a single configuration from raw events).
-    let blocks = AccessBlocks::from_tape(&tape);
+    // The one-pass stack-distance sweep over the same events: the
+    // per-event cost the report's pass pays for Figure 7's four
+    // associativities at once, classification included (compare
+    // consumer/split_caches, which simulates a single configuration).
     let sweep_points: Vec<CacheConfig> = [1, 2, 4, 8]
         .iter()
         .map(|&a| CacheConfig::paper_assoc_sweep(a))
         .collect();
     h.bench("consumer/cache_sweep", || {
         let mut s = SplitSweep::new(&sweep_points, &sweep_points);
-        s.consume(&blocks);
+        for e in &events {
+            s.accept(e);
+        }
         s.dcache().results()[0].stats().misses()
     });
 

@@ -55,10 +55,7 @@
 
 use crate::config::CacheConfig;
 use crate::sim::CacheStats;
-use jrt_trace::blocks::{KIND_NONE, KIND_WRITE, REGION_NONE};
-use jrt_trace::{
-    AccessBlock, AccessBlocks, AccessKind, Addr, IdHashSet, NativeInst, Phase, Region, TraceSink,
-};
+use jrt_trace::{AccessKind, Addr, IdHashSet, NativeInst, Phase, Region, TraceSink};
 
 /// Attribution slices: translate, rest (everything else), one per
 /// region, then the two collector slices ([`Phase::Gc`] evacuation and
@@ -482,17 +479,6 @@ impl SweepShard {
         let is_write = usize::from(kind == AccessKind::Write);
         let phase_slice = phase_slice_of(phase);
         let region_slice = Region::classify(addr).map(|r| SLICE_REGION0 + r as usize);
-        self.access_classified(addr, is_write, phase_slice, region_slice);
-    }
-
-    #[inline]
-    fn access_classified(
-        &mut self,
-        addr: Addr,
-        is_write: usize,
-        phase_slice: usize,
-        region_slice: Option<usize>,
-    ) {
         for f in &mut self.families {
             f.access(addr, is_write, phase_slice, region_slice);
         }
@@ -568,19 +554,6 @@ impl CacheSweep {
         let is_write = usize::from(kind == AccessKind::Write);
         let phase_slice = phase_slice_of(phase);
         let region_slice = Region::classify(addr).map(|r| SLICE_REGION0 + r as usize);
-        self.access_classified(addr, is_write, phase_slice, region_slice);
-    }
-
-    /// The pre-classified fast path: the decoded-block consumer reads
-    /// the slice indices straight off the memoized arrays.
-    #[inline]
-    fn access_classified(
-        &mut self,
-        addr: Addr,
-        is_write: usize,
-        phase_slice: usize,
-        region_slice: Option<usize>,
-    ) {
         for f in &mut self.families {
             f.access(addr, is_write, phase_slice, region_slice);
         }
@@ -676,8 +649,8 @@ impl CacheSweep {
 /// An L1 I-cache + D-cache sweep pair: the one-pass counterpart of
 /// [`SplitCaches`](crate::SplitCaches). Every event fetches its `pc`
 /// through the instruction sweep; loads and stores additionally drive
-/// the data sweep. Consumes decoded [`AccessBlocks`] on the fast path
-/// and implements [`TraceSink`] for event-level use.
+/// the data sweep. A [`TraceSink`]: feed it by replaying a tape or
+/// running a VM into it.
 #[derive(Debug, Clone)]
 pub struct SplitSweep {
     icache: CacheSweep,
@@ -691,22 +664,6 @@ impl SplitSweep {
             icache: CacheSweep::new(ipoints),
             dcache: CacheSweep::new(dpoints),
         }
-    }
-
-    /// Drives the whole decoded stream through both sweeps.
-    pub fn consume(&mut self, blocks: &AccessBlocks) {
-        for b in blocks.blocks() {
-            self.consume_block(b);
-        }
-    }
-
-    /// Drives one decoded block through both sweeps — the streaming
-    /// unit: out-of-core replay hands blocks here one at a time.
-    /// Region classification comes straight off the block's memoized
-    /// region bytes and the translate test off a hoisted per-phase
-    /// table, so the per-event work is just the stack touches.
-    pub fn consume_block(&mut self, block: &AccessBlock) {
-        consume_block_into(&mut self.icache, &mut self.dcache, block);
     }
 
     /// Creates an empty shard pair with this sweep's geometry.
@@ -735,77 +692,10 @@ impl SplitSweep {
     }
 }
 
-/// The shared block-row walk behind [`SplitSweep::consume_block`] and
-/// [`SplitSweepShard::consume_block`]: every event fetches its pc
-/// through `icache`, data accesses additionally drive `dcache`.
-fn consume_block_into<S: ClassifiedAccess>(icache: &mut S, dcache: &mut S, b: &AccessBlock) {
-    let phase_slices: [usize; Phase::ALL.len()] =
-        std::array::from_fn(|k| phase_slice_of(Phase::ALL[k]));
-    let slice_of =
-        |region: u8| (region != REGION_NONE).then(|| SLICE_REGION0 + usize::from(region));
-    let rows =
-        b.pc.iter()
-            .zip(&b.phase)
-            .zip(&b.pc_region)
-            .zip(&b.kind)
-            .zip(&b.addr)
-            .zip(&b.addr_region);
-    for (((((&pc, &phase), &pc_region), &kind), &addr), &addr_region) in rows {
-        let phase_slice = phase_slices[usize::from(phase)];
-        icache.classified(pc, 0, phase_slice, slice_of(pc_region));
-        if kind != KIND_NONE {
-            dcache.classified(
-                addr,
-                usize::from(kind == KIND_WRITE),
-                phase_slice,
-                slice_of(addr_region),
-            );
-        }
-    }
-}
-
-/// Internal dispatch letting the block walk drive either the serial
-/// sweep or a shard.
-trait ClassifiedAccess {
-    fn classified(
-        &mut self,
-        addr: Addr,
-        is_write: usize,
-        phase_slice: usize,
-        region_slice: Option<usize>,
-    );
-}
-
-impl ClassifiedAccess for CacheSweep {
-    #[inline]
-    fn classified(
-        &mut self,
-        addr: Addr,
-        is_write: usize,
-        phase_slice: usize,
-        region_slice: Option<usize>,
-    ) {
-        self.access_classified(addr, is_write, phase_slice, region_slice);
-    }
-}
-
-impl ClassifiedAccess for SweepShard {
-    #[inline]
-    fn classified(
-        &mut self,
-        addr: Addr,
-        is_write: usize,
-        phase_slice: usize,
-        region_slice: Option<usize>,
-    ) {
-        self.access_classified(addr, is_write, phase_slice, region_slice);
-    }
-}
-
 /// Shard state for a [`SplitSweep`]: an instruction-side and a
 /// data-side [`SweepShard`]. Stream a contiguous run of the trace in
-/// (via [`TraceSink`] or [`SplitSweepShard::consume_block`]), then
-/// hand it to [`SplitSweep::absorb`] in trace order.
+/// through [`TraceSink`], then hand it to [`SplitSweep::absorb`] in
+/// trace order.
 #[derive(Debug, Clone)]
 pub struct SplitSweepShard {
     icache: SweepShard,
@@ -813,11 +703,6 @@ pub struct SplitSweepShard {
 }
 
 impl SplitSweepShard {
-    /// Drives one decoded block through both shard sweeps.
-    pub fn consume_block(&mut self, block: &AccessBlock) {
-        consume_block_into(&mut self.icache, &mut self.dcache, block);
-    }
-
     /// Accesses deferred to reconciliation (first in-shard line
     /// touches), across both sides.
     pub fn cold_accesses(&self) -> u64 {
@@ -993,38 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn consume_blocks_equals_accept_events() {
-        use jrt_trace::Tape;
-        let tape = Tape::record(|rec| {
-            for k in 0..500u64 {
-                rec.accept(&NativeInst::load(
-                    0x1_0000 + (k % 7) * 4,
-                    jrt_trace::layout::HEAP_BASE + (k % 97) * 24,
-                    4,
-                    if k % 5 == 0 {
-                        Phase::Translate
-                    } else {
-                        Phase::InterpHandler
-                    },
-                ));
-            }
-        });
-        let points = [CacheConfig::paper_l1_data()];
-        let mut via_blocks = SplitSweep::new(&points, &points);
-        via_blocks.consume(&AccessBlocks::from_tape(&tape));
-        let mut via_events = SplitSweep::new(&points, &points);
-        tape.replay(&mut via_events);
-        assert_eq!(
-            via_blocks.dcache().results()[0].stats(),
-            via_events.dcache().results()[0].stats()
-        );
-        assert_eq!(
-            via_blocks.icache().results()[0].translate_stats(),
-            via_events.icache().results()[0].translate_stats()
-        );
-    }
-
-    #[test]
     fn mixed_line_sizes_match_per_config_caches() {
         // The Figure 8 family in a single sweep: four line sizes, each
         // its own family with its own compulsory accounting.
@@ -1183,28 +1036,31 @@ mod tests {
     }
 
     #[test]
-    fn split_sweep_shards_consume_blocks_exactly() {
-        use jrt_trace::Tape;
-        let tape = Tape::record(|rec| {
-            for (addr, kind, phase) in shard_torture_accesses(4000) {
+    fn split_sweep_shards_stitch_exactly() {
+        let events: Vec<NativeInst> = shard_torture_accesses(4000)
+            .into_iter()
+            .map(|(addr, kind, phase)| {
                 let pc = 0x1_0000 + (addr % 509) * 4;
-                rec.accept(&match kind {
+                match kind {
                     AccessKind::Write => NativeInst::store(pc, addr, 4, phase),
                     AccessKind::Read => NativeInst::load(pc, addr, 4, phase),
-                });
-            }
-        });
+                }
+            })
+            .collect();
         let points = [CacheConfig::paper_l1_data()];
-        let blocks = AccessBlocks::from_tape(&tape);
 
         let mut serial = SplitSweep::new(&points, &points);
-        serial.consume(&blocks);
+        for e in &events {
+            serial.accept(e);
+        }
 
+        // Sixteen shards, so fifteen boundaries for the stacks, the
+        // seen-sets and the cold queues to carry across.
         let mut sharded = SplitSweep::new(&points, &points);
-        for chunk in blocks.blocks().chunks(1) {
+        for part in events.chunks(250) {
             let mut shard = sharded.shard();
-            for b in chunk {
-                shard.consume_block(b);
+            for e in part {
+                shard.accept(e);
             }
             sharded.absorb(&shard);
         }

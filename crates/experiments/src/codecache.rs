@@ -34,7 +34,7 @@ use crate::runner::Mode;
 use crate::table::{count, Table};
 use crate::tape::{self, RunSummary};
 use jrt_cache::{CacheConfig, SplitSweep};
-use jrt_trace::{AccessBlockSink, CountingSink, Phase, Region};
+use jrt_trace::{CountingSink, Phase, Region};
 use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, Vm, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
 
@@ -114,17 +114,15 @@ impl Measured {
 /// D-cache write misses to the code cache, the point [`baseline`]
 /// reads off the shared pass.
 fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
-    let mut sweep = SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]);
     let mut sinks = (
         CountingSink::new(),
-        AccessBlockSink::new(|b| sweep.consume_block(b)),
+        SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]),
     );
     let result = Vm::new(&w.program, cfg)
         .run(&mut sinks)
         .expect("workload runs clean");
     w.check(&result);
-    let (counts, blocks) = sinks;
-    drop(blocks);
+    let (counts, sweep) = sinks;
     let d = &sweep.dcache().results()[0];
     let cc_write_misses = d.region_stats(Region::CodeCache).write_misses;
     Measured::new(&RunSummary { result, counts }, cc_write_misses)
@@ -352,16 +350,21 @@ fn tiering_rows(loads: &[Workload]) -> Vec<TieringRow> {
     let modes: [&'static str; 2] = ["jit", "tiered"];
     let cells = jobs::cross(loads, &modes);
     // The table reads no cache numbers, so the jit row is the JIT
-    // run's summary.
+    // run's summary and the tiered row a count-only run.
     let measured = jobs::par_map(&cells, |(w, mode)| match *mode {
         "jit" => Measured::new(&tape::summary(w, Mode::Jit), 0),
-        _ => run_cfg(
-            w,
-            VmConfig {
+        _ => {
+            let cfg = VmConfig {
                 mode: ExecMode::Jit(TIERED),
                 ..VmConfig::default()
-            },
-        ),
+            };
+            let mut counts = CountingSink::new();
+            let result = Vm::new(&w.program, cfg)
+                .run(&mut counts)
+                .expect("workload runs clean");
+            w.check(&result);
+            Measured::new(&RunSummary { result, counts }, 0)
+        }
     });
     cells
         .iter()

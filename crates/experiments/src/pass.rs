@@ -20,14 +20,14 @@ use crate::{codecache, fig6, fig7, fig8, fig9, folding, tape};
 use jrt_bpred::{BranchEval, BranchStats, DirectionPredictor, Gshare};
 use jrt_cache::{CacheConfig, CacheStats, SplitCaches, SplitSweep, SweepResult, Timeline};
 use jrt_ilp::{PipelineConfig, PipelineReport, PipelineSweep};
-use jrt_trace::{AccessBlockSink, InstMix, Phase, PhaseFilter};
+use jrt_trace::{InstMix, Phase, PhaseFilter};
 use jrt_workloads::{suite, Size};
 
 /// The consumers one stream feeds; the default feeds none. Cache
 /// points and widths are sets, kept in first-seen order.
 #[derive(Debug, Default, PartialEq)]
 struct Needs {
-    /// I- and D-cache points of the block-streamed cache sweep.
+    /// I- and D-cache points of the cache sweep.
     icache: Vec<CacheConfig>,
     dcache: Vec<CacheConfig>,
     /// Figure 2's instruction mix.
@@ -216,7 +216,6 @@ fn is_app_phase(p: Phase) -> bool {
 
 /// Decodes the `(w, mode)` tape once into the consumers `needs` names.
 fn feed(w: &Workload, mode: Mode, needs: &Needs) -> TapeResult {
-    let mut sweep = SplitSweep::new(&needs.icache, &needs.dcache);
     let swept = !(needs.icache.is_empty() && needs.dcache.is_empty());
     let mut widths = Vec::new();
     widths.extend(needs.widths.iter().map(|&k| PipelineConfig::paper(k)));
@@ -228,7 +227,7 @@ fn feed(w: &Workload, mode: Mode, needs: &Needs) -> TapeResult {
     let install = || SplitCaches::paper_l1().with_install_into_icache();
     let timeline = |window| SplitCaches::paper_l1().with_timeline(window);
     let mut sinks = (
-        swept.then(|| AccessBlockSink::new(|b| sweep.consume_block(b))),
+        swept.then(|| SplitSweep::new(&needs.icache, &needs.dcache)),
         needs.mix.then(InstMix::new),
         needs.predictors.then(predictors),
         needs.target_cache.then(target_cache),
@@ -238,15 +237,17 @@ fn feed(w: &Workload, mode: Mode, needs: &Needs) -> TapeResult {
         needs.timeline.map(timeline),
     );
     tape::recorded(w, mode).decode(&mut sinks);
-    let (blocks, mix, predictors, target_cache, ilp, app_phase, install, timeline) = sinks;
-    drop(blocks);
+    let (sweep, mix, predictors, target_cache, ilp, app_phase, install, timeline) = sinks;
     let reports = ilp.map_or_else(Vec::new, |s| s.reports());
+    let (icache, dcache) = sweep
+        .map(|s| (s.icache().results(), s.dcache().results()))
+        .unwrap_or_default();
     let l1 = |i: &CacheStats, d: &CacheStats| [*i, *d];
     TapeResult {
         name: w.spec.name,
         mode,
-        icache: sweep.icache().results(),
-        dcache: sweep.dcache().results(),
+        icache,
+        dcache,
         ilp: needs.widths.iter().copied().zip(reports).collect(),
         mix,
         predictors: predictors.map(|e| *e.all_stats()),

@@ -435,8 +435,8 @@ fn demote(key: Key, e: &TapeEntry) {
 
 /// Tries to promote a demoted entry back from disk. Validation
 /// failures (corrupt segment, truncated index, fingerprint mismatch)
-/// drop the spill entry, bump the fallback counter, and return `None`
-/// so the caller re-records.
+/// drop the spill entry, delete its files, bump the fallback counter,
+/// and return `None` so the caller re-records.
 fn promote(key: Key) -> Option<Arc<TapeEntry>> {
     let entry = disk_map()
         .lock()
@@ -466,6 +466,9 @@ fn promote(key: Key) -> Option<Arc<TapeEntry>> {
                 "warning: disk-tier tape {} failed validation ({err}); re-recording",
                 entry.disk.path().display()
             );
+            if let Err(e) = entry.disk.remove() {
+                eprintln!("warning: cannot delete the damaged tape: {e}");
+            }
             None
         }
     }
@@ -723,8 +726,9 @@ mod tests {
                 .contains_key(&key),
             "damaged spill entry must be forgotten"
         );
-        // Forgotten, the damaged file is no longer the store's to delete.
-        spilled.remove().expect("remove the damaged spill");
+        for file in [path.to_path_buf(), path.with_extension("tape.idx")] {
+            assert!(!file.exists(), "{} must be deleted", file.display());
+        }
         remove_spills();
         let mut after = RecordingSink::new();
         b.decode(&mut after);

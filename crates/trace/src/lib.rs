@@ -17,11 +17,12 @@
 //! * the simulated address-space layout ([`Region`], [`layout`]),
 //! * the consumer interface ([`TraceSink`]) and combinators,
 //! * a ready-made instruction-mix profiler ([`InstMix`]) reproducing the
-//!   categories of Figure 2 of the paper, and
+//!   categories of Figure 2 of the paper,
 //! * compact record-once/replay-many trace [`Tape`]s mirroring the
-//!   paper's Shade-trace → many-simulators pipeline, plus decoded
-//!   structure-of-arrays [`AccessBlocks`] for access-level consumers
-//!   and a shared integer-id hasher ([`IdHasher`]) for hot lookup paths.
+//!   paper's Shade-trace → many-simulators pipeline: one replay feeds
+//!   every consumer, the cache sweep included, through [`TraceSink`],
+//!   and
+//! * a shared integer-id hasher ([`IdHasher`]) for hot lookup paths.
 //!
 //! # Examples
 //!
@@ -38,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocks;
 pub mod hash;
 pub mod inst;
 pub mod mix;
@@ -47,7 +47,6 @@ pub mod sink;
 pub mod store;
 pub mod tape;
 
-pub use blocks::{AccessBlock, AccessBlockSink, AccessBlocks, BLOCK_EVENTS};
 pub use hash::{IdBuildHasher, IdHashMap, IdHashSet, IdHasher};
 pub use inst::{AccessKind, CtrlInfo, InstClass, MemRef, NativeInst, Phase, Reg, NUM_REGS};
 pub use mix::{InstMix, MixSummary};

@@ -38,7 +38,6 @@ use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::blocks::{AccessBlock, AccessBlockSink};
 use crate::sink::TraceSink;
 use crate::tape::{content_hash, decode_events, Segment, Tape};
 
@@ -321,14 +320,6 @@ impl DiskTape {
         Ok(())
     }
 
-    /// Streams the tape through block-at-a-time decode, like
-    /// [`Tape::replay_stream`] but reading from disk: RAM cost is one
-    /// packed segment plus one decoded [`AccessBlock`].
-    pub fn replay_stream(&self, f: impl FnMut(&AccessBlock)) -> Result<(), StoreError> {
-        let mut sink = AccessBlockSink::new(f);
-        self.replay(&mut sink)
-    }
-
     /// Reads the whole tape back into RAM as a [`Tape`], validating
     /// every segment hash. The promotion path of the experiments
     /// store's disk tier.
@@ -488,20 +479,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(index_path(&path));
         assert!(matches!(DiskTape::open(&path), Err(StoreError::Io(_))));
-    }
-
-    #[test]
-    fn disk_replay_stream_matches_ram() {
-        let tape = sample_tape();
-        let (_dir, path) = tmp_path("stream.tape");
-        let disk = DiskTape::write(&path, &tape).unwrap();
-
-        let mut ram_pcs = Vec::new();
-        tape.replay_stream(|b| ram_pcs.extend_from_slice(&b.pc));
-        let mut disk_pcs = Vec::new();
-        disk.replay_stream(|b| disk_pcs.extend_from_slice(&b.pc))
-            .unwrap();
-        assert_eq!(disk_pcs, ram_pcs);
     }
 
     #[test]

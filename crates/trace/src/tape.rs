@@ -120,12 +120,11 @@ fn get_delta(bytes: &[u8], pos: &mut usize, prev: u64) -> u64 {
     prev.wrapping_add(unzigzag(get_varint(bytes, pos)) as u64)
 }
 
-/// Events per segment: a multiple of the decoded block size
-/// (4 × [`BLOCK_EVENTS`](crate::blocks::BLOCK_EVENTS)), small enough
-/// that one segment's packed bytes (a few hundred KB to ~2.5 MB)
-/// stream through a reusable buffer, large enough that footer and
-/// delta-restart overhead stay negligible.
-pub const SEGMENT_EVENTS: u64 = 4 * crate::blocks::BLOCK_EVENTS as u64;
+/// Events per segment: small enough that one segment's packed bytes
+/// (a few hundred KB to ~2.5 MB) stream through a reusable buffer,
+/// large enough that footer and delta-restart overhead stay
+/// negligible.
+pub const SEGMENT_EVENTS: u64 = 256 * 1024;
 
 /// FNV-1a over `bytes`, finished with the SplitMix64 finalizer —
 /// the content hash stored in every [`Segment`] footer and validated

@@ -19,14 +19,6 @@ fn assoc_points() -> Vec<CacheConfig> {
         .collect()
 }
 
-/// Streams the `(w, mode)` tape into `sweep` one decoded block at a
-/// time, as the report's shared pass does.
-fn stream(w: &Workload, mode: Mode, sweep: &mut SplitSweep) {
-    tape::recorded(w, mode)
-        .tape
-        .replay_stream(|b| sweep.consume_block(b));
-}
-
 /// Asserts the sweep and the per-point caches agree on every counter
 /// of every attribution slice, for both sides of the split.
 fn assert_equivalent(sweep: &SplitSweep, pairs: &[SplitCaches], ctx: &str) {
@@ -112,11 +104,11 @@ fn sweep_matches_split_caches_on_synthetic_streams() {
     });
 }
 
-/// Every workload × mode at `tiny`: the sweep streaming the decoded
-/// blocks equals per-point `SplitCaches` replaying the tape, slice by
-/// slice — the exactness guarantee behind the Figure 7 port and behind
-/// Figure 3, which reads the direct-mapped write-study point off the
-/// shared pass.
+/// Every workload × mode at `tiny`: the sweep replaying the tape
+/// equals per-point `SplitCaches` replaying it, slice by slice — the
+/// exactness guarantee behind the Figure 7 port and behind Figure 3,
+/// which reads the direct-mapped write-study point off the shared
+/// pass.
 #[test]
 fn sweep_matches_split_caches_for_every_workload_and_mode() {
     let mut points = assoc_points();
@@ -125,7 +117,7 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
         let w: Workload = tape::workload(&spec, Size::Tiny);
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
             let mut sweep = SplitSweep::new(&points, &points);
-            stream(&w, mode, &mut sweep);
+            tape::recorded(&w, mode).tape.replay(&mut sweep);
             let mut pairs: Vec<SplitCaches> =
                 points.iter().map(|&c| SplitCaches::new(c, c)).collect();
             tape::recorded(&w, mode).tape.replay(&mut pairs);
@@ -151,7 +143,7 @@ fn sweep_matches_split_caches_across_line_sizes() {
     configs.push((CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data()));
     for (icfg, dcfg) in configs {
         let mut sweep = SplitSweep::new(&[icfg], &[dcfg]);
-        stream(&w, Mode::Jit, &mut sweep);
+        tape::recorded(&w, Mode::Jit).tape.replay(&mut sweep);
         let mut pair = vec![SplitCaches::new(icfg, dcfg)];
         tape::recorded(&w, Mode::Jit).tape.replay(&mut pair);
         assert_equivalent(&sweep, &pair, &format!("{icfg}/{dcfg}"));
