@@ -513,12 +513,60 @@ impl Op {
     }
 
     /// The opcode's dispatch index, used by the interpreter's handler
-    /// table and by the JIT's per-opcode code generators.
+    /// table and by the JIT's per-opcode code generators. Equal to the
+    /// first byte [`Op::encode`] writes.
     pub fn dispatch_index(&self) -> u8 {
-        // Safe: encode always emits the opcode byte first.
-        let mut buf = Vec::with_capacity(1);
-        self.encode(&mut buf);
-        buf[0]
+        match self {
+            Op::Nop => OP_NOP,
+            Op::IConst(_) => OP_ICONST,
+            Op::AConstNull => OP_ACONST_NULL,
+            Op::ILoad(_) => OP_ILOAD,
+            Op::IStore(_) => OP_ISTORE,
+            Op::ALoad(_) => OP_ALOAD,
+            Op::AStore(_) => OP_ASTORE,
+            Op::Pop => OP_POP,
+            Op::Dup => OP_DUP,
+            Op::DupX1 => OP_DUP_X1,
+            Op::Swap => OP_SWAP,
+            Op::IAdd => OP_IADD,
+            Op::ISub => OP_ISUB,
+            Op::IMul => OP_IMUL,
+            Op::IDiv => OP_IDIV,
+            Op::IRem => OP_IREM,
+            Op::INeg => OP_INEG,
+            Op::IShl => OP_ISHL,
+            Op::IShr => OP_ISHR,
+            Op::IUshr => OP_IUSHR,
+            Op::IAnd => OP_IAND,
+            Op::IOr => OP_IOR,
+            Op::IXor => OP_IXOR,
+            Op::IInc(..) => OP_IINC,
+            Op::If(..) => OP_IF,
+            Op::IfICmp(..) => OP_IF_ICMP,
+            Op::IfNull(_) => OP_IFNULL,
+            Op::IfNonNull(_) => OP_IFNONNULL,
+            Op::IfACmpEq(_) => OP_IF_ACMPEQ,
+            Op::IfACmpNe(_) => OP_IF_ACMPNE,
+            Op::Goto(_) => OP_GOTO,
+            Op::TableSwitch { .. } => OP_TABLESWITCH,
+            Op::New(_) => OP_NEW,
+            Op::GetField(_) => OP_GETFIELD,
+            Op::PutField(_) => OP_PUTFIELD,
+            Op::GetStatic(_) => OP_GETSTATIC,
+            Op::PutStatic(_) => OP_PUTSTATIC,
+            Op::NewArray(_) => OP_NEWARRAY,
+            Op::ArrayLength => OP_ARRAYLENGTH,
+            Op::ArrLoad(_) => OP_ARRLOAD,
+            Op::ArrStore(_) => OP_ARRSTORE,
+            Op::InvokeStatic(_) => OP_INVOKESTATIC,
+            Op::InvokeVirtual(_) => OP_INVOKEVIRTUAL,
+            Op::InvokeSpecial(_) => OP_INVOKESPECIAL,
+            Op::Return => OP_RETURN,
+            Op::IReturn => OP_IRETURN,
+            Op::AReturn => OP_ARETURN,
+            Op::MonitorEnter => OP_MONITORENTER,
+            Op::MonitorExit => OP_MONITOREXIT,
+        }
     }
 
     /// Number of distinct opcodes in the ISA.
@@ -567,9 +615,10 @@ mod tests {
         assert_eq!(len, buf.len());
     }
 
-    #[test]
-    fn roundtrip_all_simple() {
-        for op in [
+    /// One instruction of each of the [`Op::NUM_OPCODES`] variants,
+    /// in opcode order.
+    fn one_of_each() -> Vec<Op> {
+        vec![
             Op::Nop,
             Op::IConst(-123456),
             Op::AConstNull,
@@ -601,6 +650,11 @@ mod tests {
             Op::IfACmpEq(30),
             Op::IfACmpNe(40),
             Op::Goto(0xFFFF_FFFF),
+            Op::TableSwitch {
+                low: -2,
+                default: 99,
+                targets: vec![10, 20, 30, 40],
+            },
             Op::New(CpIndex(9)),
             Op::GetField(CpIndex(1)),
             Op::PutField(CpIndex(2)),
@@ -618,18 +672,18 @@ mod tests {
             Op::AReturn,
             Op::MonitorEnter,
             Op::MonitorExit,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn roundtrip_every_variant() {
+        for op in one_of_each() {
             roundtrip(op);
         }
     }
 
     #[test]
-    fn roundtrip_tableswitch() {
-        roundtrip(Op::TableSwitch {
-            low: -2,
-            default: 99,
-            targets: vec![10, 20, 30, 40],
-        });
+    fn roundtrip_empty_tableswitch() {
         roundtrip(Op::TableSwitch {
             low: 0,
             default: 0,
@@ -690,9 +744,19 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_index_is_opcode_byte() {
-        assert_eq!(Op::Nop.dispatch_index(), 0);
-        assert_eq!(Op::MonitorExit.dispatch_index(), 48);
-        assert!(usize::from(Op::MonitorExit.dispatch_index()) < Op::NUM_OPCODES);
+    fn dispatch_index_is_the_encoded_opcode_byte() {
+        let ops = one_of_each();
+        assert_eq!(ops.len(), Op::NUM_OPCODES);
+        let mut seen = [false; Op::NUM_OPCODES];
+        for op in &ops {
+            let mut buf = Vec::new();
+            op.encode(&mut buf);
+            let index = op.dispatch_index();
+            assert_eq!(index, buf[0], "{op:?}");
+            let slot = usize::from(index);
+            assert!(slot < Op::NUM_OPCODES, "{op:?}");
+            assert!(!seen[slot], "{op:?} shares dispatch index {index}");
+            seen[slot] = true;
+        }
     }
 }

@@ -11,8 +11,7 @@
 //! hotness signal for loop-dominated methods whose invocation counts
 //! stay low.
 
-use jrt_bytecode::MethodId;
-use std::collections::HashMap;
+use jrt_bytecode::{ClassId, MethodId};
 
 /// Cost profile of one method.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,9 +53,14 @@ impl MethodProfile {
 }
 
 /// Profiles for all methods touched by a run.
+///
+/// Indexed densely by [`MethodId`] (class, then method slot): every
+/// engine charges each executed bytecode to its method, so the lookup
+/// must cost an index, not a hash.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
-    methods: HashMap<MethodId, MethodProfile>,
+    /// `classes[class][slot]`; `None` for a method that never ran.
+    classes: Vec<Vec<Option<MethodProfile>>>,
 }
 
 impl ProfileTable {
@@ -67,45 +71,65 @@ impl ProfileTable {
 
     /// Increments a method's invocation count.
     pub fn record_invocation(&mut self, method: MethodId) {
-        self.methods.entry(method).or_default().invocations += 1;
+        self.get_mut(method).invocations += 1;
     }
 
     /// Mutable access, creating the entry if needed.
     pub fn get_mut(&mut self, method: MethodId) -> &mut MethodProfile {
-        self.methods.entry(method).or_default()
+        let class = method.class.0 as usize;
+        let slot = method.index as usize;
+        if class >= self.classes.len() {
+            self.classes.resize_with(class + 1, Vec::new);
+        }
+        let row = &mut self.classes[class];
+        if slot >= row.len() {
+            row.resize(slot + 1, None);
+        }
+        row[slot].get_or_insert_with(MethodProfile::default)
     }
 
     /// The profile for `method`, if it ever ran.
     pub fn get(&self, method: MethodId) -> Option<&MethodProfile> {
-        self.methods.get(&method)
+        self.classes
+            .get(method.class.0 as usize)?
+            .get(method.index as usize)?
+            .as_ref()
     }
 
-    /// Iterates over `(method, profile)`.
+    /// Iterates over `(method, profile)` in ascending [`MethodId`]
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (MethodId, &MethodProfile)> {
-        self.methods.iter().map(|(k, v)| (*k, v))
+        self.classes.iter().enumerate().flat_map(|(class, row)| {
+            row.iter().enumerate().filter_map(move |(index, p)| {
+                let method = MethodId {
+                    class: ClassId(class as u32),
+                    index: index as u32,
+                };
+                p.as_ref().map(|p| (method, p))
+            })
+        })
     }
 
     /// Number of profiled methods.
     pub fn len(&self) -> usize {
-        self.methods.len()
+        self.iter().count()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.methods.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Sum of a component over all methods, for Figure 1 style
     /// breakdowns: `f` picks the component.
     pub fn total(&self, f: impl Fn(&MethodProfile) -> u64) -> u64 {
-        self.methods.values().map(f).sum()
+        self.iter().map(|(_, p)| f(p)).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jrt_bytecode::ClassId;
 
     fn mid(i: u32) -> MethodId {
         MethodId {
@@ -146,5 +170,25 @@ mod tests {
         t.get_mut(mid(1)).translate_cycles = 32;
         assert_eq!(t.total(|p| p.translate_cycles), 42);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn iterates_in_method_id_order_and_counts_each_method_once() {
+        let mut t = ProfileTable::new();
+        let late = MethodId {
+            class: ClassId(3),
+            index: 1,
+        };
+        t.record_invocation(late);
+        t.record_invocation(mid(4));
+        t.get_mut(mid(4)).backedges += 2;
+        t.get_mut(mid(0));
+        assert_eq!(t.len(), 3);
+        let order: Vec<MethodId> = t.iter().map(|(m, _)| m).collect();
+        assert_eq!(order, vec![mid(0), mid(4), late]);
+        assert_eq!(t.get(mid(4)).unwrap().invocations, 1);
+        assert_eq!(t.get(mid(4)).unwrap().backedges, 2);
+        assert!(t.get(mid(1)).is_none(), "a gap slot never ran");
+        assert!(t.get(mid(9)).is_none());
     }
 }

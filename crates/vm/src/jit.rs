@@ -92,18 +92,18 @@ pub(crate) struct CompiledMethod {
     pub tier: u8,
     /// Locals the generated code keeps in registers.
     pub reg_locals: usize,
-    /// Bytecode offset → installed native address.
-    op_addr: HashMap<u32, Addr>,
-    /// Pre-decoded instructions: offset → (op, encoded length).
-    pub ops: HashMap<u32, (Op, u32)>,
+    /// Installed native address, indexed by bytecode offset. Offsets
+    /// between instruction boundaries hold `entry`.
+    op_addr: Vec<Addr>,
 }
 
 impl CompiledMethod {
     /// Native address of the code generated for the bytecode at
-    /// `pc`. Offsets between instructions map to the following
-    /// instruction's address.
+    /// `pc`. Offsets between instructions (and past the end) map to
+    /// `entry`; the stepper and the emitters only ever look up
+    /// instruction boundaries.
     pub fn addr(&self, pc: u32) -> Addr {
-        self.op_addr.get(&pc).copied().unwrap_or(self.entry)
+        self.op_addr.get(pc as usize).copied().unwrap_or(self.entry)
     }
 }
 
@@ -593,10 +593,11 @@ impl JitState {
                 }
                 Some(_) => None,
             };
+            let n = gen_insts_at(&op, tier);
             if input.is_some() {
-                total_gen += u64::from(gen_insts_at(&op, tier));
+                total_gen += u64::from(n);
             }
-            decoded.push((pc as u32, op, len as u32, input));
+            decoded.push((pc, op.dispatch_index(), n, input));
             pc += len;
         }
         let code_bytes = 4 * total_gen;
@@ -616,21 +617,17 @@ impl JitState {
         };
         let mut install = entry;
 
-        let mut op_addr = HashMap::new();
-        let mut ops = HashMap::new();
-        for (pc, op, len, input) in decoded {
-            // Fused or folded pcs map to the next generated address
-            // (consistent with `CompiledMethod::addr`'s fallthrough).
-            op_addr.insert(pc, install);
+        let mut op_addr = vec![entry; def.code.len()];
+        for (pc, opcode, n, input) in decoded {
+            // Fused or folded pcs map to the next generated address.
+            op_addr[pc] = install;
             let Some((src, words)) = input else {
                 sink.accept(
                     &NativeInst::alu(LOWERING_ROUTINE + 0x800, Phase::Translate).with_dst(16),
                 );
                 emitted += 1;
-                ops.insert(pc, (op, len));
                 continue;
             };
-            let opcode = op.dispatch_index();
             // The per-opcode code-generation routine: high code reuse
             // across bytecodes of the same kind.
             let routine = layout::TRANSLATOR_TEXT_BASE + Addr::from(opcode) * TRANSLATOR_STRIDE;
@@ -691,7 +688,6 @@ impl JitState {
             // Generate and install the native instructions: the
             // stores into the code cache are the compulsory write
             // misses of Figure 5.
-            let n = gen_insts_at(&op, tier);
             for k in 0..n {
                 let reg = 24 + (k & 7) as u8;
                 emit(
@@ -708,8 +704,6 @@ impl JitState {
                 tpc += 4;
                 install += 4;
             }
-
-            ops.insert(pc, (op, len));
         }
 
         let code_bytes = (install - entry) as u32;
@@ -734,7 +728,6 @@ impl JitState {
                     TIER1_REG_LOCALS
                 },
                 op_addr,
-                ops,
             }),
         );
         Some(emitted)
@@ -830,6 +823,17 @@ mod tests {
         JitState::new(CodeCacheConfig::default())
     }
 
+    /// The offset of every instruction in `def`.
+    fn boundaries(def: &MethodDef) -> Vec<u32> {
+        let mut pcs = Vec::new();
+        let mut pc = 0;
+        while pc < def.code.len() {
+            pcs.push(pc as u32);
+            pc += Op::decode(&def.code, pc).unwrap().1;
+        }
+        pcs
+    }
+
     #[test]
     fn translation_emits_code_cache_writes() {
         let (p, mid) = sample();
@@ -873,10 +877,11 @@ mod tests {
         let mut sink = jrt_trace::CountingSink::new();
         jit.translate(mid, def, layout::CLASS_AREA_BASE + 64, &mut sink);
         let cm = jit.compiled(mid, 0).unwrap();
-        let mut addrs: Vec<Addr> = cm.ops.keys().map(|&pc| cm.addr(pc)).collect();
+        let pcs = boundaries(def);
+        let mut addrs: Vec<Addr> = pcs.iter().map(|&pc| cm.addr(pc)).collect();
         addrs.sort_unstable();
         addrs.dedup();
-        assert_eq!(addrs.len(), cm.ops.len(), "each bytecode gets its own code");
+        assert_eq!(addrs.len(), pcs.len(), "each bytecode gets its own code");
         assert!(cm.code_bytes > 0);
         assert_eq!(cm.entry, cm.addr(0));
         assert_eq!(cm.tier, TIER_BASELINE);
@@ -1151,10 +1156,18 @@ mod tests {
             ir.code_bytes,
             stack.code_bytes
         );
-        // Every bytecode keeps a decoded record and a native address
-        // for the stepper, fused or not.
-        assert_eq!(ir.ops.len(), stack.ops.len());
-        assert_eq!(ir.op_addr.len(), stack.op_addr.len());
+        // Every bytecode keeps a native address for the stepper, fused
+        // or not: both flavours map each boundary into their own code.
+        for cm in [&stack, &ir] {
+            assert_eq!(cm.op_addr.len(), def.code.len());
+            for pc in boundaries(def) {
+                let addr = cm.addr(pc);
+                assert!(
+                    (cm.entry..cm.entry + u64::from(cm.code_bytes)).contains(&addr),
+                    "pc {pc} maps outside its method's code"
+                );
+            }
+        }
         assert_eq!(b.ir.methods_lowered, 1);
         assert_eq!(b.methods_translated, 1);
     }

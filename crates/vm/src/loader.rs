@@ -343,12 +343,13 @@ impl Linker {
         class: ClassId,
         name: &str,
     ) -> Option<(ClassId, usize)> {
-        for cid in program.ancestry(class) {
+        let mut cid = class;
+        loop {
             if let Some(slot) = self.class(cid).static_slot(name) {
                 return Some((cid, slot));
             }
+            cid = program.class(program.class_file(cid).super_name.as_deref()?)?;
         }
-        None
     }
 
     /// Simulated address of a static slot.

@@ -89,10 +89,10 @@ pub(crate) fn step(
         }
     }
 
-    // Decode. A frame whose translated code was evicted mid-flight
-    // demotes to interpretation — the eviction's cost is precisely
-    // this fallback (slower bytecodes, and possible re-translation on
-    // the next invocation).
+    // A frame whose translated code was evicted mid-flight demotes to
+    // interpretation — the eviction's cost is precisely this fallback
+    // (slower bytecodes, and possible re-translation on the next
+    // invocation).
     let cm_rc = if jit_frame {
         let cm = env.jit.compiled_for_frame(mid, thread.id);
         if cm.is_none() {
@@ -103,38 +103,21 @@ pub(crate) fn step(
     } else {
         None
     };
-    let decoded_owned;
-    let (op, len): (&Op, u32) = match &cm_rc {
-        Some(cm) => {
-            let (o, l) = cm
-                .ops
-                .get(&pc)
-                .expect("pc lands on compiled instruction boundary");
-            (o, *l)
-        }
-        None => {
-            let (o, l) = Op::decode(&def.code, pc as usize)
-                .map_err(|e| VmError::Internal(format!("decode at {pc}: {e}")))?;
-            decoded_owned = o;
-            (&decoded_owned, l as u32)
-        }
-    };
+    // Decode from the method's bytes, translated frame or not: the
+    // decode allocates nothing except a `tableswitch`'s target list.
+    let (decoded, len) = Op::decode(&def.code, pc as usize)
+        .map_err(|e| VmError::Internal(format!("decode at {pc}: {e}")))?;
+    let op = &decoded;
+    let len = len as u32;
+    let opcode = op.dispatch_index();
 
     // Differential-fuzzing observability: histogram the decoded
     // opcode before it acts, so faulting bytecodes are counted too
     // and engines compare at bytecode granularity.
     if let Some(counts) = env.opcode_counts.as_mut() {
-        counts[usize::from(op.dispatch_index())] += 1;
+        counts[usize::from(opcode)] += 1;
     }
 
-    // Emitter for this bytecode.
-    let addr_fn: Box<dyn Fn(u32) -> Addr> = match &cm_rc {
-        Some(cm) => {
-            let cm = cm.clone();
-            Box::new(move |p| cm.addr(p))
-        }
-        None => Box::new(|_| 0),
-    };
     // In IR modes every non-native method is lowered by
     // `ensure_compiled` before its frame is pushed (thread starts and
     // invokes share that decision point), so the record exists. Only
@@ -149,36 +132,49 @@ pub(crate) fn step(
         let slot = match lm.ir.inst_at(pc) {
             _ if jit_frame => 0, // translated frames never dispatch
             Some(inst) => inst.opcode(),
-            None => op.dispatch_index(),
+            None => opcode,
         };
         Some((plan, slot, lm.base))
     } else {
         None
     };
-    let mut em: Box<dyn Emit> = if jit_frame {
+    // Emitter for this bytecode: one of four stack locals, used
+    // through `em`, so a step allocates nothing on the host heap.
+    let addr_of = |p: u32| cm_rc.as_ref().map_or(0, |cm| cm.addr(p));
+    let mut jit_em;
+    let mut ir_jit_em;
+    let mut ir_interp_em;
+    let mut interp_em;
+    let em: &mut dyn Emit = if jit_frame {
         let reg_locals = cm_rc.as_ref().map_or(0, |cm| cm.reg_locals);
-        let inner = JitEmitter::new(&*addr_fn, pc, thread.frame().stack.len(), reg_locals);
+        let inner = JitEmitter::new(&addr_of, pc, thread.frame().stack.len(), reg_locals);
         match ir_plan {
             // IR-translated code: fused register moves and elided pcs
             // emit nothing.
-            Some((plan, _, _)) => Box::new(IrJitEmitter::new(inner, plan, reg_locals)),
-            None => Box::new(inner),
+            Some((plan, _, _)) => {
+                ir_jit_em = IrJitEmitter::new(inner, plan, reg_locals);
+                &mut ir_jit_em
+            }
+            None => {
+                jit_em = inner;
+                &mut jit_em
+            }
         }
     } else if let Some((plan, slot, ir_base)) = ir_plan {
         // Register-IR interpreter: only `Exec` pcs dispatch (through
         // their IR opcode's handler); covered pcs run their micro-ops
         // inside the covering handler's text, elided pcs are free.
-        let em = IrInterpEmitter::new(plan, slot, thread.last_opcode, ir_base);
+        ir_interp_em = IrInterpEmitter::new(plan, slot, thread.last_opcode, ir_base);
         if matches!(plan, PcPlan::Exec { .. }) {
             env.jit.ir.dispatches += 1;
             thread.last_opcode = slot;
         }
-        Box::new(em)
+        &mut ir_interp_em
     } else {
         let em = InterpEmitter::new(
             env.linker.code_addr(mid),
             pc,
-            op.dispatch_index(),
+            opcode,
             thread.last_opcode,
             thread.frame().locals_addr - 16,
         );
@@ -196,11 +192,10 @@ pub(crate) fn step(
                 0
             };
         }
-        Box::new(if fold { em.folded() } else { em })
+        thread.last_opcode = opcode;
+        interp_em = if fold { em.folded() } else { em };
+        &mut interp_em
     };
-    if !jit_frame && ir_plan.is_none() {
-        thread.last_opcode = op.dispatch_index();
-    }
     em.begin(sink);
     if len > 1 {
         em.operand_fetch(sink, len - 1);
@@ -538,16 +533,13 @@ pub(crate) fn step(
             }
         }
         Op::InvokeStatic(cp) | Op::InvokeVirtual(cp) | Op::InvokeSpecial(cp) => {
-            let (cname, mname, nargs, ret_kind) = {
-                let (c, m, n, r) = pool
-                    .method_ref(*cp)
-                    .map_err(|e| VmError::Internal(e.to_string()))?;
-                (c.to_owned(), m.to_owned(), n, r)
-            };
+            let (cname, mname, nargs, ret_kind) = pool
+                .method_ref(*cp)
+                .map_err(|e| VmError::Internal(e.to_string()))?;
             let is_virtual = matches!(op, Op::InvokeVirtual(_));
             let is_static = matches!(op, Op::InvokeStatic(_));
 
-            let declared_cid = program.class(&cname).expect("verified class");
+            let declared_cid = program.class(cname).expect("verified class");
             let loaded = env
                 .linker
                 .ensure_loaded(declared_cid, program, env.heap, sink);
@@ -568,12 +560,12 @@ pub(crate) fn step(
                 let rcls = env.heap.class_of(h).map_err(VmError::Heap)?;
                 env.linker
                     .class(rcls)
-                    .vtable_lookup(&mname)
-                    .or_else(|| program.resolve_method(&cname, &mname))
+                    .vtable_lookup(mname)
+                    .or_else(|| program.resolve_method(cname, mname))
                     .ok_or_else(|| VmError::Internal(format!("no target for {mname}")))?
             } else {
                 program
-                    .resolve_method(&cname, &mname)
+                    .resolve_method(cname, mname)
                     .expect("verified method resolution")
             };
             let callee_def = program.method_def(callee);
@@ -586,7 +578,7 @@ pub(crate) fn step(
                 em.invoke(sink, InvokeKind::Direct, entry);
                 let mut n = 0u64;
                 let outcome =
-                    intrinsics::call(&cname, &mname, &args, env.heap, env.out, sink, &mut n)
+                    intrinsics::call(cname, mname, &args, env.heap, env.out, sink, &mut n)
                         .map_err(|e| VmError::Intrinsic(format!("{e:?}")))?;
                 em.ret(sink, 0);
                 charge(env, mid, jit_frame, em.count() + n);
