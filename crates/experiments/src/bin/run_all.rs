@@ -2,7 +2,7 @@
 //! Usage: `run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR]
 //! [--sabotage-drop-barrier N] [--list]`.
 
-use jrt_experiments::{jobs, report, tape};
+use jrt_experiments::{jobs, report};
 use jrt_workloads::Size;
 use std::process::exit;
 
@@ -102,7 +102,6 @@ fn main() {
     }
 
     let r = report::run_filtered(size, filter.as_deref(), sabotage);
-    tape::remove_spill_dir();
     if let Err(failed) = r.check() {
         eprintln!("run_all: report check failed; report not written:\n{failed}");
         exit(1);

@@ -128,7 +128,7 @@ fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
     Measured::new(&RunSummary { result, counts }, cc_write_misses)
 }
 
-/// The unbounded per-VM JIT baseline: the JIT recording's summary (no
+/// The unbounded per-VM JIT baseline: the pass's JIT run summary (no
 /// extra VM run) and its code-cache write misses off the shared pass.
 fn baseline(pass: &Pass, w: &Workload) -> Measured {
     let d = pass

@@ -9,9 +9,9 @@
 //!
 //! The figure reads only instruction counts, so every bar comes from
 //! [`tape::summary`]: in a full report the interpreter and JIT counts
-//! of the suite come from the shared pass's recordings, while `hello`
+//! of the suite come from the shared pass's runs, while `hello`
 //! (which no other section reads), the `opt` oracle and a Figure 1 run
-//! alone run count-only, recording no tape.
+//! alone run count-only.
 
 use crate::jobs::{self, Workload};
 use crate::runner::Mode;

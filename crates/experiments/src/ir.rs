@@ -194,9 +194,9 @@ fn measure(interp: &RunSummary, jit: &RunSummary, d: &CacheStats, ir: bool) -> I
 }
 
 /// The register-IR study off the shared pass, one job per benchmark:
-/// each family's D point is a view of its interpreter's tape (stock or
-/// IR), and its counts and code bytes come from the run summaries. The
-/// IR-backed JIT, which nothing decodes, runs count-only.
+/// each family's D point is a view of its interpreter's stream (stock
+/// or IR), and its counts and code bytes come from the run summaries.
+/// The IR-backed JIT, which no consumer reads, runs count-only.
 pub fn view(pass: &Pass, size: Size) -> IrStudy {
     let dcfg = CacheConfig::paper_l1_data();
     let loads = jobs::prebuild(suite(), size);

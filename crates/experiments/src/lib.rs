@@ -30,9 +30,9 @@
 //! | [`gc_study`] | Beyond the paper — generational copying GC: collection counts, survival, write-barrier overhead, Gc/GcBarrier cache slices, cross-collector equivalence |
 //!
 //! [`report::run_all`] executes everything and renders the
-//! `EXPERIMENTS.md` comparison document. One shared [`pass`] records
-//! and decodes every stream the report reads, once for all of its
-//! sections; the other sections read run summaries ([`tape::summary`]).
+//! `EXPERIMENTS.md` comparison document. One shared [`pass`] runs
+//! every stream the report reads once, straight into all of its
+//! sections' consumers; the other sections read run summaries ([`tape::summary`]).
 //!
 //! Every driver fans its `(workload, mode)` cross-product out on the
 //! [`jobs`] work-queue scheduler (worker count from `JRT_JOBS` or the

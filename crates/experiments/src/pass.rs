@@ -1,18 +1,19 @@
-//! The report's one pass over its recorded streams. As the paper fed
-//! one Shade trace to cachesim5, its branch predictors and its
-//! superscalar model, [`run`] records each `(workload, mode)` stream of
-//! [`suite`] the requested sections ask anything of, decodes it once
-//! and fans the decode out, through one sink tuple, to every consumer
-//! they ask of it. `ask` is the table of who asks what, by section and
-//! mode: the stock interpreter and JIT streams feed most sections, the
+//! The report's one pass over its streams. As the paper fed one Shade
+//! trace to cachesim5, its branch predictors and its superscalar model
+//! while the JVM ran, [`run`] runs each `(workload, mode)` stream of
+//! [`suite`] the requested sections ask anything of once, straight into
+//! one sink tuple holding every consumer they ask of it; no trace is
+//! stored. `ask` is the table of who asks what, by section and mode:
+//! the stock interpreter and JIT streams feed most sections, the
 //! folding interpreter's only the folding study, and the register-IR
 //! interpreter's only the register-IR study. The pass is the only code
-//! that records or decodes a report stream, and it memoizes nothing
-//! itself. The sections are views of the [`Pass`]: `run_all` runs it
-//! once, before the first section, for every enabled section, and a
-//! section's own `run` for itself alone. Every consumer sees the whole
-//! stream whatever else shares the decode, so both give the same
-//! numbers.
+//! that runs a report stream into consumers, and it memoizes nothing
+//! itself; each run publishes its run summary ([`tape::stream`]), so
+//! the sections that read counts alone find it. The sections are views
+//! of the [`Pass`]: `run_all` runs it once, before the first section,
+//! for every enabled section, and a section's own `run` for itself
+//! alone. Every consumer sees the whole stream whatever else shares the
+//! run, so both give the same numbers.
 
 use crate::jobs::{self, Workload};
 use crate::runner::Mode;
@@ -183,16 +184,15 @@ impl Pass {
     }
 }
 
-/// The streams the pass can record, in the order it keeps them per
+/// The streams the pass can run, in the order it keeps them per
 /// benchmark.
 const MODES: [Mode; 4] = [Mode::Interp, Mode::Jit, Mode::Folding, Mode::IrInterp];
 
 /// Runs the pass at `size` for `sections` (report section names; the
 /// ones that read no stream ask nothing): one job per stream they ask
-/// anything of, each recording its tape if no earlier pass did and
-/// decoding it once into every consumer they ask of it. Programs are
-/// built for those jobs alone, so a pass nobody asks anything of
-/// builds and runs nothing.
+/// anything of, each running the VM once into every consumer they ask
+/// of it. Programs are built for those jobs alone, so a pass nobody
+/// asks anything of builds and runs nothing.
 pub fn run(size: Size, sections: &[&str]) -> Pass {
     let mut work = Vec::new();
     for (spec, mode) in jobs::cross(&suite(), &MODES) {
@@ -214,7 +214,7 @@ fn is_app_phase(p: Phase) -> bool {
     !matches!(p, Phase::Translate | Phase::ClassLoad)
 }
 
-/// Decodes the `(w, mode)` tape once into the consumers `needs` names.
+/// Runs the `(w, mode)` stream once into the consumers `needs` names.
 fn feed(w: &Workload, mode: Mode, needs: &Needs) -> TapeResult {
     let swept = !(needs.icache.is_empty() && needs.dcache.is_empty());
     let mut widths = Vec::new();
@@ -236,7 +236,7 @@ fn feed(w: &Workload, mode: Mode, needs: &Needs) -> TapeResult {
         needs.install.then(install),
         needs.timeline.map(timeline),
     );
-    tape::recorded(w, mode).decode(&mut sinks);
+    tape::stream(w, mode, &mut sinks);
     let (sweep, mix, predictors, target_cache, ilp, app_phase, install, timeline) = sinks;
     let reports = ilp.map_or_else(Vec::new, |s| s.reports());
     let (icache, dcache) = sweep

@@ -61,7 +61,7 @@ pub struct Report {
     pub codecache: Option<codecache::CodeCacheStudy>,
     /// Multi-tenant VM fleet study (admission, fuel, shared cache).
     pub serve: Option<crate::serve::ServeStudy>,
-    /// Out-of-core scale study (disk-tier tapes, sharded replay).
+    /// Out-of-core scale study (on-disk tapes, sharded replay).
     pub scale: Option<crate::scale::ScaleStudy>,
     /// Generational-GC study (collections, barriers, equivalence).
     pub gc: Option<gc_study::GcStudy>,
@@ -124,8 +124,9 @@ fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
 /// when `filter` is `None`), logging progress to stderr. Skipped
 /// sections are `None` in the returned [`Report`] and absent from its
 /// markdown. One [`pass::run`] for every enabled section runs before
-/// the first of them: it records and decodes every stream they read,
-/// so the run summaries the other sections read find its recordings.
+/// the first of them: it runs every stream they read into their
+/// consumers, so the run summaries the other sections read find its
+/// runs.
 /// `sabotage_drop_barrier` arms the GC study's seeded missed write
 /// barrier ([`gc_study::run_sabotaged`]); `None` is the clean run.
 pub fn run_filtered(

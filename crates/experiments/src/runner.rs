@@ -50,7 +50,7 @@ pub fn derive_oracle(program: &Program) -> OracleDecisions {
 }
 
 /// The VM configuration of `mode`: the one mapping from a [`Mode`] to
-/// an engine, shared by recordings, count-only summaries and
+/// an engine, shared by pass streams, count-only summaries and
 /// [`run_mode`]. `oracle` supplies the [`Mode::Opt`] decisions and is
 /// called only for that mode.
 pub fn vm_config(mode: Mode, oracle: impl FnOnce() -> OracleDecisions) -> VmConfig {

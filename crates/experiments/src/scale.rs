@@ -1,15 +1,18 @@
 //! Out-of-core scale study — sharded parallel replay of one big tape.
 //!
-//! The paper's pipeline recorded a Shade trace once and fed it to many
-//! simulators; the s10-class traces were far larger than RAM, so the
-//! tooling had to stream them from disk. This study reproduces that
+//! The paper's pipeline traced each benchmark on the fly; the
+//! s10-class traces were far larger than RAM, so a tool that stores
+//! such a trace has to stream it from disk. This study reproduces that
 //! regime end to end:
 //!
-//! 1. a base workload tape is **tiled** ([`jrt_trace::Tape::tiled`])
-//!    into an s10-class synthetic tape — the same code stream repeated
-//!    with the data working set shifted per tile — and persisted as a
-//!    [`DiskTape`] (segmented, independently decodable chunks);
-//! 2. the in-memory tape is dropped, and every replay from here on
+//! 1. a workload's JIT stream is recorded onto a tape
+//!    ([`tape::stream`] into a [`TapeRecorder`]), **tiled**
+//!    ([`jrt_trace::Tape::tiled`]) into an s10-class synthetic tape —
+//!    the same code stream repeated with the data working set shifted
+//!    per tile — and persisted as a [`DiskTape`] (segmented,
+//!    independently decodable chunks) in the spill directory
+//!    (`JRT_TAPE_DIR`);
+//! 2. the in-memory tapes are dropped, and every replay from here on
 //!    streams from disk — nothing ever materializes the full trace;
 //! 3. the tape is split at segment boundaries into 1/2/4/8 shards,
 //!    each shard replayed by a worker into its own
@@ -19,9 +22,12 @@
 //!    per-slice, per-region hit/miss counts and the full instruction
 //!    mix) against a serial streamed reference.
 //!
-//! The report table is deterministic at any `--jobs` setting;
-//! wall-clock throughput (events/sec per worker count) goes to stderr
-//! only, so CI can diff the markdown across worker counts.
+//! Each row says whether its tiled tape exceeds the RAM tape budget
+//! (`JRT_TAPE_BUDGET`, [`tape::budget_bytes`]), the study's
+//! out-of-core threshold. The report table is deterministic at any
+//! `--jobs` setting; wall-clock throughput (events/sec per worker
+//! count) goes to stderr only, so CI can diff the markdown across
+//! worker counts.
 
 use std::time::Instant;
 
@@ -30,7 +36,7 @@ use crate::runner::Mode;
 use crate::table::{count, Table};
 use crate::tape;
 use jrt_cache::{CacheConfig, CacheStats, SplitSweep, SplitSweepShard};
-use jrt_trace::{DiskTape, InstMix, Region};
+use jrt_trace::{DiskTape, InstMix, Region, TapeRecorder};
 use jrt_workloads::{suite, Size};
 
 /// Worker counts swept by the scaling study.
@@ -111,7 +117,7 @@ impl ScaleStudy {
     }
 
     /// Renders the study as markdown: the table plus one budget line
-    /// per row (greppable by the CI scale-disk-tier smoke leg).
+    /// per row (greppable by the CI scale-budget smoke leg).
     pub fn to_markdown(&self) -> String {
         let mut out = self.table().to_markdown();
         for r in &self.rows {
@@ -188,8 +194,9 @@ fn plan(size: Size) -> (Size, usize) {
 }
 
 fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
-    let entry = tape::recorded(w, Mode::Jit);
-    let tiled = entry.tape.tiled(tiles, ADDR_STRIDE);
+    let mut recorder = TapeRecorder::new();
+    tape::stream(w, Mode::Jit, &mut recorder);
+    let tiled = recorder.into_tape().tiled(tiles, ADDR_STRIDE);
     let dir = tape::disk_dir()
         .expect("tape spill directory unavailable")
         .clone();
@@ -199,9 +206,8 @@ fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
     let segments = disk.segments().len();
     let disk_bytes = disk.size_bytes();
     // From here on everything streams from disk: drop the in-memory
-    // tiled tape (and don't hold the recorded entry either).
+    // tiled tape.
     drop(tiled);
-    drop(entry);
 
     let (ipoints, dpoints) = points();
 
@@ -303,7 +309,6 @@ mod tests {
 
     #[test]
     fn tiny_scale_study_is_exact_at_every_worker_count() {
-        let _g = tape::test_gate();
         let study = run(Size::Tiny);
         assert_eq!(study.rows.len(), 2);
         for row in &study.rows {

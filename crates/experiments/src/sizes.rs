@@ -9,8 +9,8 @@
 //! translation share of JIT time falling as inputs grow.
 //!
 //! Like the paper's sweep, it needs only two counts per run, so every
-//! point is a count-only [`tape::summary`]: no S1 or S10 stream is
-//! recorded, since nothing replays one.
+//! point is a count-only [`tape::summary`]: no consumer reads an S1 or
+//! S10 stream.
 
 use crate::jobs;
 use crate::runner::Mode;
@@ -70,9 +70,9 @@ const SIZES: [Size; 3] = [Size::Tiny, Size::S1, Size::S10];
 /// Runs the size sweep on three representative benchmarks
 /// (translation-heavy `db`/`javac`, execution-heavy `compress`),
 /// one job per benchmark × size × mode, so the two long runs of one
-/// point can land on different workers. Programs come from the tape
-/// cache's memo, and a point some other driver already recorded (the
-/// s1 points of a `run_all s1`) costs no VM run.
+/// point can land on different workers. Programs come from the
+/// program memo, and a point some other driver already ran (the s1
+/// points of a `run_all s1`) costs no VM run.
 pub fn run() -> Sizes {
     let specs = [
         Spec {

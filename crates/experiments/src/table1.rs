@@ -69,7 +69,7 @@ impl Table1 {
 
 fn run_one(w: &Workload) -> Table1Row {
     // Footprints ride along on the run summaries (the shared pass's
-    // recordings in a full report); no dedicated runs needed.
+    // runs in a full report); no dedicated runs needed.
     Table1Row {
         name: w.spec.name,
         interp: tape::summary(w, Mode::Interp).result.footprint,

@@ -76,6 +76,12 @@ impl InstClass {
         InstClass::Nop,
     ];
 
+    /// This class's position in [`InstClass::ALL`], which lists the
+    /// classes in declaration order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Returns `true` for any control-transfer instruction
     /// (branch, jump, call, or return).
     pub fn is_transfer(self) -> bool {
@@ -212,6 +218,12 @@ impl Phase {
         Phase::NativeApp,
         Phase::GcBarrier,
     ];
+
+    /// This phase's position in [`Phase::ALL`], which lists the phases
+    /// in declaration order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Returns `true` if this phase belongs to the JIT translator
     /// (the "translate portion" isolated in Figures 1 and 5).

@@ -18,10 +18,9 @@
 //! * the consumer interface ([`TraceSink`]) and combinators,
 //! * a ready-made instruction-mix profiler ([`InstMix`]) reproducing the
 //!   categories of Figure 2 of the paper,
-//! * compact record-once/replay-many trace [`Tape`]s mirroring the
-//!   paper's Shade-trace → many-simulators pipeline: one replay feeds
-//!   every consumer, the cache sweep included, through [`TraceSink`],
-//!   and
+//! * compact delta-packed trace [`Tape`]s, for a stream that must
+//!   outlive its run: a tape replays into any [`TraceSink`], from RAM
+//!   or segment by segment from disk ([`DiskTape`]), and
 //! * a shared integer-id hasher ([`IdHasher`]) for hot lookup paths.
 //!
 //! # Examples

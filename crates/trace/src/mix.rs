@@ -25,7 +25,7 @@ impl InstMix {
 
     /// Count of one instruction class.
     pub fn count(&self, class: InstClass) -> u64 {
-        self.counts[class_index(class)]
+        self.counts[class.index()]
     }
 
     /// Total instructions observed.
@@ -107,15 +107,8 @@ impl InstMix {
 
 impl TraceSink for InstMix {
     fn accept(&mut self, inst: &NativeInst) {
-        self.counts[class_index(inst.class)] += 1;
+        self.counts[inst.class.index()] += 1;
     }
-}
-
-fn class_index(class: InstClass) -> usize {
-    InstClass::ALL
-        .iter()
-        .position(|&c| c == class)
-        .expect("class present in InstClass::ALL")
 }
 
 /// Derived instruction-mix percentages for one run (Figure 2 row).

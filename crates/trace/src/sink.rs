@@ -122,7 +122,7 @@ impl CountingSink {
 
     /// Instructions observed in the given phase.
     pub fn phase(&self, phase: Phase) -> u64 {
-        self.per_phase[phase_index(phase)]
+        self.per_phase[phase.index()]
     }
 
     /// Instructions observed in the JIT translate phase.
@@ -134,15 +134,8 @@ impl CountingSink {
 impl TraceSink for CountingSink {
     fn accept(&mut self, inst: &NativeInst) {
         self.total += 1;
-        self.per_phase[phase_index(inst.phase)] += 1;
+        self.per_phase[inst.phase.index()] += 1;
     }
-}
-
-pub(crate) fn phase_index(phase: Phase) -> usize {
-    Phase::ALL
-        .iter()
-        .position(|&p| p == phase)
-        .expect("phase present in Phase::ALL")
 }
 
 /// Records every event into a vector. Only for tests and small traces.

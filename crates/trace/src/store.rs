@@ -1,8 +1,9 @@
 //! Out-of-core tape persistence: append-only segment files.
 //!
-//! The paper's record-once/replay-many methodology only pays off if a
-//! recording survives longer than one process and bigger than one
-//! address space. A [`DiskTape`] is a [`Tape`] spilled to two files:
+//! A trace bigger than one address space has to live on disk: the
+//! scale study tiles a recorded tape into an s10-class one and
+//! replays it from there, sharded. A [`DiskTape`] is a [`Tape`]
+//! spilled to two files:
 //!
 //! * **data file** — magic `JRTTAPE1`, then each segment's packed
 //!   bytes appended in stream order (the same delta encoding
@@ -17,8 +18,7 @@
 //! buffered segment at a time through a reused buffer — RAM cost is
 //! one segment (a few hundred KB), not one tape. Every segment's
 //! [`content_hash`] is validated before decoding, so bit rot surfaces
-//! as a counted [`StoreError::Corrupt`] instead of garbage simulation
-//! results.
+//! as a [`StoreError::Corrupt`] instead of garbage simulation results.
 //!
 //! # Examples
 //!
@@ -97,26 +97,6 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
         .ok_or_else(|| StoreError::Corrupt("index truncated".into()))?;
     *pos = end;
     Ok(u64::from_le_bytes(slice.try_into().unwrap()))
-}
-
-/// Fingerprint of a tape's logical content: folds the event count and
-/// every segment footer's (events, bases, lasts, per-segment content
-/// hash) — but *not* byte offsets, so a [`DiskTape`] written from a
-/// [`Tape`] keeps the tape's fingerprint even though tiling-shared
-/// byte spans get re-laid-out sequentially on disk. The experiments
-/// store keys and validates its disk tier with this.
-pub fn fingerprint(events: u64, segments: &[Segment]) -> u64 {
-    let mut bytes = Vec::with_capacity(8 + segments.len() * 48);
-    put_u64(&mut bytes, events);
-    for seg in segments {
-        put_u64(&mut bytes, seg.events);
-        put_u64(&mut bytes, seg.base_pc);
-        put_u64(&mut bytes, seg.base_addr);
-        put_u64(&mut bytes, seg.last_pc);
-        put_u64(&mut bytes, seg.last_addr);
-        put_u64(&mut bytes, seg.hash);
-    }
-    content_hash(&bytes)
 }
 
 /// A tape persisted as an append-only segment file plus index.
@@ -290,11 +270,6 @@ impl DiskTape {
         Ok(())
     }
 
-    /// Fingerprint of the logical tape content — see [`fingerprint`].
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint(self.events, &self.segments)
-    }
-
     /// Replays every event into `sink` (then calls
     /// [`TraceSink::finish`]), streaming one content-hash-validated
     /// segment at a time through a reused buffer.
@@ -318,25 +293,6 @@ impl DiskTape {
         }
         sink.finish();
         Ok(())
-    }
-
-    /// Reads the whole tape back into RAM as a [`Tape`], validating
-    /// every segment hash. The promotion path of the experiments
-    /// store's disk tier.
-    pub fn to_tape(&self) -> Result<Tape, StoreError> {
-        let mut reader = BufReader::new(File::open(&self.path)?);
-        let mut bytes = Vec::with_capacity(self.size_bytes() as usize);
-        let mut segments = Vec::with_capacity(self.segments.len());
-        let mut buf = Vec::new();
-        for (k, seg) in self.segments.iter().enumerate() {
-            self.read_segment(&mut reader, seg, k, &mut buf)?;
-            segments.push(Segment {
-                byte_off: bytes.len() as u64,
-                ..*seg
-            });
-            bytes.extend_from_slice(&buf);
-        }
-        Ok(Tape::from_parts(bytes, self.events, segments))
     }
 
     fn read_segment(
@@ -408,24 +364,16 @@ mod tests {
         let (_dir, path) = tmp_path("roundtrip.tape");
         let written = DiskTape::write(&path, &tape).unwrap();
         assert_eq!(written.len(), tape.len());
-        assert_eq!(
-            written.fingerprint(),
-            fingerprint(tape.len(), tape.segments())
-        );
 
         let opened = DiskTape::open(&path).unwrap();
         assert_eq!(opened.len(), tape.len());
         assert_eq!(opened.segments(), tape.segments());
-        assert_eq!(opened.fingerprint(), written.fingerprint());
 
         let mut want = RecordingSink::new();
         tape.replay(&mut want);
         let mut got = RecordingSink::new();
         opened.replay(&mut got).unwrap();
         assert_eq!(got.events, want.events);
-
-        let back = opened.to_tape().unwrap();
-        assert_eq!(back, tape);
     }
 
     #[test]

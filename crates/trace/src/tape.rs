@@ -364,18 +364,6 @@ impl Tape {
             segments,
         }
     }
-
-    /// Reassembles a tape from decoded parts — the on-disk store's
-    /// read path. `segments` must index into `bytes` and cover
-    /// `events` events in total.
-    pub(crate) fn from_parts(bytes: Vec<u8>, events: u64, segments: Vec<Segment>) -> Tape {
-        debug_assert_eq!(segments.iter().map(|s| s.events).sum::<u64>(), events);
-        Tape {
-            bytes,
-            events,
-            segments,
-        }
-    }
 }
 
 /// A [`TraceSink`] that packs every observed event onto a [`Tape`].
@@ -444,14 +432,8 @@ impl TraceSink for TapeRecorder {
             self.close_segment();
         }
         let bytes = &mut self.tape.bytes;
-        let class_idx = InstClass::ALL
-            .iter()
-            .position(|&c| c == inst.class)
-            .expect("class present in InstClass::ALL") as u8;
-        let phase_idx = Phase::ALL
-            .iter()
-            .position(|&p| p == inst.phase)
-            .expect("phase present in Phase::ALL") as u8;
+        let class_idx = inst.class.index() as u8;
+        let phase_idx = inst.phase.index() as u8;
 
         let mut flags = 0u8;
         let pc_seq = inst.pc == self.prev_pc.wrapping_add(SEQ_STEP);
@@ -525,17 +507,13 @@ mod tests {
 
     #[test]
     fn enum_discriminants_match_all_order() {
-        // The encoding relies on `ALL` being in declaration order so
-        // that `ALL[idx]` inverts the recorded index.
+        // The encoding records `index()` and decodes `ALL[idx]`, so
+        // each must invert the other.
         for (k, c) in InstClass::ALL.iter().enumerate() {
-            assert_eq!(
-                InstClass::ALL.iter().position(|x| x == c).unwrap(),
-                k,
-                "duplicate entry in InstClass::ALL"
-            );
+            assert_eq!(c.index(), k, "InstClass::ALL[{k}] is {c:?}");
         }
         for (k, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(Phase::ALL.iter().position(|x| x == p).unwrap(), k);
+            assert_eq!(p.index(), k, "Phase::ALL[{k}] is {p:?}");
         }
         assert!(InstClass::ALL.len() <= 16, "class index must fit a nibble");
         assert!(Phase::ALL.len() <= 16, "phase index must fit a nibble");

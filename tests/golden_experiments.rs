@@ -11,7 +11,7 @@
 //! Each section that reads the shared pass, run alone — the pass then
 //! feeds only that section's consumers — must reproduce its golden
 //! section, as must Figures 1 and 11 and Table 1, whose run summaries
-//! are then count-only runs rather than the pass's recordings.
+//! are then count-only runs rather than the pass's runs.
 
 use javart::experiments::report::{self, Report};
 use javart::experiments::{gc_study, jobs};

@@ -17,14 +17,12 @@
 
 use javart::bpred::{BranchEval, BranchStats, Btb, DirectionPredictor, Gshare, ReturnStack};
 use javart::cache::Cache;
-use javart::experiments::runner::Mode;
-use javart::experiments::tape::{self, TapeEntry};
+use javart::experiments::runner::{run_mode, Mode};
 use javart::ilp::{PipelineConfig, PipelineReport, PipelineSweep};
-use javart::trace::{AccessKind, InstClass, MemRef, NativeInst, Phase, TraceSink, NUM_REGS};
+use javart::trace::{AccessKind, InstClass, MemRef, NativeInst, Phase, Tape, TraceSink, NUM_REGS};
 use javart::workloads::{suite, Size};
 use jrt_testkit::{forall, Rng};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Reference model: the one-width pipeline, verbatim except that the
@@ -339,22 +337,24 @@ fn feed(sink: &mut dyn TraceSink, events: &[NativeInst]) {
     }
 }
 
-/// Every tape the ILP figures replay at `tiny`: each workload under the
+/// Records `spec`'s stream under `mode` at `tiny`.
+fn record(spec: &javart::workloads::Spec, mode: Mode) -> Tape {
+    let program = (spec.build)(Size::Tiny);
+    Tape::record(|rec| {
+        run_mode(&program, mode, rec);
+    })
+}
+
+/// Every stream the ILP figures read at `tiny`: each workload under the
 /// interpreter and the JIT (Figures 9/10) and under the folding
 /// interpreter (the folding study).
-fn ilp_tapes() -> Vec<(String, Arc<TapeEntry>)> {
+fn ilp_tapes() -> Vec<(String, Tape)> {
     let mut tapes = Vec::new();
     for spec in suite() {
-        let w = tape::workload(&spec, Size::Tiny);
-        tapes.push((
-            format!("{} interp", spec.name),
-            tape::recorded(&w, Mode::Interp),
-        ));
-        tapes.push((format!("{} jit", spec.name), tape::recorded(&w, Mode::Jit)));
-        tapes.push((
-            format!("{} folding", spec.name),
-            tape::recorded(&w, Mode::Folding),
-        ));
+        for mode in [Mode::Interp, Mode::Jit, Mode::Folding] {
+            let name = format!("{} {}", spec.name, mode.label());
+            tapes.push((name, record(&spec, mode)));
+        }
     }
     tapes
 }
@@ -373,8 +373,8 @@ fn sweep_matches_reference_on_synthetic_streams() {
 /// replay.
 #[test]
 fn sweep_matches_reference_for_every_workload_and_mode() {
-    for (name, entry) in ilp_tapes() {
-        assert_sweep_matches_reference(&name, |mut sink| entry.tape.replay(&mut sink));
+    for (name, tape) in ilp_tapes() {
+        assert_sweep_matches_reference(&name, |mut sink| tape.replay(&mut sink));
     }
 }
 
@@ -384,9 +384,9 @@ fn sweep_matches_reference_for_every_workload_and_mode() {
 fn wider_issue_never_adds_cycles_and_respects_the_width_bound() {
     let widths: Vec<u32> = (1..=8).collect();
     let configs: Vec<_> = widths.iter().map(|&w| PipelineConfig::paper(w)).collect();
-    for (name, entry) in ilp_tapes() {
+    for (name, tape) in ilp_tapes() {
         let mut sweep = PipelineSweep::new(&configs);
-        entry.tape.replay(&mut sweep);
+        tape.replay(&mut sweep);
         let reports = sweep.reports();
         for (r, &w) in reports.iter().zip(&widths) {
             let bound = r.instructions.div_ceil(u64::from(w));
@@ -425,12 +425,10 @@ fn shared_btb_evaluator_matches_one_evaluator_per_predictor() {
         assert_shared_matches_singles("synthetic", |sink| feed(sink, &events));
     });
     for spec in suite() {
-        let w = tape::workload(&spec, Size::Tiny);
         for mode in Mode::BOTH {
             let ctx = format!("{} {mode:?}", spec.name);
-            assert_shared_matches_singles(&ctx, |mut sink| {
-                tape::recorded(&w, mode).tape.replay(&mut sink);
-            });
+            let tape = record(&spec, mode);
+            assert_shared_matches_singles(&ctx, |mut sink| tape.replay(&mut sink));
         }
     }
 }
@@ -467,8 +465,7 @@ fn target_cache_keeps_indirect_transfers_out_of_the_btb() {
     forall!(cases = 64, seed = 0x7C_0001, |rng| {
         check("synthetic", &arbitrary_stream(rng));
     });
-    let w = tape::workload(&suite()[0], Size::Tiny);
     let mut events = javart::trace::RecordingSink::new();
-    tape::recorded(&w, Mode::Interp).tape.replay(&mut events);
+    record(&suite()[0], Mode::Interp).replay(&mut events);
     check("compress interp", &events.events);
 }

@@ -5,9 +5,8 @@
 //! workload × mode at `tiny`.
 
 use javart::cache::{CacheConfig, SplitCaches, SplitSweep};
-use javart::experiments::runner::Mode;
-use javart::experiments::{jobs::Workload, tape};
-use javart::trace::{AccessKind, MemRef, NativeInst, Phase, Region, TraceSink};
+use javart::experiments::runner::{run_mode, Mode};
+use javart::trace::{AccessKind, MemRef, NativeInst, Phase, Region, Tape, TraceSink};
 use javart::workloads::{suite_with_hello, Size};
 use jrt_testkit::forall;
 
@@ -114,13 +113,16 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
     let mut points = assoc_points();
     points.push(CacheConfig::paper_write_study());
     for spec in suite_with_hello() {
-        let w: Workload = tape::workload(&spec, Size::Tiny);
+        let program = (spec.build)(Size::Tiny);
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
+            let tape = Tape::record(|rec| {
+                run_mode(&program, mode, rec);
+            });
             let mut sweep = SplitSweep::new(&points, &points);
-            tape::recorded(&w, mode).tape.replay(&mut sweep);
+            tape.replay(&mut sweep);
             let mut pairs: Vec<SplitCaches> =
                 points.iter().map(|&c| SplitCaches::new(c, c)).collect();
-            tape::recorded(&w, mode).tape.replay(&mut pairs);
+            tape.replay(&mut pairs);
             assert_equivalent(&sweep, &pairs, &format!("{} {mode:?}", spec.name));
         }
     }
@@ -132,7 +134,10 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
 #[test]
 fn sweep_matches_split_caches_across_line_sizes() {
     let spec = suite_with_hello().remove(0);
-    let w = tape::workload(&spec, Size::Tiny);
+    let program = (spec.build)(Size::Tiny);
+    let tape = Tape::record(|rec| {
+        run_mode(&program, Mode::Jit, rec);
+    });
     let mut configs: Vec<(CacheConfig, CacheConfig)> = [16u32, 32, 64, 128]
         .iter()
         .map(|&l| {
@@ -143,9 +148,9 @@ fn sweep_matches_split_caches_across_line_sizes() {
     configs.push((CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data()));
     for (icfg, dcfg) in configs {
         let mut sweep = SplitSweep::new(&[icfg], &[dcfg]);
-        tape::recorded(&w, Mode::Jit).tape.replay(&mut sweep);
+        tape.replay(&mut sweep);
         let mut pair = vec![SplitCaches::new(icfg, dcfg)];
-        tape::recorded(&w, Mode::Jit).tape.replay(&mut pair);
+        tape.replay(&mut pair);
         assert_equivalent(&sweep, &pair, &format!("{icfg}/{dcfg}"));
     }
 }
