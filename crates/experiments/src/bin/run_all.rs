@@ -2,7 +2,7 @@
 //! Usage: `run_all [tiny|s1|s10] [output-path] [--jobs N] [--filter SUBSTR]
 //! [--sabotage-drop-barrier N] [--list]`.
 
-use jrt_experiments::{jobs, report};
+use jrt_experiments::{jobs, report, scale};
 use jrt_workloads::Size;
 use std::process::exit;
 
@@ -33,10 +33,16 @@ the report is byte-identical at any worker count.
   --list           print the section names --filter matches against,
                    one per line, and exit.
 
+The scale section spills its tiled tapes to JRT_TAPE_DIR (default: a
+per-process directory under the system temp dir, removed afterwards).
+If the scale section is to run and that directory cannot be created,
+run_all exits 2 before running anything.
+
 Exit status: 0 when the report was written; 1 when a report check
 failed (the scale study's sharded-vs-serial exactness or the GC
 study's cross-collector equivalence), and the report is not written;
-2 on a usage error or when the report cannot be written.";
+2 on a usage error, an unusable tape spill directory, or when the
+report cannot be written.";
 
 /// Reports a usage error and exits with status 2.
 fn usage(msg: &str) -> ! {
@@ -88,17 +94,25 @@ fn main() {
     if let Some(extra) = positional.next() {
         usage(&format!("unexpected argument {extra:?}"));
     }
-    if let Some(f) = &filter {
-        if report::matching_sections(f).is_empty() {
-            usage(&format!(
-                "filter {f:?} matches no experiment section; valid names:\n  {}",
-                report::SECTIONS.join(" ")
-            ));
-        }
+    // No filter selects every section, so only a filter can match none.
+    let f = filter.as_deref().unwrap_or("");
+    let sections = report::matching_sections(f);
+    if sections.is_empty() {
+        usage(&format!(
+            "filter {f:?} matches no experiment section; valid names:\n  {}",
+            report::SECTIONS.join(" ")
+        ));
     }
-    let skips_gc = |f: &String| !report::matching_sections(f).contains(&"gc");
-    if sabotage.is_some() && filter.as_ref().is_some_and(skips_gc) {
+    if sabotage.is_some() && !sections.contains(&"gc") {
         usage("--sabotage-drop-barrier needs the gc section, which the filter skips");
+    }
+    // Dropping the probed directory removes it again if the probe
+    // made it.
+    if sections.contains(&"scale") {
+        if let Err(e) = scale::spill_dir() {
+            eprintln!("run_all: {e}");
+            exit(2);
+        }
     }
 
     let r = report::run_filtered(size, filter.as_deref(), sabotage);

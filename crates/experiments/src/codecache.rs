@@ -35,7 +35,7 @@ use crate::table::{count, Table};
 use crate::tape::{self, RunSummary};
 use jrt_cache::{CacheConfig, SplitSweep};
 use jrt_trace::{CountingSink, Phase, Region};
-use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, Vm, VmConfig};
+use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
 
 /// Benchmarks swept by the capacity and tiering studies: the paper's
@@ -110,7 +110,7 @@ impl Measured {
     }
 }
 
-/// Direct VM run under `cfg`, counting instructions and the paper's L1
+/// One VM run under `cfg`, counting instructions and the paper's L1
 /// D-cache write misses to the code cache, the point [`baseline`]
 /// reads off the shared pass.
 fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
@@ -118,10 +118,7 @@ fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
         CountingSink::new(),
         SplitSweep::new(&[], &[CacheConfig::paper_l1_data()]),
     );
-    let result = Vm::new(&w.program, cfg)
-        .run(&mut sinks)
-        .expect("workload runs clean");
-    w.check(&result);
+    let result = tape::run(w, cfg, &mut sinks);
     let (counts, sweep) = sinks;
     let d = &sweep.dcache().results()[0];
     let cc_write_misses = d.region_stats(Region::CodeCache).write_misses;
@@ -359,10 +356,7 @@ fn tiering_rows(loads: &[Workload]) -> Vec<TieringRow> {
                 ..VmConfig::default()
             };
             let mut counts = CountingSink::new();
-            let result = Vm::new(&w.program, cfg)
-                .run(&mut counts)
-                .expect("workload runs clean");
-            w.check(&result);
+            let result = tape::run(w, cfg, &mut counts);
             Measured::new(&RunSummary { result, counts }, 0)
         }
     });

@@ -12,7 +12,7 @@ use crate::table::{count, pct, Table};
 use crate::tape;
 use jrt_sync::{SyncCase, SyncStats};
 use jrt_trace::NullSink;
-use jrt_vm::{SyncKind, Vm, VmConfig};
+use jrt_vm::{SyncKind, VmConfig};
 use jrt_workloads::{suite, Size};
 
 /// Case mix for one benchmark.
@@ -135,7 +135,7 @@ fn header_bits(kind: SyncKind) -> u32 {
 /// Runs the Figure 11 experiment: one cost job per scheme ×
 /// benchmark, folded kind-major. The stock JIT already runs the
 /// monitor cache, so that column is the JIT run's summary; the other
-/// schemes' sync traces differ, so they are direct VM runs. The
+/// schemes' sync traces differ, so they are runs of their own. The
 /// per-benchmark case mixes reuse the thin-lock rows of that same
 /// cross-product (the case classification is canonical across
 /// schemes), so no benchmark runs twice.
@@ -144,14 +144,7 @@ pub fn run(size: Size) -> Fig11 {
     let work = jobs::cross(&SyncKind::ALL, &loads);
     let stats = jobs::par_map(&work, |(kind, w)| match kind {
         SyncKind::MonitorCache => tape::summary(w, Mode::Jit).result.sync_stats,
-        _ => {
-            let cfg = VmConfig::jit().with_sync(*kind);
-            let r = Vm::new(&w.program, cfg)
-                .run(&mut NullSink)
-                .expect("workload runs clean");
-            w.check(&r);
-            r.sync_stats
-        }
+        _ => tape::run(w, VmConfig::jit().with_sync(*kind), &mut NullSink).sync_stats,
     });
     let cases = work
         .iter()

@@ -22,12 +22,13 @@
 //!   geometry, plus the interpreter reference; their observables and
 //!   the measured tiny-nursery run's must all be byte-equal.
 //!
-//! The report is deterministic at any `--jobs` setting (the study
-//! runs its small workload set serially). `run_all --filter gc
+//! The report is deterministic at any `--jobs` setting (one job per
+//! workload, merged in suite order). `run_all --filter gc
 //! --sabotage-drop-barrier N` arms the collector's seeded
 //! missed-write-barrier hook on the measured engine — the must-fail
 //! CI leg proves a single lost barrier breaks equivalence and exits 1.
 
+use crate::jobs::{self, Workload};
 use crate::table::{count, pct, Table};
 use jrt_cache::{CacheConfig, SplitSweep};
 use jrt_trace::NullSink;
@@ -190,15 +191,19 @@ pub fn study_config(_size: Size) -> GcConfig {
     GcConfig::tiny_nursery()
 }
 
+/// The study's runs bypass [`crate::tape::run`]: they need
+/// [`Observables`], and a sabotaged run must fail the equivalence
+/// column ([`crate::report::Report::check`]) rather than panic on its
+/// checksum.
 fn run_observables(program: &jrt_bytecode::Program, cfg: VmConfig) -> Observables {
     Vm::new(program, cfg)
         .run_observed(&mut NullSink)
         .observables
 }
 
-fn run_one(spec: &jrt_workloads::Spec, size: Size, sabotage_drop: Option<u64>) -> GcRow {
-    let program = (spec.build)(size);
-    let study_gc = study_config(size);
+fn run_one(w: &Workload, sabotage_drop: Option<u64>) -> GcRow {
+    let program = &w.program;
+    let study_gc = study_config(w.size);
 
     // The measured run: first-invocation JIT under the study nursery,
     // swept through the paper-L1 points for the phase-slice miss
@@ -208,7 +213,7 @@ fn run_one(spec: &jrt_workloads::Spec, size: Size, sabotage_drop: Option<u64>) -
     let mut sweep = SplitSweep::new(&ipoints, &dpoints);
     let mut cfg = VmConfig::jit().with_gc(study_gc);
     cfg.gc_sabotage_drop_barrier = sabotage_drop;
-    let run = Vm::new(&program, cfg).run_observed(&mut sweep);
+    let run = Vm::new(program, cfg).run_observed(&mut sweep);
     let iresults = sweep.icache().results();
     let dresults = sweep.dcache().results();
     let (i, d) = (&iresults[0], &dresults[0]);
@@ -217,16 +222,16 @@ fn run_one(spec: &jrt_workloads::Spec, size: Size, sabotage_drop: Option<u64>) -
     // every collector configuration must observe identically. The
     // measured run is the JIT under the study nursery, so the loop
     // runs only the other two configurations.
-    let reference = run_observables(&program, VmConfig::interpreter());
-    let self_check = run.observables.outcome == Ok(Some((spec.expected)(size)));
+    let reference = run_observables(program, VmConfig::interpreter());
+    let self_check = run.observables.outcome == Ok(Some((w.spec.expected)(w.size)));
     let equivalent = self_check
         && [GcConfig::Legacy, GcConfig::generational()]
             .into_iter()
-            .all(|gc| run_observables(&program, VmConfig::jit().with_gc(gc)) == reference)
+            .all(|gc| run_observables(program, VmConfig::jit().with_gc(gc)) == reference)
         && run.observables == reference;
 
     GcRow {
-        name: spec.name.to_string(),
+        name: w.spec.name.to_string(),
         bytecodes: run.counters.bytecodes,
         minors: run.counters.gc_minor,
         majors: run.counters.gc_major,
@@ -263,10 +268,9 @@ pub fn run_sabotaged(size: Size, sabotage_drop: Option<u64>) -> GcStudy {
     GcStudy {
         nursery_bytes,
         tenured_bytes,
-        rows: gc_suite()
-            .iter()
-            .map(|spec| run_one(spec, size, sabotage_drop))
-            .collect(),
+        rows: jobs::par_map(&jobs::prebuild(gc_suite(), size), |w| {
+            run_one(w, sabotage_drop)
+        }),
     }
 }
 

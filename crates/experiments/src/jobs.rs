@@ -122,7 +122,13 @@ pub struct Workload {
 impl Workload {
     /// Asserts `result` carries this workload's expected checksum.
     pub fn check(&self, result: &jrt_vm::RunResult) {
-        crate::runner::check(&self.spec, self.size, result);
+        assert_eq!(
+            result.exit_value,
+            Some((self.spec.expected)(self.size)),
+            "{} checksum mismatch in {} mode",
+            self.spec.name,
+            result.mode
+        );
     }
 }
 
@@ -149,7 +155,8 @@ pub fn cross<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_mode, Mode};
+    use crate::runner::Mode;
+    use crate::tape;
     use jrt_trace::CountingSink;
     use jrt_workloads::hello;
     use std::sync::Mutex;
@@ -218,8 +225,7 @@ mod tests {
         set_jobs(2);
         let totals = par_map(&jobs, |(w, mode)| {
             let mut sink = CountingSink::new();
-            let r = run_mode(&w.program, *mode, &mut sink);
-            w.check(&r);
+            tape::run(w, tape::config(w, *mode), &mut sink);
             sink.total()
         });
         set_jobs(0);

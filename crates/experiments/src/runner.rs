@@ -1,9 +1,5 @@
-//! Shared experiment plumbing: modes, oracle derivation, runs.
-
-use jrt_bytecode::Program;
-use jrt_trace::{CountingSink, TraceSink};
-use jrt_vm::{OracleDecisions, RunResult, Vm, VmConfig};
-use jrt_workloads::{Size, Spec};
+//! The execution modes of the experiments. [`crate::tape::config`]
+//! maps each to its engine, and [`crate::tape::run`] runs it.
 
 /// Execution mode of an experiment run: the engine that runs it, and
 /// so the native stream it emits.
@@ -41,63 +37,18 @@ impl Mode {
     }
 }
 
-/// Derives the paper's oracle for `program` by profiling one
-/// interpreter run and one JIT run.
-pub fn derive_oracle(program: &Program) -> OracleDecisions {
-    let interp = run_mode(program, Mode::Interp, &mut CountingSink::new());
-    let jit = run_mode(program, Mode::Jit, &mut CountingSink::new());
-    OracleDecisions::from_profiles(&interp.profile, &jit.profile)
-}
-
-/// The VM configuration of `mode`: the one mapping from a [`Mode`] to
-/// an engine, shared by pass streams, count-only summaries and
-/// [`run_mode`]. `oracle` supplies the [`Mode::Opt`] decisions and is
-/// called only for that mode.
-pub fn vm_config(mode: Mode, oracle: impl FnOnce() -> OracleDecisions) -> VmConfig {
-    match mode {
-        Mode::Interp => VmConfig::interpreter(),
-        Mode::Jit => VmConfig::jit(),
-        Mode::Opt => VmConfig::oracle(oracle()),
-        Mode::Folding => VmConfig::interpreter().with_folding(),
-        Mode::IrInterp => VmConfig::ir_interp(),
-        Mode::IrJit => VmConfig::ir_jit(),
-    }
-}
-
-/// Runs `program` under `mode`, streaming into `sink`.
-///
-/// # Panics
-///
-/// Panics if the program faults — workloads are self-checking and
-/// must not fail.
-pub fn run_mode(program: &Program, mode: Mode, sink: &mut impl TraceSink) -> RunResult {
-    let cfg = vm_config(mode, || derive_oracle(program));
-    Vm::new(program, cfg)
-        .run(sink)
-        .expect("workload runs clean")
-}
-
-/// Verifies the run returned the workload's expected checksum.
-pub fn check(spec: &Spec, size: Size, result: &RunResult) {
-    assert_eq!(
-        result.exit_value,
-        Some((spec.expected)(size)),
-        "{} checksum mismatch in {} mode",
-        spec.name,
-        result.mode
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jrt_workloads::hello;
+    use crate::tape;
+    use jrt_trace::CountingSink;
+    use jrt_workloads::{hello, suite_with_hello, Size};
 
     #[test]
     fn all_three_modes_agree_on_hello() {
-        let p = hello::program(Size::Tiny);
+        let w = tape::workload(&suite_with_hello()[0], Size::Tiny);
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
-            let r = run_mode(&p, mode, &mut CountingSink::new());
+            let r = tape::run(&w, tape::config(&w, mode), &mut CountingSink::new());
             assert_eq!(r.exit_value, Some(hello::expected(Size::Tiny)), "{mode:?}");
         }
     }

@@ -11,7 +11,7 @@
 //!    the same code stream repeated with the data working set shifted
 //!    per tile — and persisted as a [`DiskTape`] (segmented,
 //!    independently decodable chunks) in the spill directory
-//!    (`JRT_TAPE_DIR`);
+//!    ([`spill_dir`]);
 //! 2. the in-memory tapes are dropped, and every replay from here on
 //!    streams from disk — nothing ever materializes the full trace;
 //! 3. the tape is split at segment boundaries into 1/2/4/8 shards,
@@ -23,12 +23,12 @@
 //!    mix) against a serial streamed reference.
 //!
 //! Each row says whether its tiled tape exceeds the RAM tape budget
-//! (`JRT_TAPE_BUDGET`, [`tape::budget_bytes`]), the study's
-//! out-of-core threshold. The report table is deterministic at any
-//! `--jobs` setting; wall-clock throughput (events/sec per worker
-//! count) goes to stderr only, so CI can diff the markdown across
-//! worker counts.
+//! (4 GiB), the study's out-of-core threshold. The report table is
+//! deterministic at any `--jobs` setting; wall-clock throughput
+//! (events/sec per worker count) goes to stderr only, so CI can diff
+//! the markdown across worker counts.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::jobs::{self, Workload};
@@ -45,6 +45,10 @@ pub const WORKERS: [usize; 4] = [1, 2, 4, 8];
 /// Address stride between tiles: 1 MiB keeps every tile's shifted data
 /// working set inside its source region (regions are 256 MiB apart).
 pub const ADDR_STRIDE: u64 = 1 << 20;
+
+/// The RAM tape budget: the packed size past which the study calls a
+/// tiled tape out-of-core.
+const RAM_BUDGET_BYTES: u64 = 4 << 30;
 
 /// Exactness outcome for one worker count.
 #[derive(Debug, Clone, Copy)]
@@ -77,8 +81,6 @@ pub struct ScaleRow {
 /// The full scale study.
 #[derive(Debug, Clone)]
 pub struct ScaleStudy {
-    /// The RAM tape budget the run was performed under.
-    pub budget: u64,
     /// One row per workload.
     pub rows: Vec<ScaleRow>,
 }
@@ -117,7 +119,7 @@ impl ScaleStudy {
     }
 
     /// Renders the study as markdown: the table plus one budget line
-    /// per row (greppable by the CI scale-budget smoke leg).
+    /// per row.
     pub fn to_markdown(&self) -> String {
         let mut out = self.table().to_markdown();
         for r in &self.rows {
@@ -131,7 +133,7 @@ impl ScaleStudy {
                 r.name,
                 count(r.disk_bytes),
                 verdict,
-                self.budget,
+                RAM_BUDGET_BYTES,
                 r.segments
             ));
         }
@@ -193,14 +195,57 @@ fn plan(size: Size) -> (Size, usize) {
     }
 }
 
+/// The study's spill directory, from [`spill_dir`]. Dropping it
+/// removes the directory if `spill_dir` created it and it is empty; a
+/// directory that already existed is left alone.
+#[derive(Debug)]
+pub struct SpillDir {
+    path: PathBuf,
+    created: bool,
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        if self.created {
+            // Fails, harmlessly, if anything was left in it.
+            let _ = std::fs::remove_dir(&self.path);
+        }
+    }
+}
+
+/// Resolves and creates the directory the study spills its tiled
+/// tapes to: `JRT_TAPE_DIR`, default a per-process directory under the
+/// system temp dir.
+///
+/// # Errors
+///
+/// The directory cannot be created. The error names the directory,
+/// `JRT_TAPE_DIR` and the OS error.
+pub fn spill_dir() -> std::io::Result<SpillDir> {
+    let path = match std::env::var_os("JRT_TAPE_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => std::env::temp_dir().join(format!("jrt-tapes-{}", std::process::id())),
+    };
+    let created = !path.is_dir();
+    std::fs::create_dir_all(&path).map_err(|e| {
+        let at = path.display();
+        std::io::Error::new(
+            e.kind(),
+            format!("cannot create the tape spill directory {at} (JRT_TAPE_DIR): {e}"),
+        )
+    })?;
+    Ok(SpillDir { path, created })
+}
+
 fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
     let mut recorder = TapeRecorder::new();
     tape::stream(w, Mode::Jit, &mut recorder);
     let tiled = recorder.into_tape().tiled(tiles, ADDR_STRIDE);
-    let dir = tape::disk_dir()
-        .expect("tape spill directory unavailable")
-        .clone();
-    let path = dir.join(format!("scale-{}-x{}.tape", w.spec.name, tiles));
+    // Dropped, and so removed if this run created it, once the tape is.
+    let spill = spill_dir().unwrap_or_else(|e| panic!("{e}"));
+    let path = spill
+        .path
+        .join(format!("scale-{}-x{}.tape", w.spec.name, tiles));
     let disk = DiskTape::write(&path, &tiled).expect("persist tiled tape");
     let events = disk.len();
     let segments = disk.segments().len();
@@ -247,7 +292,6 @@ fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
     if let Err(e) = disk.remove() {
         eprintln!("warning: cannot remove tiled tape {}: {e}", path.display());
     }
-    tape::tidy_spill_dir();
 
     ScaleRow {
         name: w.spec.name.to_string(),
@@ -255,7 +299,7 @@ fn run_one(w: &Workload, tiles: usize) -> ScaleRow {
         events,
         segments,
         disk_bytes,
-        exceeds_budget: disk_bytes > tape::budget_bytes(),
+        exceeds_budget: disk_bytes > RAM_BUDGET_BYTES,
         shards,
     }
 }
@@ -272,7 +316,13 @@ fn report_rate(name: &str, label: &str, events: u64, secs: f64) {
 }
 
 /// Runs the scale study: `db` and `jess` tapes tiled into s10-class
-/// synthetic tapes, persisted on disk, and replayed sharded 1/2/4/8.
+/// synthetic tapes, persisted in the [`spill_dir`] one at a time, and
+/// replayed sharded 1/2/4/8.
+///
+/// # Panics
+///
+/// Panics if the spill directory cannot be created; `run_all` refuses
+/// such a directory before it runs anything.
 pub fn run(size: Size) -> ScaleStudy {
     let (base, tiles) = plan(size);
     let specs = suite()
@@ -281,10 +331,7 @@ pub fn run(size: Size) -> ScaleStudy {
         .collect();
     let loads = jobs::prebuild(specs, base);
     let rows = loads.iter().map(|w| run_one(w, tiles)).collect();
-    ScaleStudy {
-        budget: tape::budget_bytes(),
-        rows,
-    }
+    ScaleStudy { rows }
 }
 
 #[cfg(test)]

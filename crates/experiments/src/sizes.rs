@@ -17,7 +17,7 @@ use crate::runner::Mode;
 use crate::table::{pct, Table};
 use crate::tape;
 use jrt_trace::Phase;
-use jrt_workloads::{compress, db, javac, Size, Spec};
+use jrt_workloads::{suite, Size, Spec};
 
 /// Translate share at each size for one benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -74,26 +74,11 @@ const SIZES: [Size; 3] = [Size::Tiny, Size::S1, Size::S10];
 /// program memo, and a point some other driver already ran (the s1
 /// points of a `run_all s1`) costs no VM run.
 pub fn run() -> Sizes {
-    let specs = [
-        Spec {
-            name: "compress",
-            build: compress::program,
-            expected: compress::expected,
-            multithreaded: false,
-        },
-        Spec {
-            name: "db",
-            build: db::program,
-            expected: db::expected,
-            multithreaded: false,
-        },
-        Spec {
-            name: "javac",
-            build: javac::program,
-            expected: javac::expected,
-            multithreaded: false,
-        },
-    ];
+    // `suite()` lists them in this order, the table's row order.
+    let specs: Vec<Spec> = suite()
+        .into_iter()
+        .filter(|s| ["compress", "db", "javac"].contains(&s.name))
+        .collect();
     let work = jobs::cross(&jobs::cross(&specs, &SIZES), &Mode::BOTH);
     let runs = jobs::par_map(&work, |((spec, size), mode)| {
         tape::summary(&tape::workload(spec, *size), *mode)

@@ -1,10 +1,11 @@
 //! `run_all`'s command-line contract. Exit status 2 means the run was
-//! refused (a usage error or an unwritable report) and 1 means a
-//! report check failed; neither may panic. Runs that spill tapes leave
-//! no files behind: the default spill directory under the system temp
-//! dir is removed before exit, while a directory named by
-//! `JRT_TAPE_DIR` is kept (minus the scale study's tiled tapes, which
-//! are deleted once measured).
+//! refused (a usage error, an unusable spill directory or an
+//! unwritable report) and 1 means a report check failed; neither may
+//! panic. Runs that spill tapes leave no files behind: the default
+//! spill directory under the system temp dir is removed before exit,
+//! while a directory named by `JRT_TAPE_DIR` that already existed is
+//! kept (minus the scale study's tiled tapes, which are deleted once
+//! measured).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -110,4 +111,17 @@ fn refused_and_failed_runs_exit_with_their_own_status() {
         assert!(!stderr.contains("panicked"), "run_all {args:?}: {stderr}");
     }
     assert_eq!(entries(&tmp), Vec::<PathBuf>::new(), "left in TMPDIR");
+}
+
+#[test]
+fn unusable_spill_dir_is_refused_before_anything_runs() {
+    let args = ["tiny", "/dev/null", "--filter", "scale"];
+    let (code, stderr) = run(&args, ("JRT_TAPE_DIR", Path::new("/dev/null/spill")));
+    assert_eq!(code, Some(2), "run_all {args:?}: {stderr}");
+    assert!(stderr.contains("JRT_TAPE_DIR"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        !stderr.contains("[run_all]"),
+        "ran a section first: {stderr}"
+    );
 }

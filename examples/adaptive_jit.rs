@@ -12,9 +12,9 @@
 //! cargo run --release --example adaptive_jit [tiny|s1]
 //! ```
 
-use javart::experiments::runner::derive_oracle;
+use javart::experiments::{tape, Mode};
 use javart::trace::CountingSink;
-use javart::vm::{ExecMode, JitPolicy, Vm, VmConfig};
+use javart::vm::{ExecMode, JitPolicy, VmConfig};
 use javart::workloads::{suite_with_hello, Size};
 
 fn main() {
@@ -27,20 +27,18 @@ fn main() {
         "benchmark", "interp", "jit-first", "thresh(8)", "opt", "opt-saves"
     );
     for spec in suite_with_hello() {
-        let program = (spec.build)(size);
-        let run = |cfg: VmConfig| -> u64 {
-            let mut sink = CountingSink::new();
-            let r = Vm::new(&program, cfg).run(&mut sink).expect("clean run");
-            assert_eq!(r.exit_value, Some((spec.expected)(size)), "{}", spec.name);
-            sink.total()
-        };
-        let interp = run(VmConfig::interpreter());
-        let jit = run(VmConfig::jit());
-        let thresh = run(VmConfig {
+        let w = tape::workload(&spec, size);
+        // The oracle is derived from the interpreter and JIT runs, so
+        // their memoized summaries serve the table and the oracle.
+        let count = |mode| tape::summary(&w, mode).counts.total();
+        let (interp, jit, opt) = (count(Mode::Interp), count(Mode::Jit), count(Mode::Opt));
+        let thresh = VmConfig {
             mode: ExecMode::Jit(JitPolicy::Threshold(8)),
             ..VmConfig::default()
-        });
-        let opt = run(VmConfig::oracle(derive_oracle(&program)));
+        };
+        let mut sink = CountingSink::new();
+        tape::run(&w, thresh, &mut sink);
+        let thresh = sink.total();
         println!(
             "{:10} {:>12} {:>12} {:>12} {:>12} {:>9.1}%",
             spec.name,

@@ -3,7 +3,7 @@
 //! and both register-IR engines — and matches its host-side reference
 //! implementation.
 
-use javart::experiments::runner::derive_oracle;
+use javart::experiments::{tape, Mode};
 use javart::trace::CountingSink;
 use javart::vm::{ExecMode, JitPolicy, SyncKind, Vm, VmConfig};
 use javart::workloads::{suite_with_hello, Size};
@@ -11,7 +11,7 @@ use javart::workloads::{suite_with_hello, Size};
 #[test]
 fn all_workloads_agree_across_engines() {
     for spec in suite_with_hello() {
-        let program = (spec.build)(Size::Tiny);
+        let w = tape::workload(&spec, Size::Tiny);
         let expected = (spec.expected)(Size::Tiny);
 
         let configs: Vec<(&str, VmConfig)> = vec![
@@ -24,12 +24,12 @@ fn all_workloads_agree_across_engines() {
                     ..VmConfig::default()
                 },
             ),
-            ("oracle", VmConfig::oracle(derive_oracle(&program))),
+            ("oracle", tape::config(&w, Mode::Opt)),
             ("ir-interp", VmConfig::ir_interp()),
             ("ir-jit", VmConfig::ir_jit()),
         ];
         for (label, cfg) in configs {
-            let r = Vm::new(&program, cfg)
+            let r = Vm::new(&w.program, cfg)
                 .run(&mut CountingSink::new())
                 .unwrap_or_else(|e| panic!("{}/{label}: {e}", spec.name));
             assert_eq!(

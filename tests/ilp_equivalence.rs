@@ -17,7 +17,7 @@
 
 use javart::bpred::{BranchEval, BranchStats, Btb, DirectionPredictor, Gshare, ReturnStack};
 use javart::cache::Cache;
-use javart::experiments::runner::{run_mode, Mode};
+use javart::experiments::{tape, Mode};
 use javart::ilp::{PipelineConfig, PipelineReport, PipelineSweep};
 use javart::trace::{AccessKind, InstClass, MemRef, NativeInst, Phase, Tape, TraceSink, NUM_REGS};
 use javart::workloads::{suite, Size};
@@ -339,9 +339,9 @@ fn feed(sink: &mut dyn TraceSink, events: &[NativeInst]) {
 
 /// Records `spec`'s stream under `mode` at `tiny`.
 fn record(spec: &javart::workloads::Spec, mode: Mode) -> Tape {
-    let program = (spec.build)(Size::Tiny);
+    let w = tape::workload(spec, Size::Tiny);
     Tape::record(|rec| {
-        run_mode(&program, mode, rec);
+        tape::run(&w, tape::config(&w, mode), rec);
     })
 }
 

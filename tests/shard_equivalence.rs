@@ -5,7 +5,7 @@
 //! boundaries exactly as the scale study cuts them.
 
 use javart::cache::{CacheConfig, SplitSweep};
-use javart::experiments::runner::{run_mode, Mode};
+use javart::experiments::{tape, Mode};
 use javart::trace::{InstMix, Region, Tape};
 use javart::workloads::{suite_with_hello, Size};
 
@@ -65,10 +65,10 @@ fn partition(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 fn sharded_replay_equals_serial_for_every_workload_and_mode() {
     let (ipoints, dpoints) = points();
     for spec in suite_with_hello() {
-        let program = (spec.build)(Size::Tiny);
+        let w = tape::workload(&spec, Size::Tiny);
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
             let tape = Tape::record(|rec| {
-                run_mode(&program, mode, rec);
+                tape::run(&w, tape::config(&w, mode), rec);
             });
 
             let mut serial = (SplitSweep::new(&ipoints, &dpoints), InstMix::new());

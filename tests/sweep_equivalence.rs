@@ -5,7 +5,7 @@
 //! workload × mode at `tiny`.
 
 use javart::cache::{CacheConfig, SplitCaches, SplitSweep};
-use javart::experiments::runner::{run_mode, Mode};
+use javart::experiments::{tape, Mode};
 use javart::trace::{AccessKind, MemRef, NativeInst, Phase, Region, Tape, TraceSink};
 use javart::workloads::{suite_with_hello, Size};
 use jrt_testkit::forall;
@@ -113,10 +113,10 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
     let mut points = assoc_points();
     points.push(CacheConfig::paper_write_study());
     for spec in suite_with_hello() {
-        let program = (spec.build)(Size::Tiny);
+        let w = tape::workload(&spec, Size::Tiny);
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
             let tape = Tape::record(|rec| {
-                run_mode(&program, mode, rec);
+                tape::run(&w, tape::config(&w, mode), rec);
             });
             let mut sweep = SplitSweep::new(&points, &points);
             tape.replay(&mut sweep);
@@ -134,9 +134,9 @@ fn sweep_matches_split_caches_for_every_workload_and_mode() {
 #[test]
 fn sweep_matches_split_caches_across_line_sizes() {
     let spec = suite_with_hello().remove(0);
-    let program = (spec.build)(Size::Tiny);
+    let w = tape::workload(&spec, Size::Tiny);
     let tape = Tape::record(|rec| {
-        run_mode(&program, Mode::Jit, rec);
+        tape::run(&w, tape::config(&w, Mode::Jit), rec);
     });
     let mut configs: Vec<(CacheConfig, CacheConfig)> = [16u32, 32, 64, 128]
         .iter()

@@ -2,8 +2,7 @@
 //! and replaying it must reproduce the exact event sequence — for
 //! arbitrary synthetic streams and for every real workload × mode.
 
-use javart::experiments::runner::{run_mode, Mode};
-use javart::experiments::tape;
+use javart::experiments::{tape, Mode};
 use javart::trace::{
     AccessKind, CountingSink, CtrlInfo, InstClass, MemRef, NativeInst, Phase, RecordingSink, Tape,
     TraceSink,
@@ -92,14 +91,14 @@ fn tape_reproduces_vm_event_stream_for_every_workload_and_mode() {
             assert_eq!(summary.result.counters, r.counters, "{at}: counters");
             assert_eq!(summary.result.footprint, r.footprint, "{at}: footprint");
         }
-        let program = &w.program;
         for mode in [Mode::Interp, Mode::Jit, Mode::Opt] {
+            let cfg = tape::config(&w, mode);
             let mut direct = RecordingSink::new();
-            let r = run_mode(program, mode, &mut direct);
+            let r = tape::run(&w, cfg.clone(), &mut direct);
             assert_eq!(r.exit_value, Some((spec.expected)(Size::Tiny)));
 
             let tape = Tape::record(|rec| {
-                run_mode(program, mode, rec);
+                tape::run(&w, cfg, rec);
             });
             let mut replayed = RecordingSink::new();
             tape.replay(&mut replayed);

@@ -88,16 +88,16 @@ fn persisted_streams_replay_exactly() {
 /// full and per segment range.
 #[test]
 fn workload_tape_streams_from_disk_exactly() {
-    use javart::experiments::runner::{run_mode, Mode};
+    use javart::experiments::{tape, Mode};
 
     let dir = tmp_dir("workload");
     let spec = javart::workloads::suite()
         .into_iter()
         .find(|s| s.name == "db")
         .unwrap();
-    let program = (spec.build)(Size::Tiny);
+    let w = tape::workload(&spec, Size::Tiny);
     let tape = Tape::record(|rec| {
-        run_mode(&program, Mode::Jit, rec);
+        tape::run(&w, tape::config(&w, Mode::Jit), rec);
     });
     // Tile it so the persisted tape has several segments to range over.
     let tiled = tape.tiled(3, 1 << 20);
