@@ -127,9 +127,10 @@ impl<const N: usize> BranchEval<N> {
     }
 
     /// Classifies `inst`, trains every structure on it, and returns
-    /// whether the first predictor's front end mispredicted it; `None`
-    /// if it is not a control transfer. This is the one branch
-    /// classification: the `jrt-ilp` front end calls it too. Rules:
+    /// whether each predictor's front end mispredicted it, in
+    /// construction order; `None` if it is not a control transfer. This
+    /// is the one branch classification: the `jrt-ilp` front end calls
+    /// it too. Rules:
     ///
     /// * conditional branch — mispredicted if the direction is wrong,
     ///   or if predicted taken and the BTB target differs from the
@@ -139,13 +140,13 @@ impl<const N: usize> BranchEval<N> {
     /// * return — predicted by the return-address stack (empty stack
     ///   mispredicts); calls push their fall-through address;
     /// * direct jump/call — always predicted correctly.
-    pub fn resolve(&mut self, inst: &NativeInst) -> Option<bool> {
+    pub fn resolve(&mut self, inst: &NativeInst) -> Option<[bool; N]> {
         // Most events are not transfers: keep their path inlinable.
         let ctrl = inst.ctrl?;
         self.transfer(inst, ctrl)
     }
 
-    fn transfer(&mut self, inst: &NativeInst, ctrl: CtrlInfo) -> Option<bool> {
+    fn transfer(&mut self, inst: &NativeInst, ctrl: CtrlInfo) -> Option<[bool; N]> {
         let (pc, taken, target) = (inst.pc, ctrl.taken, ctrl.target);
         // The target side depends on the trace alone: all share it.
         let target_ok = match inst.class {
@@ -161,8 +162,9 @@ impl<const N: usize> BranchEval<N> {
         if matches!(inst.class, InstClass::Call | InstClass::IndirectCall) {
             self.ras.push(pc + 4);
         }
-        let mut first = None;
-        for (p, s) in self.predictors.iter_mut().zip(&mut self.stats) {
+        let mut verdicts = [false; N];
+        let each = self.predictors.iter_mut().zip(&mut self.stats);
+        for ((p, s), verdict) in each.zip(&mut verdicts) {
             let (seen, missed, wrong) = match inst.class {
                 InstClass::CondBranch => {
                     let predicted = p.predict_and_update(pc, taken);
@@ -176,9 +178,9 @@ impl<const N: usize> BranchEval<N> {
             };
             *seen += 1;
             *missed += u64::from(wrong);
-            first.get_or_insert(wrong);
+            *verdict = wrong;
         }
-        first
+        Some(verdicts)
     }
 }
 

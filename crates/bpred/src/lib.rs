@@ -21,7 +21,7 @@
 //! * [`ReturnStack`] — a small return-address stack;
 //! * [`BranchEval`] — a [`TraceSink`](jrt_trace::TraceSink) that drives
 //!   predictors sharing one BTB and return stack from a native trace,
-//!   reporting Table 2's statistics; `jrt-ilp` classifies with it too.
+//!   reporting Table 2's statistics; the `jrt-ilp` front end holds one.
 //!
 //! # Examples
 //!

@@ -12,13 +12,14 @@
 //! * [`CacheSweep`] / [`SplitSweep`]: one-pass stack-distance
 //!   simulation of whole configuration families (the Hill & Smith
 //!   all-associativity technique), exact against [`Cache`]. One
-//!   [`SplitSweep`] per trace carries every cache point of Table 3 and
-//!   Figures 3, 4, 5, 7 and 8, as cachesim5 did for the paper;
+//!   [`SplitSweep`] per trace carries every cache point of Figures 3,
+//!   7 and 8, as cachesim5 did for the paper;
 //! * [`SplitCaches`]: an L1 I-cache + D-cache pair of [`Cache`]s that
-//!   consumes a native instruction trace event by event, for the
-//!   models a sweep cannot express: Figure 6's per-access timeline,
-//!   the Section 6 install-into-I-cache proposal, and caches attached
-//!   to a live VM run;
+//!   consumes a native instruction trace event by event and returns
+//!   each outcome: the paper's L1 pair in the ILP front end (Table 3
+//!   and Figures 4–6 read it), Figure 6's per-access timeline, the
+//!   Section 6 install-into-I-cache proposal, and caches attached to a
+//!   live VM run;
 //! * [`Timeline`]: windowed miss-rate sampling for the time-series
 //!   study of Figure 6.
 //!
@@ -46,7 +47,7 @@ mod sweep;
 mod timeline;
 
 pub use config::CacheConfig;
-pub use sim::{AccessOutcome, Cache, CacheStats};
+pub use sim::{AccessOutcome, Cache, CacheStats, SlicedStats};
 pub use split::SplitCaches;
 pub use sweep::{CacheSweep, SplitSweep, SplitSweepShard, SweepResult, SweepShard};
 pub use timeline::{Timeline, TimelineSample};

@@ -87,6 +87,50 @@ impl CacheStats {
     }
 }
 
+/// A cache's statistics: overall, and per attribution slice (the
+/// translate phase, everything else, and each [`Region`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlicedStats {
+    stats: CacheStats,
+    translate: CacheStats,
+    rest: CacheStats,
+    region: [CacheStats; Region::ALL.len()], // indexed by discriminant
+}
+
+impl SlicedStats {
+    /// Overall statistics.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Statistics attributed to the JIT translate phase.
+    pub fn translate_stats(&self) -> &CacheStats {
+        &self.translate
+    }
+
+    /// Statistics attributed to everything except translation.
+    pub fn rest_stats(&self) -> &CacheStats {
+        &self.rest
+    }
+
+    /// Statistics for accesses falling into `region`.
+    pub fn region_stats(&self, region: Region) -> &CacheStats {
+        &self.region[region as usize]
+    }
+
+    fn record(&mut self, addr: Addr, kind: AccessKind, phase: Phase, outcome: AccessOutcome) {
+        self.stats.record(kind, outcome);
+        if phase.is_translate() {
+            self.translate.record(kind, outcome);
+        } else {
+            self.rest.record(kind, outcome);
+        }
+        if let Some(region) = Region::classify(addr) {
+            self.region[region as usize].record(kind, outcome);
+        }
+    }
+}
+
 impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -121,10 +165,9 @@ pub struct Cache {
     set_mask: u64,
     lines: Vec<Line>, // num_sets * assoc, set-major
     tick: u64,
-    stats: CacheStats,
-    translate_stats: CacheStats,
-    rest_stats: CacheStats,
-    region_stats: [CacheStats; Region::ALL.len()], // indexed by discriminant
+    // The line the last access touched, if no flush came since.
+    last_line: Option<u64>,
+    slices: SlicedStats,
     // Line ids are already well-distributed integers; the shared
     // SplitMix64-finalizer hasher keeps SipHash off the miss path.
     seen: IdHashSet<u64>,
@@ -140,10 +183,8 @@ impl Cache {
             set_mask: cfg.num_sets() - 1,
             lines: vec![Line::default(); n],
             tick: 0,
-            stats: CacheStats::default(),
-            translate_stats: CacheStats::default(),
-            rest_stats: CacheStats::default(),
-            region_stats: [CacheStats::default(); Region::ALL.len()],
+            last_line: None,
+            slices: SlicedStats::default(),
             seen: IdHashSet::default(),
         }
     }
@@ -153,19 +194,22 @@ impl Cache {
         &self.cfg
     }
 
-    /// Performs one access and updates statistics.
+    /// Performs one access and updates statistics. A repeat of the
+    /// line the last access touched hits without a probe: that line is
+    /// the most recently used of its set, so touching it again cannot
+    /// change any LRU order.
     pub fn access(&mut self, addr: Addr, kind: AccessKind, phase: Phase) -> AccessOutcome {
         let line_id = addr >> self.line_shift;
-        let outcome = self.probe(line_id);
-        self.stats.record(kind, outcome);
-        if phase.is_translate() {
-            self.translate_stats.record(kind, outcome);
+        let outcome = if self.last_line == Some(line_id) {
+            AccessOutcome {
+                hit: true,
+                compulsory: false,
+            }
         } else {
-            self.rest_stats.record(kind, outcome);
-        }
-        if let Some(region) = Region::classify(addr) {
-            self.region_stats[region as usize].record(kind, outcome);
-        }
+            self.last_line = Some(line_id);
+            self.probe(line_id)
+        };
+        self.slices.record(addr, kind, phase, outcome);
         outcome
     }
 
@@ -202,24 +246,29 @@ impl Cache {
         }
     }
 
+    /// Every statistic, overall and per slice.
+    pub fn sliced_stats(&self) -> &SlicedStats {
+        &self.slices
+    }
+
     /// Overall statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.slices.stats()
     }
 
     /// Statistics attributed to the JIT translate phase.
     pub fn translate_stats(&self) -> &CacheStats {
-        &self.translate_stats
+        self.slices.translate_stats()
     }
 
     /// Statistics attributed to everything except translation.
     pub fn rest_stats(&self) -> &CacheStats {
-        &self.rest_stats
+        self.slices.rest_stats()
     }
 
     /// Statistics for accesses falling into `region`.
     pub fn region_stats(&self, region: Region) -> &CacheStats {
-        &self.region_stats[region as usize]
+        self.slices.region_stats(region)
     }
 
     /// Invalidates all lines but keeps statistics.
@@ -227,6 +276,7 @@ impl Cache {
         for l in &mut self.lines {
             l.valid = false;
         }
+        self.last_line = None;
     }
 }
 

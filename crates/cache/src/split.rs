@@ -1,7 +1,7 @@
 //! Split L1 instruction/data cache pair driven by a native trace.
 
 use crate::config::CacheConfig;
-use crate::sim::Cache;
+use crate::sim::{AccessOutcome, Cache};
 use crate::timeline::Timeline;
 use jrt_trace::{AccessKind, NativeInst, TraceSink};
 
@@ -87,10 +87,10 @@ impl SplitCaches {
     pub fn into_inner(self) -> (Cache, Cache) {
         (self.icache, self.dcache)
     }
-}
 
-impl TraceSink for SplitCaches {
-    fn accept(&mut self, inst: &NativeInst) {
+    /// Fetches `inst` and performs its data access, if it has one, and
+    /// returns both outcomes.
+    pub fn access(&mut self, inst: &NativeInst) -> (AccessOutcome, Option<AccessOutcome>) {
         let i = self.icache.access(inst.pc, AccessKind::Read, inst.phase);
         let d = match inst.mem {
             Some(m)
@@ -110,6 +110,13 @@ impl TraceSink for SplitCaches {
         if let Some(t) = &mut self.timeline {
             t.record(i.hit, d.map(|o| o.hit), inst.phase.is_translate());
         }
+        (i, d)
+    }
+}
+
+impl TraceSink for SplitCaches {
+    fn accept(&mut self, inst: &NativeInst) {
+        self.access(inst);
     }
 
     fn finish(&mut self) {

@@ -35,7 +35,7 @@ use crate::table::{count, Table};
 use crate::tape::{self, RunSummary};
 use jrt_cache::{CacheConfig, SplitSweep};
 use jrt_trace::{CountingSink, Phase, Region};
-use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, VmConfig};
+use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, JitPolicy, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
 
 /// Benchmarks swept by the capacity and tiering studies: the paper's
@@ -128,9 +128,7 @@ fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
 /// The unbounded per-VM JIT baseline: the pass's JIT run summary (no
 /// extra VM run) and its code-cache write misses off the shared pass.
 fn baseline(pass: &Pass, w: &Workload) -> Measured {
-    let d = pass
-        .tape(w.spec.name, Mode::Jit)
-        .dcache(CacheConfig::paper_l1_data());
+    let [_, d] = pass.tape(w.spec.name, Mode::Jit).l1();
     Measured::new(
         &tape::summary(w, Mode::Jit),
         d.region_stats(Region::CodeCache).write_misses,
@@ -344,28 +342,17 @@ fn sharing_rows(pass: &Pass, size: Size) -> Vec<SharingRow> {
 }
 
 fn tiering_rows(loads: &[Workload]) -> Vec<TieringRow> {
-    let modes: [&'static str; 2] = ["jit", "tiered"];
-    let cells = jobs::cross(loads, &modes);
-    // The table reads no cache numbers, so the jit row is the JIT
-    // run's summary and the tiered row a count-only run.
-    let measured = jobs::par_map(&cells, |(w, mode)| match *mode {
-        "jit" => Measured::new(&tape::summary(w, Mode::Jit), 0),
-        _ => {
-            let cfg = VmConfig {
-                mode: ExecMode::Jit(TIERED),
-                ..VmConfig::default()
-            };
-            let mut counts = CountingSink::new();
-            let result = tape::run(w, cfg, &mut counts);
-            Measured::new(&RunSummary { result, counts }, 0)
-        }
+    let cells = jobs::cross(loads, &[Mode::Jit, Mode::Tiered]);
+    // The table reads no cache numbers, so each row is a run summary.
+    let measured = jobs::par_map(&cells, |(w, mode)| {
+        Measured::new(&tape::summary(w, *mode), 0)
     });
     cells
         .iter()
         .zip(measured)
         .map(|((w, mode), m)| TieringRow {
             name: w.spec.name,
-            mode,
+            mode: mode.label(),
             total: m.total,
             translate: m.translate,
             translations: m.translations,

@@ -11,8 +11,7 @@ use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape;
 use jrt_sync::{SyncCase, SyncStats};
-use jrt_trace::NullSink;
-use jrt_vm::{SyncKind, VmConfig};
+use jrt_vm::SyncKind;
 use jrt_workloads::{suite, Size};
 
 /// Case mix for one benchmark.
@@ -133,18 +132,21 @@ fn header_bits(kind: SyncKind) -> u32 {
 }
 
 /// Runs the Figure 11 experiment: one cost job per scheme ×
-/// benchmark, folded kind-major. The stock JIT already runs the
-/// monitor cache, so that column is the JIT run's summary; the other
-/// schemes' sync traces differ, so they are runs of their own. The
+/// benchmark, folded kind-major, each the run summary of the JIT under
+/// that scheme (the stock JIT runs the monitor cache). The
 /// per-benchmark case mixes reuse the thin-lock rows of that same
 /// cross-product (the case classification is canonical across
 /// schemes), so no benchmark runs twice.
 pub fn run(size: Size) -> Fig11 {
     let loads = jobs::prebuild(suite(), size);
     let work = jobs::cross(&SyncKind::ALL, &loads);
-    let stats = jobs::par_map(&work, |(kind, w)| match kind {
-        SyncKind::MonitorCache => tape::summary(w, Mode::Jit).result.sync_stats,
-        _ => tape::run(w, VmConfig::jit().with_sync(*kind), &mut NullSink).sync_stats,
+    let stats = jobs::par_map(&work, |(kind, w)| {
+        let mode = match kind {
+            SyncKind::MonitorCache => Mode::Jit,
+            SyncKind::ThinLock => Mode::ThinLock,
+            SyncKind::OneBit => Mode::OneBit,
+        };
+        tape::summary(w, mode).result.sync_stats
     });
     let cases = work
         .iter()

@@ -13,7 +13,6 @@
 use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use jrt_cache::CacheConfig;
 use jrt_workloads::Size;
 
 /// Average miss rates for one execution style.
@@ -55,11 +54,10 @@ impl Fig4 {
 
 /// Figure 4's view of the shared pass.
 pub fn view(pass: &Pass) -> Fig4 {
-    let (icfg, dcfg) = (CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data());
     let rates = |mode| {
         pass.mode(mode)
             .map(|t| {
-                let (i, d) = (t.icache(icfg), t.dcache(dcfg));
+                let [i, d] = t.l1();
                 (i.stats().miss_rate(), d.stats().miss_rate())
             })
             .collect()

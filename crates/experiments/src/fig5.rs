@@ -9,7 +9,6 @@
 use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{pct, Table};
-use jrt_cache::CacheConfig;
 use jrt_workloads::Size;
 
 /// One benchmark's translate-portion shares.
@@ -70,8 +69,7 @@ pub fn view(pass: &Pass) -> Fig5 {
         rows: pass
             .mode(Mode::Jit)
             .map(|t| {
-                let i = t.icache(CacheConfig::paper_l1_inst());
-                let d = t.dcache(CacheConfig::paper_l1_data());
+                let [i, d] = t.l1();
                 Fig5Row {
                     name: t.name,
                     i_share: i.translate_stats().misses() as f64 / i.stats().misses().max(1) as f64,

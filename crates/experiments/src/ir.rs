@@ -20,7 +20,7 @@ use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape::{self, RunSummary};
-use jrt_cache::{CacheConfig, CacheStats};
+use jrt_cache::CacheStats;
 use jrt_workloads::{suite, Size};
 
 /// One engine family's measurements for one benchmark (stack engines
@@ -198,7 +198,6 @@ fn measure(interp: &RunSummary, jit: &RunSummary, d: &CacheStats, ir: bool) -> I
 /// or IR), and its counts and code bytes come from the run summaries.
 /// The IR-backed JIT, which no consumer reads, runs count-only.
 pub fn view(pass: &Pass, size: Size) -> IrStudy {
-    let dcfg = CacheConfig::paper_l1_data();
     let loads = jobs::prebuild(suite(), size);
     let tapes = pass.mode(Mode::Interp).zip(pass.mode(Mode::IrInterp));
     let work: Vec<_> = loads.iter().zip(tapes).collect();
@@ -209,13 +208,13 @@ pub fn view(pass: &Pass, size: Size) -> IrStudy {
             base: measure(
                 &summary(Mode::Interp),
                 &summary(Mode::Jit),
-                base.dcache(dcfg).stats(),
+                base.l1()[1].stats(),
                 false,
             ),
             ir: measure(
                 &summary(Mode::IrInterp),
                 &summary(Mode::IrJit),
-                ir.dcache(dcfg).stats(),
+                ir.l1()[1].stats(),
                 true,
             ),
         }

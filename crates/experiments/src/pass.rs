@@ -19,7 +19,9 @@ use crate::jobs::{self, Workload};
 use crate::runner::Mode;
 use crate::{codecache, fig6, fig7, fig8, fig9, folding, tape};
 use jrt_bpred::{BranchEval, BranchStats, DirectionPredictor, Gshare};
-use jrt_cache::{CacheConfig, CacheStats, SplitCaches, SplitSweep, SweepResult, Timeline};
+use jrt_cache::{
+    CacheConfig, CacheStats, SlicedStats, SplitCaches, SplitSweep, SweepResult, Timeline,
+};
 use jrt_ilp::{PipelineConfig, PipelineReport, PipelineSweep};
 use jrt_trace::{InstMix, Phase, PhaseFilter};
 use jrt_workloads::{suite, Size};
@@ -28,16 +30,20 @@ use jrt_workloads::{suite, Size};
 /// points and widths are sets, kept in first-seen order.
 #[derive(Debug, Default, PartialEq)]
 struct Needs {
-    /// I- and D-cache points of the cache sweep.
+    /// I- and D-cache points of the cache sweep (Figures 3, 7 and 8).
     icache: Vec<CacheConfig>,
     dcache: Vec<CacheConfig>,
     /// Figure 2's instruction mix.
     mix: bool,
-    /// Table 2's four direction predictors on one BTB and return stack.
+    /// The front end's paper L1 pair.
+    l1: bool,
+    /// The front end's predictors: Table 2's four on one BTB and
+    /// return stack.
     predictors: bool,
     /// Gshare with the path-history target cache (the indirect study).
     target_cache: bool,
-    /// Issue widths of the paper's pipeline, one timing core each.
+    /// Issue widths of the paper's pipeline, one timing core each
+    /// behind the whole front end.
     widths: Vec<u32>,
     /// The paper's L1 pair over the app phases alone: Figure 4's
     /// C-like row, with translation and class loading filtered out.
@@ -45,7 +51,7 @@ struct Needs {
     /// The paper's L1 pair with the JIT installing its code straight
     /// into the I-cache (the Section 6 proposal).
     install: bool,
-    /// Figure 6's miss timeline over the paper's L1 pair, with its
+    /// Figure 6's miss timeline over the front end's L1 pair, with its
     /// window in instructions.
     timeline: Option<u64>,
 }
@@ -66,25 +72,25 @@ impl Needs {
 
     /// Adds what `section` asks of the `(name, mode)` stream.
     fn ask(&mut self, section: &str, size: Size, name: &str, mode: Mode) {
-        let l1i = [CacheConfig::paper_l1_inst()];
-        let l1d = [CacheConfig::paper_l1_data()];
         match (section, mode) {
             // Figure 9's w=8 report, stock vs folding interpreter.
             ("folding", Mode::Interp | Mode::Folding) => merge(&mut self.widths, &[folding::WIDTH]),
-            // Table 3's interpreter D point, stock vs IR interpreter.
-            ("regir", Mode::Interp | Mode::IrInterp) => self.sweep(&[], &l1d),
+            // Table 3's interpreter D-cache, stock vs IR interpreter.
+            ("regir", Mode::Interp | Mode::IrInterp) => self.l1 = true,
             // Every other section reads the stock streams alone.
             _ if !Mode::BOTH.contains(&mode) => {}
             ("fig2", _) => self.mix = true,
             ("table2", _) => self.predictors = true,
-            ("table3", _) => self.sweep(&l1i, &l1d),
+            ("table3", _) => self.l1 = true,
             ("fig3", _) => self.sweep(&[], &[CacheConfig::paper_write_study()]),
             ("fig4", _) => {
-                self.sweep(&l1i, &l1d);
+                self.l1 = true;
                 self.app_phase |= mode == Mode::Jit;
             }
-            ("fig5", Mode::Jit) => self.sweep(&l1i, &l1d),
-            ("fig6", _) if name == fig6::BENCHMARK => self.timeline = Some(fig6::window(size)),
+            ("fig5", Mode::Jit) => self.l1 = true,
+            ("fig6", _) if name == fig6::BENCHMARK => {
+                (self.l1, self.timeline) = (true, Some(fig6::window(size)));
+            }
             ("fig7", _) => {
                 let points = fig7::ASSOCS.map(CacheConfig::paper_assoc_sweep);
                 self.sweep(&points, &points);
@@ -96,12 +102,9 @@ impl Needs {
             ("fig9", _) => merge(&mut self.widths, &fig9::WIDTHS),
             // The plain-BTB scheme is Table 2's Gshare column.
             ("indirect", _) => (self.predictors, self.target_cache) = (true, true),
-            ("proposal", Mode::Jit) => {
-                self.sweep(&l1i, &l1d);
-                self.install = true;
-            }
-            // Table 3's JIT D point, for the unbounded baseline.
-            ("codecache", Mode::Jit) if codecache::SWEEP.contains(&name) => self.sweep(&[], &l1d),
+            ("proposal", Mode::Jit) => (self.l1, self.install) = (true, true),
+            // Table 3's JIT D-cache, for the unbounded baseline.
+            ("codecache", Mode::Jit) if codecache::SWEEP.contains(&name) => self.l1 = true,
             _ => {}
         }
     }
@@ -117,6 +120,7 @@ pub struct TapeResult {
     pub mode: Mode,
     icache: Vec<SweepResult>,
     dcache: Vec<SweepResult>,
+    l1: Option<[SlicedStats; 2]>,
     ilp: Vec<(u32, PipelineReport)>,
     /// The instruction mix.
     pub mix: Option<InstMix>,
@@ -147,6 +151,12 @@ impl TapeResult {
     pub fn dcache(&self, cfg: CacheConfig) -> &SweepResult {
         let found = self.dcache.iter().find(|r| *r.config() == cfg);
         ran(found, format_args!("the D-cache point {cfg}"))
+    }
+
+    /// The I- and D-cache statistics of the front end's paper L1 pair;
+    /// panics if the pass did not simulate it.
+    pub fn l1(&self) -> &[SlicedStats; 2] {
+        ran(self.l1.as_ref(), format_args!("the paper's L1 pair"))
     }
 
     /// The pipeline at issue width `width`; panics if the pass did not
@@ -217,46 +227,51 @@ fn is_app_phase(p: Phase) -> bool {
 /// Runs the `(w, mode)` stream once into the consumers `needs` names.
 fn feed(w: &Workload, mode: Mode, needs: &Needs) -> TapeResult {
     let swept = !(needs.icache.is_empty() && needs.dcache.is_empty());
-    let mut widths = Vec::new();
-    widths.extend(needs.widths.iter().map(|&k| PipelineConfig::paper(k)));
+    let mut cores = Vec::new();
+    cores.extend(needs.widths.iter().map(|&k| PipelineConfig::paper(k)));
+    let whole = !cores.is_empty();
+    let (l1, predictors) = (needs.l1 || whole, needs.predictors || whole);
+    let paper_l1 = || match needs.timeline {
+        Some(window) => SplitCaches::paper_l1().with_timeline(window),
+        None => SplitCaches::paper_l1(),
+    };
+    let front_end = || PipelineSweep::front_end(l1.then(paper_l1), predictors, &cores);
     let (icfg, dcfg) = (CacheConfig::paper_l1_inst(), CacheConfig::paper_l1_data());
     let app_phase = || PhaseFilter::new(SplitSweep::new(&[icfg], &[dcfg]), is_app_phase);
-    let predictors = || BranchEval::shared(DirectionPredictor::paper_set());
     let gshare = DirectionPredictor::Gshare(Gshare::paper());
     let target_cache = || BranchEval::new(gshare).with_target_cache();
     let install = || SplitCaches::paper_l1().with_install_into_icache();
-    let timeline = |window| SplitCaches::paper_l1().with_timeline(window);
     let mut sinks = (
         swept.then(|| SplitSweep::new(&needs.icache, &needs.dcache)),
         needs.mix.then(InstMix::new),
-        needs.predictors.then(predictors),
+        (l1 || predictors).then(front_end),
         needs.target_cache.then(target_cache),
-        (!widths.is_empty()).then(|| PipelineSweep::new(&widths)),
         needs.app_phase.then(app_phase),
         needs.install.then(install),
-        needs.timeline.map(timeline),
     );
     tape::stream(w, mode, &mut sinks);
-    let (sweep, mix, predictors, target_cache, ilp, app_phase, install, timeline) = sinks;
-    let reports = ilp.map_or_else(Vec::new, |s| s.reports());
+    let (sweep, mix, front_end, target_cache, app_phase, install) = sinks;
     let (icache, dcache) = sweep
         .map(|s| (s.icache().results(), s.dcache().results()))
         .unwrap_or_default();
+    let caches = front_end.as_ref().and_then(PipelineSweep::caches);
+    let reports = front_end.iter().flat_map(PipelineSweep::reports);
     let l1 = |i: &CacheStats, d: &CacheStats| [*i, *d];
     TapeResult {
         name: w.spec.name,
         mode,
         icache,
         dcache,
+        l1: caches.map(|c| [*c.icache().sliced_stats(), *c.dcache().sliced_stats()]),
         ilp: needs.widths.iter().copied().zip(reports).collect(),
         mix,
-        predictors: predictors.map(|e| *e.all_stats()),
+        predictors: front_end.as_ref().and_then(|f| f.predictors().copied()),
         target_cache: target_cache.map(|e| *e.stats()),
         app_phase: app_phase.map(|f| {
             let (i, d) = (f.inner().icache().results(), f.inner().dcache().results());
             l1(i[0].stats(), d[0].stats())
         }),
         install: install.map(|c| l1(c.icache().stats(), c.dcache().stats())),
-        timeline: timeline.and_then(|c| c.timeline().cloned()),
+        timeline: caches.and_then(|c| c.timeline().cloned()),
     }
 }

@@ -11,7 +11,6 @@
 use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
-use jrt_cache::CacheConfig;
 use jrt_workloads::Size;
 
 /// Baseline-vs-proposal miss counts for one benchmark (JIT mode).
@@ -78,8 +77,7 @@ pub fn view(pass: &Pass) -> Proposal {
         rows: pass
             .mode(Mode::Jit)
             .map(|t| {
-                let i = t.icache(CacheConfig::paper_l1_inst()).stats();
-                let d = t.dcache(CacheConfig::paper_l1_data()).stats();
+                let [i, d] = t.l1().map(|s| *s.stats());
                 let [pi, pd] = t.install.expect("install-into-I-cache caches");
                 ProposalRow {
                     name: t.name,

@@ -18,6 +18,13 @@ pub enum Mode {
     IrInterp,
     /// The JIT translating from the register IR.
     IrJit,
+    /// The JIT with thin locks (Figure 11).
+    ThinLock,
+    /// The JIT with the paper's 1-bit locks (Figure 11).
+    OneBit,
+    /// The two-tier JIT of the code-cache study
+    /// ([`crate::codecache::TIERED`]).
+    Tiered,
 }
 
 impl Mode {
@@ -33,6 +40,9 @@ impl Mode {
             Mode::Folding => "interp-fold",
             Mode::IrInterp => "ir-interp",
             Mode::IrJit => "ir-jit",
+            Mode::ThinLock => "jit-thin",
+            Mode::OneBit => "jit-1bit",
+            Mode::Tiered => "tiered",
         }
     }
 }

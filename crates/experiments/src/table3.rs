@@ -10,7 +10,7 @@
 use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
-use jrt_cache::{CacheConfig, CacheStats};
+use jrt_cache::CacheStats;
 use jrt_workloads::Size;
 
 /// One benchmark × mode row.
@@ -75,11 +75,14 @@ pub fn view(pass: &Pass) -> Table3 {
     Table3 {
         rows: pass
             .stock()
-            .map(|t| Table3Row {
-                name: t.name,
-                mode: t.mode,
-                icache: *t.icache(CacheConfig::paper_l1_inst()).stats(),
-                dcache: *t.dcache(CacheConfig::paper_l1_data()).stats(),
+            .map(|t| {
+                let [i, d] = t.l1();
+                Table3Row {
+                    name: t.name,
+                    mode: t.mode,
+                    icache: *i.stats(),
+                    dcache: *d.stats(),
+                }
             })
             .collect(),
     }

@@ -12,9 +12,9 @@
 //! [`run`] is the one way the experiments run a workload for its
 //! [`RunResult`]: it counts the run in [`vm_runs`], runs it and checks
 //! the workload's checksum. [`config`] is the one table from a [`Mode`]
-//! to an engine; [`stream`], [`summary`] and the studies that run an
-//! engine no `Mode` names (bounded code caches, other lock schemes) all
-//! go through [`run`]. Only the GC study runs the VM itself: it needs
+//! to an engine; [`stream`], [`summary`] and the code-cache study's
+//! bounded and shared caches, the engines no `Mode` names, all go
+//! through [`run`]. Only the GC study runs the VM itself: it needs
 //! the runs' `Observables`, and a sabotaged run must fail its
 //! equivalence check rather than panic here.
 //!
@@ -39,7 +39,7 @@ use crate::jobs::Workload;
 use crate::runner::Mode;
 use jrt_bytecode::Program;
 use jrt_trace::{CountingSink, TraceSink};
-use jrt_vm::{OracleDecisions, RunResult, Vm, VmConfig};
+use jrt_vm::{ExecMode, OracleDecisions, RunResult, SyncKind, Vm, VmConfig};
 use jrt_workloads::{Size, Spec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,6 +109,12 @@ pub fn config(w: &Workload, mode: Mode) -> VmConfig {
         Mode::Folding => VmConfig::interpreter().with_folding(),
         Mode::IrInterp => VmConfig::ir_interp(),
         Mode::IrJit => VmConfig::ir_jit(),
+        Mode::ThinLock => VmConfig::jit().with_sync(SyncKind::ThinLock),
+        Mode::OneBit => VmConfig::jit().with_sync(SyncKind::OneBit),
+        Mode::Tiered => VmConfig {
+            mode: ExecMode::Jit(crate::codecache::TIERED),
+            ..VmConfig::default()
+        },
     }
 }
 

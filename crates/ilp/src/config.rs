@@ -1,6 +1,5 @@
 //! Superscalar core configuration.
 
-use jrt_cache::CacheConfig;
 use jrt_trace::InstClass;
 
 /// Configuration of the out-of-order core model.
@@ -18,16 +17,12 @@ pub struct PipelineConfig {
     /// Extra latency of an L1 miss (applies to loads and to
     /// instruction fetches on a missed line).
     pub miss_penalty: u64,
-    /// L1 instruction cache geometry.
-    pub icache: CacheConfig,
-    /// L1 data cache geometry.
-    pub dcache: CacheConfig,
 }
 
 impl PipelineConfig {
-    /// The configuration used for the Figure 9/10 studies: the paper's
-    /// L1 caches, a 64-entry ROB, 12-cycle miss penalty, 4-cycle
-    /// redirect, at the requested issue width.
+    /// The configuration used for the Figure 9/10 studies: a 64-entry
+    /// ROB, a 24-cycle miss penalty and a 4-cycle redirect, at the
+    /// requested issue width.
     ///
     /// # Panics
     ///
@@ -41,8 +36,6 @@ impl PipelineConfig {
             redirect_penalty: 4,
             // No L2 is modelled; a miss goes to late-1990s DRAM.
             miss_penalty: 24,
-            icache: CacheConfig::paper_l1_inst(),
-            dcache: CacheConfig::paper_l1_data(),
         }
     }
 

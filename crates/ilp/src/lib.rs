@@ -9,11 +9,17 @@
 //! * a reorder buffer bounding the in-flight window,
 //! * configurable fetch/issue/commit width,
 //! * per-class functional-unit latencies,
-//! * an integrated L1 I-/D-cache pair (misses add latency),
-//! * a direction predictor + BTB + return stack front end
-//!   (mispredictions redirect fetch after branch resolution), probed
-//!   once per event for every configuration of a [`PipelineSweep`], and
+//! * the paper's L1 I-/D-cache pair (misses add latency),
+//! * Table 2's direction predictors on one BTB and return stack, of
+//!   which Gshare steers fetch (mispredictions redirect fetch after
+//!   branch resolution), and
 //! * taken-branch fetch-group breaks (one taken transfer per cycle).
+//!
+//! The caches and predictors form one front end, probed once per event
+//! for every configuration of a [`PipelineSweep`]. It is the whole
+//! front end a stream needs: the report reads Table 2's predictors and
+//! Table 3's L1 pair from it too, and either half may be left out when
+//! no timing core runs.
 //!
 //! The model is a greedy list scheduler over the dynamic trace — the
 //! standard approximation for trace-driven ILP studies. It reproduces

@@ -2,12 +2,16 @@
 //! front end and one timing core per configuration.
 
 use crate::config::PipelineConfig;
-use jrt_bpred::{BranchEval, DirectionPredictor, Gshare};
-use jrt_cache::{Cache, CacheStats};
+use jrt_bpred::{BranchEval, BranchStats, DirectionPredictor};
+use jrt_cache::SplitCaches;
 use jrt_trace::{AccessKind, NativeInst, TraceSink, NUM_REGS};
 use std::collections::VecDeque;
 
 const SLOT_RING: usize = 1 << 16;
+
+/// Gshare's place in [`DirectionPredictor::paper_set`]: the cores step
+/// on its verdict.
+const GSHARE: usize = 2;
 
 /// Results of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,10 +24,6 @@ pub struct PipelineReport {
     pub predicted_events: u64,
     /// Mispredicted control transfers.
     pub mispredicts: u64,
-    /// I-cache statistics (line-granular fetch probes).
-    pub icache: CacheStats,
-    /// D-cache statistics.
-    pub dcache: CacheStats,
 }
 
 impl PipelineReport {
@@ -41,7 +41,7 @@ impl PipelineReport {
 /// The front end's verdict on one event.
 #[derive(Clone, Copy)]
 struct Outcome {
-    /// The event opened a new I-cache line, and the probe missed.
+    /// The event's fetch missed.
     fetch_miss: bool,
     /// The event's data read missed.
     load_miss: bool,
@@ -156,18 +156,19 @@ impl Core {
 /// configurations in a single pass. See the crate documentation for
 /// the modelled mechanisms.
 ///
-/// One front end — the L1 caches, Gshare, BTB and return stack —
-/// classifies each event once, and one timing core per configuration
-/// steps on that verdict. This is exact: every front-end structure
-/// is probed in trace order, and the only front-end state a core's
-/// events touch, the I-line reset after a redirect, depends on the
-/// misprediction alone, never on a width or latency. So each report
-/// equals that of a model simulated alone at its configuration.
+/// It is a stream's one front end: the paper's L1 pair (which may
+/// sample Figure 6's timeline) and Table 2's four direction predictors
+/// on one BTB and return stack classify each event once, and one
+/// timing core per configuration steps on that verdict, Gshare's for
+/// control. Either half may be left out when no core runs. This is
+/// exact: every front-end structure is probed in trace order and no
+/// core feeds anything back into it, so each report equals that of a
+/// model simulated alone at its configuration. The I-cache sees every
+/// fetch; a fetch from the line fetched last hits without a probe, as
+/// a line-granular fetch would.
 pub struct PipelineSweep {
-    icache: Cache,
-    dcache: Cache,
-    branches: BranchEval,
-    last_fetch_line: u64,
+    caches: Option<SplitCaches>,
+    branches: Option<BranchEval<4>>,
     retired: u64,
     cores: Vec<Core>,
 }
@@ -181,16 +182,25 @@ impl std::fmt::Debug for PipelineSweep {
 
 impl PipelineSweep {
     /// Creates one timing core per configuration, in order, behind the
-    /// paper's Gshare front end.
+    /// whole front end.
+    pub fn new(configs: &[PipelineConfig]) -> Self {
+        Self::front_end(Some(SplitCaches::paper_l1()), true, configs)
+    }
+
+    /// Creates a front end of the `l1` pair and, if `predictors`, Table
+    /// 2's predictors, with one timing core per configuration of
+    /// `cores`, in order.
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty or its entries disagree on the I-
-    /// or D-cache geometry.
-    pub fn new(configs: &[PipelineConfig]) -> Self {
-        let first = configs.first().expect("at least one configuration");
-        let shared = |c: &PipelineConfig| c.icache == first.icache && c.dcache == first.dcache;
-        assert!(configs.iter().all(shared), "cache geometry differs");
+    /// Panics if there is a core but a half is missing: a core steps on
+    /// both.
+    pub fn front_end(l1: Option<SplitCaches>, predictors: bool, cores: &[PipelineConfig]) -> Self {
+        let whole = l1.is_some() && predictors;
+        assert!(
+            whole || cores.is_empty(),
+            "a core needs the whole front end"
+        );
         let core = |cfg: &PipelineConfig| Core {
             reg_ready: [0; NUM_REGS],
             rob: VecDeque::with_capacity(cfg.rob_size),
@@ -201,68 +211,62 @@ impl PipelineSweep {
             cfg: cfg.clone(),
         };
         PipelineSweep {
-            icache: Cache::new(first.icache),
-            dcache: Cache::new(first.dcache),
-            branches: BranchEval::new(DirectionPredictor::Gshare(Gshare::paper())),
-            last_fetch_line: u64::MAX,
+            caches: l1,
+            branches: predictors.then(|| BranchEval::shared(DirectionPredictor::paper_set())),
             retired: 0,
-            cores: configs.iter().map(core).collect(),
+            cores: cores.iter().map(core).collect(),
         }
+    }
+
+    /// The L1 pair, if the front end has it.
+    pub fn caches(&self) -> Option<&SplitCaches> {
+        self.caches.as_ref()
+    }
+
+    /// Each predictor's statistics, in [`DirectionPredictor::paper_set`]
+    /// order, if the front end has them.
+    pub fn predictors(&self) -> Option<&[BranchStats; 4]> {
+        self.branches.as_ref().map(BranchEval::all_stats)
     }
 
     /// One report per configuration, in construction order.
     pub fn reports(&self) -> Vec<PipelineReport> {
-        let branches = self.branches.stats();
+        let gshare = self.predictors().map(|s| s[GSHARE]).unwrap_or_default();
         self.cores
             .iter()
             .map(|core| PipelineReport {
                 instructions: self.retired,
                 cycles: core.last_complete.max(core.fetch_cycle),
-                predicted_events: branches.predicted_events(),
-                mispredicts: branches.mispredicts(),
-                icache: *self.icache.stats(),
-                dcache: *self.dcache.stats(),
+                predicted_events: gshare.predicted_events(),
+                mispredicts: gshare.mispredicts(),
             })
             .collect()
-    }
-
-    /// The front end: probes the I-cache, then the D-cache, then
-    /// resolves control — the order one single-width pipeline followed.
-    fn classify(&mut self, inst: &NativeInst) -> Outcome {
-        // I-cache probe at line granularity (lines are a power of two).
-        let line = inst.pc >> self.icache.config().line.trailing_zeros();
-        let fetch_miss = line != self.last_fetch_line
-            && !self
-                .icache
-                .access(inst.pc, AccessKind::Read, inst.phase)
-                .hit;
-        self.last_fetch_line = line;
-        let load_miss = inst.mem.is_some_and(|m| {
-            !self.dcache.access(m.addr, m.kind, inst.phase).hit && m.kind == AccessKind::Read
-        });
-        let resolved = self.branches.resolve(inst);
-        let mispredict = resolved == Some(true);
-        if mispredict {
-            // The correct path is refetched from a new line.
-            self.last_fetch_line = u64::MAX;
-        }
-        let taken = resolved == Some(false) && inst.ctrl.is_some_and(|c| c.taken);
-        Outcome {
-            fetch_miss,
-            load_miss,
-            mispredict,
-            taken,
-        }
     }
 }
 
 impl TraceSink for PipelineSweep {
     fn accept(&mut self, inst: &NativeInst) {
-        let out = self.classify(inst);
+        let l1 = self.caches.as_mut().map(|c| c.access(inst));
+        let verdicts = self.branches.as_mut().and_then(|b| b.resolve(inst));
+        let Some((fetch, data)) = l1.filter(|_| !self.cores.is_empty()) else {
+            return;
+        };
+        let mispredict = verdicts.is_some_and(|v| v[GSHARE]);
+        let out = Outcome {
+            fetch_miss: !fetch.hit,
+            load_miss: data.is_some_and(|d| !d.hit)
+                && inst.mem.is_some_and(|m| m.kind == AccessKind::Read),
+            mispredict,
+            taken: verdicts.is_some() && !mispredict && inst.ctrl.is_some_and(|c| c.taken),
+        };
         for core in &mut self.cores {
             core.step(inst, out);
         }
         self.retired += 1;
+    }
+
+    fn finish(&mut self) {
+        self.caches.finish();
     }
 }
 
@@ -368,14 +372,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cache geometry differs")]
-    fn configs_must_share_caches() {
-        let mut narrow = PipelineConfig::paper(1);
-        narrow.dcache = narrow.icache;
-        PipelineSweep::new(&[narrow, PipelineConfig::paper(8)]);
-    }
-
-    #[test]
     fn call_ret_pairs_do_not_mispredict() {
         let mut trace = Vec::new();
         for _ in 0..50 {
@@ -385,5 +381,33 @@ mod tests {
         let r = run(4, trace);
         assert_eq!(r.mispredicts, 0);
         assert_eq!(r.predicted_events, 50); // rets only
+    }
+
+    #[test]
+    fn either_half_of_the_front_end_runs_alone() {
+        let trace = [
+            NativeInst::load(0x1_0000, 0x2000_0000, 4, P),
+            NativeInst::branch(0x1_0004, 0x1_0000, true, P),
+        ];
+        let mut whole = PipelineSweep::new(&[]);
+        let mut caches = PipelineSweep::front_end(Some(SplitCaches::paper_l1()), false, &[]);
+        let mut predictors = PipelineSweep::front_end(None, true, &[]);
+        for i in &trace {
+            for s in [&mut whole, &mut caches, &mut predictors] {
+                s.accept(i);
+            }
+        }
+        let l1 = |s: &PipelineSweep| s.caches().map(|c| *c.dcache().stats());
+        assert_eq!((l1(&caches), caches.predictors()), (l1(&whole), None));
+        assert_eq!(
+            (l1(&predictors), predictors.predictors()),
+            (None, whole.predictors())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a core needs the whole front end")]
+    fn a_core_needs_both_halves() {
+        PipelineSweep::front_end(None, true, &[PipelineConfig::paper(1)]);
     }
 }

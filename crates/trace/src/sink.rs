@@ -66,7 +66,7 @@ tuple_sink!(A: 0, B: 1);
 tuple_sink!(A: 0, B: 1, C: 2);
 tuple_sink!(A: 0, B: 1, C: 2, D: 3);
 tuple_sink!(A: 0, B: 1, C: 2, D: 3, E: 4);
-tuple_sink!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
+tuple_sink!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
 /// An optional consumer: `None` observes nothing, so a tuple can
 /// carry only the consumers a run asks for.

@@ -3,15 +3,11 @@
 //! A trace bigger than one address space has to live on disk: the
 //! scale study tiles a recorded tape into an s10-class one and
 //! replays it from there, sharded. A [`DiskTape`] is a [`Tape`]
-//! spilled to two files:
-//!
-//! * **data file** — magic `JRTTAPE1`, then each segment's packed
-//!   bytes appended in stream order (the same delta encoding
-//!   [`Tape`] holds in RAM, unchanged);
-//! * **index file** (`<data>.idx`) — magic `JRTIDX01`, total event
-//!   count, segment count, one fixed-width footer per segment
-//!   ([`Segment`]'s eight `u64` fields, little-endian), and a trailing
-//!   checksum over the index bytes.
+//! spilled to one data file — magic `JRTTAPE1`, then each segment's
+//! packed bytes appended in stream order (the same delta encoding
+//! [`Tape`] holds in RAM, unchanged) — and the segment index that
+//! [`DiskTape::write`] returns, which stays in RAM: nothing reads a
+//! tape file back but the [`DiskTape`] that wrote it.
 //!
 //! Because the recorder restarts its delta state at every segment
 //! boundary, each segment decodes independently: replay streams one
@@ -43,16 +39,13 @@ use crate::tape::{content_hash, decode_events, Segment, Tape};
 
 /// Magic prefix of the data file.
 pub const DATA_MAGIC: &[u8; 8] = b"JRTTAPE1";
-/// Magic prefix of the index file.
-pub const INDEX_MAGIC: &[u8; 8] = b"JRTIDX01";
 
 /// What went wrong reading or writing a [`DiskTape`].
 #[derive(Debug)]
 pub enum StoreError {
     /// The underlying filesystem operation failed.
     Io(std::io::Error),
-    /// The file contents failed validation (bad magic, checksum or
-    /// content-hash mismatch, truncated data).
+    /// A segment read back failed its content-hash check.
     Corrupt(String),
 }
 
@@ -80,30 +73,11 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-fn index_path(data: &Path) -> PathBuf {
-    let mut name = data.file_name().unwrap_or_default().to_os_string();
-    name.push(".idx");
-    data.with_file_name(name)
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
-    let end = *pos + 8;
-    let slice = bytes
-        .get(*pos..end)
-        .ok_or_else(|| StoreError::Corrupt("index truncated".into()))?;
-    *pos = end;
-    Ok(u64::from_le_bytes(slice.try_into().unwrap()))
-}
-
-/// A tape persisted as an append-only segment file plus index.
+/// A tape persisted as an append-only segment file, with its segment
+/// index in RAM.
 ///
-/// Opening validates the index (magic + checksum) eagerly; segment
-/// bytes are read and content-hash-validated lazily, one buffered
-/// segment at a time, during replay.
+/// Segment bytes are read and content-hash-validated lazily, one
+/// buffered segment at a time, during replay.
 #[derive(Debug, Clone)]
 pub struct DiskTape {
     path: PathBuf,
@@ -112,127 +86,28 @@ pub struct DiskTape {
 }
 
 impl DiskTape {
-    /// Writes `tape` to `path` (data) and `<path>.idx` (index),
-    /// atomically: both files are built under temporary names and
-    /// renamed into place, data before index, so a reader never sees
-    /// an index describing missing data.
+    /// Writes `tape` to the data file `path`.
     pub fn write(path: &Path, tape: &Tape) -> Result<DiskTape, StoreError> {
-        let idx_path = index_path(path);
-        let tmp_data = path.with_extension("tape.tmp");
-        let tmp_idx = idx_path.with_extension("idx.tmp");
-
-        // Data: magic + segment byte runs in stream order. Offsets are
+        // Magic + segment byte runs in stream order. Offsets are
         // re-laid-out sequentially (a tiled tape shares byte spans
         // across tiles in RAM; on disk each tile gets its own run so
         // replay is one forward pass).
         let mut segments = Vec::with_capacity(tape.segments().len());
-        {
-            let mut f = std::io::BufWriter::new(File::create(&tmp_data)?);
-            f.write_all(DATA_MAGIC)?;
-            let mut off = 0u64;
-            for seg in tape.segments() {
-                let bytes = tape.segment_bytes(seg);
-                f.write_all(bytes)?;
-                segments.push(Segment {
-                    byte_off: off,
-                    ..*seg
-                });
-                off += seg.byte_len;
-            }
-            f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        let mut f = std::io::BufWriter::new(File::create(path)?);
+        f.write_all(DATA_MAGIC)?;
+        let mut off = 0u64;
+        for seg in tape.segments() {
+            f.write_all(tape.segment_bytes(seg))?;
+            segments.push(Segment {
+                byte_off: off,
+                ..*seg
+            });
+            off += seg.byte_len;
         }
-
-        // Index: magic, events, nsegs, footers, checksum.
-        let mut idx = Vec::with_capacity(24 + tape.segments().len() * 64);
-        idx.extend_from_slice(INDEX_MAGIC);
-        put_u64(&mut idx, tape.len());
-        put_u64(&mut idx, segments.len() as u64);
-        for seg in &segments {
-            put_u64(&mut idx, seg.byte_off);
-            put_u64(&mut idx, seg.byte_len);
-            put_u64(&mut idx, seg.events);
-            put_u64(&mut idx, seg.base_pc);
-            put_u64(&mut idx, seg.base_addr);
-            put_u64(&mut idx, seg.last_pc);
-            put_u64(&mut idx, seg.last_addr);
-            put_u64(&mut idx, seg.hash);
-        }
-        let sum = content_hash(&idx);
-        put_u64(&mut idx, sum);
-        {
-            let mut f = File::create(&tmp_idx)?;
-            f.write_all(&idx)?;
-            f.sync_all()?;
-        }
-
-        std::fs::rename(&tmp_data, path)?;
-        std::fs::rename(&tmp_idx, &idx_path)?;
+        f.flush()?;
         Ok(DiskTape {
             path: path.to_path_buf(),
             events: tape.len(),
-            segments,
-        })
-    }
-
-    /// Opens a previously written tape, validating the index magic and
-    /// checksum and that the data file is long enough for every
-    /// indexed segment.
-    pub fn open(path: &Path) -> Result<DiskTape, StoreError> {
-        let idx = std::fs::read(index_path(path))?;
-        if idx.len() < 32 || &idx[..8] != INDEX_MAGIC {
-            return Err(StoreError::Corrupt("bad index magic".into()));
-        }
-        let body = &idx[..idx.len() - 8];
-        let stored_sum = u64::from_le_bytes(idx[idx.len() - 8..].try_into().unwrap());
-        if content_hash(body) != stored_sum {
-            return Err(StoreError::Corrupt("index checksum mismatch".into()));
-        }
-        let mut pos = 8usize;
-        let events = get_u64(body, &mut pos)?;
-        let nsegs = get_u64(body, &mut pos)?;
-        // Checked: a crafted count must not wrap into a plausible
-        // length. Once it matches, `nsegs` is bounded by the file size.
-        if nsegs.checked_mul(64).and_then(|n| n.checked_add(24)) != Some(body.len() as u64) {
-            return Err(StoreError::Corrupt("index truncated".into()));
-        }
-        let overflow = || StoreError::Corrupt("index field overflows".into());
-        let mut segments = Vec::with_capacity(nsegs as usize);
-        let mut seg_events = 0u64;
-        let mut data_end = 0u64;
-        for _ in 0..nsegs {
-            let seg = Segment {
-                byte_off: get_u64(body, &mut pos)?,
-                byte_len: get_u64(body, &mut pos)?,
-                events: get_u64(body, &mut pos)?,
-                base_pc: get_u64(body, &mut pos)?,
-                base_addr: get_u64(body, &mut pos)?,
-                last_pc: get_u64(body, &mut pos)?,
-                last_addr: get_u64(body, &mut pos)?,
-                hash: get_u64(body, &mut pos)?,
-            };
-            seg_events = seg_events.checked_add(seg.events).ok_or_else(overflow)?;
-            let seg_end = seg
-                .byte_off
-                .checked_add(seg.byte_len)
-                .ok_or_else(overflow)?;
-            data_end = data_end.max(seg_end);
-            segments.push(seg);
-        }
-        if seg_events != events {
-            return Err(StoreError::Corrupt(
-                "segment event counts disagree with index total".into(),
-            ));
-        }
-        let need = data_end.checked_add(8).ok_or_else(overflow)?;
-        let data_len = std::fs::metadata(path)?.len();
-        if data_len < need {
-            return Err(StoreError::Corrupt(format!(
-                "data file truncated: {data_len} bytes, index spans {need}"
-            )));
-        }
-        Ok(DiskTape {
-            path: path.to_path_buf(),
-            events,
             segments,
         })
     }
@@ -252,8 +127,8 @@ impl DiskTape {
         &self.segments
     }
 
-    /// Packed size of the segment payload in bytes (excluding magic
-    /// and index).
+    /// Packed size of the segment payload in bytes (excluding the
+    /// magic).
     pub fn size_bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.byte_len).sum()
     }
@@ -263,9 +138,8 @@ impl DiskTape {
         &self.path
     }
 
-    /// Deletes the data and index files.
+    /// Deletes the data file.
     pub fn remove(self) -> Result<(), StoreError> {
-        std::fs::remove_file(index_path(&self.path))?;
         std::fs::remove_file(&self.path)?;
         Ok(())
     }
@@ -359,20 +233,17 @@ mod tests {
     }
 
     #[test]
-    fn write_open_replay_round_trips() {
+    fn write_replay_round_trips() {
         let tape = sample_tape();
         let (_dir, path) = tmp_path("roundtrip.tape");
         let written = DiskTape::write(&path, &tape).unwrap();
         assert_eq!(written.len(), tape.len());
-
-        let opened = DiskTape::open(&path).unwrap();
-        assert_eq!(opened.len(), tape.len());
-        assert_eq!(opened.segments(), tape.segments());
+        assert_eq!(written.segments(), tape.segments());
 
         let mut want = RecordingSink::new();
         tape.replay(&mut want);
         let mut got = RecordingSink::new();
-        opened.replay(&mut got).unwrap();
+        written.replay(&mut got).unwrap();
         assert_eq!(got.events, want.events);
     }
 
@@ -380,7 +251,7 @@ mod tests {
     fn corrupt_segment_is_detected_not_decoded() {
         let tape = sample_tape();
         let (_dir, path) = tmp_path("corrupt.tape");
-        DiskTape::write(&path, &tape).unwrap();
+        let written = DiskTape::write(&path, &tape).unwrap();
 
         // Flip one payload byte in the second segment.
         let mut data = std::fs::read(&path).unwrap();
@@ -388,45 +259,15 @@ mod tests {
         data[off] ^= 0xff;
         std::fs::write(&path, &data).unwrap();
 
-        let opened = DiskTape::open(&path).unwrap();
         let mut c = CountingSink::new();
-        match opened.replay(&mut c) {
+        match written.replay(&mut c) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("segment 1"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // The undamaged first segment still replays alone.
         let mut c = CountingSink::new();
-        opened.replay_range(0..1, &mut c).unwrap();
+        written.replay_range(0..1, &mut c).unwrap();
         assert_eq!(c.total(), tape.segments()[0].events);
-    }
-
-    #[test]
-    fn truncated_index_is_rejected() {
-        let tape = sample_tape();
-        let (_dir, path) = tmp_path("truncidx.tape");
-        DiskTape::write(&path, &tape).unwrap();
-        let idx_path = index_path(&path);
-        let idx = std::fs::read(&idx_path).unwrap();
-        std::fs::write(&idx_path, &idx[..idx.len() - 20]).unwrap();
-        assert!(matches!(DiskTape::open(&path), Err(StoreError::Corrupt(_))));
-    }
-
-    #[test]
-    fn truncated_data_is_rejected_at_open() {
-        let tape = sample_tape();
-        let (_dir, path) = tmp_path("truncdata.tape");
-        DiskTape::write(&path, &tape).unwrap();
-        let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() / 2]).unwrap();
-        assert!(matches!(DiskTape::open(&path), Err(StoreError::Corrupt(_))));
-    }
-
-    #[test]
-    fn missing_files_surface_as_io() {
-        let (_dir, path) = tmp_path("missing.tape");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-        assert!(matches!(DiskTape::open(&path), Err(StoreError::Io(_))));
     }
 
     #[test]
@@ -451,7 +292,7 @@ mod tests {
         let mut want = RecordingSink::new();
         tiled.replay(&mut want);
         let mut got = RecordingSink::new();
-        DiskTape::open(&path).unwrap().replay(&mut got).unwrap();
+        disk.replay(&mut got).unwrap();
         assert_eq!(got.events, want.events);
     }
 }

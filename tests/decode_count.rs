@@ -4,16 +4,18 @@
 //! into its consumers: the 14 stock streams, plus the 7 folding and 7
 //! IR-interpreter ones. The scale study records the JIT streams of `db`
 //! and `jess` once per report. Every other reader takes run summaries,
-//! which run the VM once per key and process. The code-cache study runs
-//! 57 engines no `Mode` names every report (48 bounded caches, 5
-//! sharing scopes, 4 tiered JITs), and Figure 11 runs 14 (the thin-lock
-//! and 1-bit schemes on the 7 benchmarks). So:
+//! which run the VM once per key and process; Figure 11's thin-lock and
+//! 1-bit JITs on the 7 benchmarks (14) and the code-cache study's 4
+//! tiered JITs are such keys. The code-cache study also runs 53 engines
+//! no `Mode` names every report (48 bounded caches, 5 sharing scopes).
+//! So:
 //!
 //! - Table 1 alone runs its 14 stock keys count-only;
 //! - a cold report runs 130: 59 through the pass, the scale study and
-//!   the summaries no stream published, plus 57 + 14;
-//! - a warm report runs 101: the 28 pass streams and the 2 scale
-//!   recordings, plus 57 + 14.
+//!   the summaries no stream published, plus 18 summaries of the
+//!   Figure 11 and tiered keys, plus 53;
+//! - a warm report runs 83: the 28 pass streams and the 2 scale
+//!   recordings, plus 53.
 //!
 //! The counter is process-global, so this test has a binary of its
 //! own.
@@ -31,7 +33,7 @@ fn run_all_runs_each_stream_once_per_pass_and_leaves_tmpdir_empty() {
     let runs = tape::vm_runs();
     report::run_filtered(Size::Tiny, Some("table1"), None);
     assert_eq!(tape::vm_runs() - runs, 14, "table1 alone: VM runs");
-    for (pass, want) in [("cold", 130), ("warm", 101)] {
+    for (pass, want) in [("cold", 130), ("warm", 83)] {
         let runs = tape::vm_runs();
         report::run_all(Size::Tiny);
         assert_eq!(tape::vm_runs() - runs, want, "{pass} pass: VM runs");

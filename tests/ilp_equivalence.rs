@@ -4,8 +4,11 @@
 //!
 //! * a `PipelineSweep` — one front end, one timing core per width —
 //!   equals the one-width `Pipeline` it replaced (kept below as the
-//!   reference) at widths 1/2/4/8, field for field, on synthetic
-//!   streams and on every workload × {interp, jit, folding} at `tiny`;
+//!   reference) at widths 1–8, field for field, on synthetic streams
+//!   and on every workload × {interp, jit, folding} at `tiny`, and its
+//!   front end, which probes the I-cache on every fetch, sees the
+//!   reference's line-granular I-cache misses and its D-cache
+//!   statistics;
 //! * Table 2's shared-BTB `BranchEval` equals one evaluator per
 //!   predictor;
 //! * with the target cache, the BTB never sees an indirect transfer —
@@ -16,7 +19,7 @@
 //! `ceil(instructions / width)` cycles.
 
 use javart::bpred::{BranchEval, BranchStats, Btb, DirectionPredictor, Gshare, ReturnStack};
-use javart::cache::Cache;
+use javart::cache::{Cache, CacheConfig};
 use javart::experiments::{tape, Mode};
 use javart::ilp::{PipelineConfig, PipelineReport, PipelineSweep};
 use javart::trace::{AccessKind, InstClass, MemRef, NativeInst, Phase, Tape, TraceSink, NUM_REGS};
@@ -26,8 +29,9 @@ use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
 // Reference model: the one-width pipeline, verbatim except that the
-// boxed direction predictor became the `DirectionPredictor` enum and
-// the caller-less `with_predictor` constructor is gone.
+// boxed direction predictor became the `DirectionPredictor` enum, the
+// caller-less `with_predictor` constructor is gone, and the L1
+// geometry is the paper's, no longer a field of `PipelineConfig`.
 // ---------------------------------------------------------------------
 
 const SLOT_RING: usize = 1 << 16;
@@ -61,8 +65,8 @@ impl Pipeline {
     /// Creates a pipeline with the paper's Gshare front end.
     pub fn new(cfg: PipelineConfig) -> Self {
         Pipeline {
-            icache: Cache::new(cfg.icache),
-            dcache: Cache::new(cfg.dcache),
+            icache: Cache::new(CacheConfig::paper_l1_inst()),
+            dcache: Cache::new(CacheConfig::paper_l1_data()),
             predictor: DirectionPredictor::Gshare(Gshare::paper()),
             btb: Btb::paper(),
             ras: ReturnStack::paper(),
@@ -92,8 +96,6 @@ impl Pipeline {
             cycles: self.cycles(),
             predicted_events: self.predicted_events,
             mispredicts: self.mispredicts,
-            icache: *self.icache.stats(),
-            dcache: *self.dcache.stats(),
         }
     }
 
@@ -121,7 +123,7 @@ impl Pipeline {
             self.fetch_in_group = 0;
         }
         // I-cache probe at line granularity.
-        let line = inst.pc / u64::from(self.cfg.icache.line);
+        let line = inst.pc / u64::from(self.icache.config().line);
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
             let out = self.icache.access(inst.pc, AccessKind::Read, inst.phase);
@@ -241,18 +243,28 @@ impl TraceSink for Pipeline {
 // Checks
 // ---------------------------------------------------------------------
 
-/// The Figure 9 widths.
-const WIDTHS: [u32; 4] = [1, 2, 4, 8];
+/// Issue widths 1–8.
+const WIDTHS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// Asserts the sweep over `WIDTHS` and one reference pipeline per width
-/// report the same numbers, field for field, over `replay`'s stream.
+/// report the same numbers, field for field, over `replay`'s stream,
+/// and that the sweep's front end saw each reference's I-cache misses
+/// and D-cache statistics.
 fn assert_sweep_matches_reference(ctx: &str, replay: impl Fn(&mut dyn TraceSink)) {
     let mut sweep = PipelineSweep::new(&WIDTHS.map(PipelineConfig::paper));
     replay(&mut sweep);
+    let l1 = sweep.caches().expect("the whole front end");
     for (report, width) in sweep.reports().into_iter().zip(WIDTHS) {
         let mut reference = Pipeline::new(PipelineConfig::paper(width));
         replay(&mut reference);
         assert_eq!(report, reference.report(), "{ctx}: width {width}");
+        let (i, d) = (reference.icache.stats(), reference.dcache.stats());
+        assert_eq!(
+            l1.icache().stats().misses(),
+            i.misses(),
+            "{ctx}: w{width} I"
+        );
+        assert_eq!(l1.dcache().stats(), d, "{ctx}: w{width} D");
     }
 }
 
@@ -382,13 +394,11 @@ fn sweep_matches_reference_for_every_workload_and_mode() {
 /// `ceil(instructions / w)` cycles, at every width 1–8 on every tape.
 #[test]
 fn wider_issue_never_adds_cycles_and_respects_the_width_bound() {
-    let widths: Vec<u32> = (1..=8).collect();
-    let configs: Vec<_> = widths.iter().map(|&w| PipelineConfig::paper(w)).collect();
     for (name, tape) in ilp_tapes() {
-        let mut sweep = PipelineSweep::new(&configs);
+        let mut sweep = PipelineSweep::new(&WIDTHS.map(PipelineConfig::paper));
         tape.replay(&mut sweep);
         let reports = sweep.reports();
-        for (r, &w) in reports.iter().zip(&widths) {
+        for (r, &w) in reports.iter().zip(&WIDTHS) {
             let bound = r.instructions.div_ceil(u64::from(w));
             assert!(r.cycles >= bound, "{name} w{w}: {} < {bound}", r.cycles);
         }
@@ -396,9 +406,9 @@ fn wider_issue_never_adds_cycles_and_respects_the_width_bound() {
             assert!(
                 pair[1].cycles <= pair[0].cycles,
                 "{name}: w{} takes {} cycles, w{} {}",
-                widths[k + 1],
+                WIDTHS[k + 1],
                 pair[1].cycles,
-                widths[k],
+                WIDTHS[k],
                 pair[0].cycles
             );
         }

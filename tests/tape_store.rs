@@ -1,7 +1,8 @@
 //! On-disk tape store properties: persisting a tape as an append-only
-//! segment file and streaming it back must reproduce the exact event
-//! sequence, and corruption must be *detected* (an error, never a
-//! panic or silently wrong events).
+//! segment file and streaming it back through the `DiskTape` that
+//! wrote it must reproduce the exact event sequence, and corruption
+//! must be *detected* (an error, never a panic or silently wrong
+//! events).
 
 use std::path::PathBuf;
 
@@ -55,8 +56,8 @@ fn arbitrary_inst(rng: &mut jrt_testkit::Rng) -> NativeInst {
     i
 }
 
-/// Arbitrary streams survive record → persist → open → streamed
-/// replay byte-for-byte: every event equals its in-memory twin.
+/// Arbitrary streams survive record → persist → streamed replay
+/// byte-for-byte: every event equals its in-memory twin.
 #[test]
 fn persisted_streams_replay_exactly() {
     let dir = tmp_dir("prop");
@@ -69,8 +70,7 @@ fn persisted_streams_replay_exactly() {
         });
 
         let path = dir.join("prop.tape");
-        DiskTape::write(&path, &tape).expect("persist");
-        let disk = DiskTape::open(&path).expect("reopen");
+        let disk = DiskTape::write(&path, &tape).expect("persist");
         assert_eq!(disk.len(), tape.len());
         assert_eq!(disk.segments(), tape.segments());
 
@@ -149,82 +149,6 @@ fn corrupted_segment_is_detected_not_replayed() {
     match disk.replay(&mut sink) {
         Err(StoreError::Corrupt(msg)) => assert!(msg.contains("hash"), "message: {msg}"),
         other => panic!("corruption not detected: {other:?}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A truncated index file is rejected at `open` time with an error.
-#[test]
-fn truncated_index_is_rejected() {
-    let dir = tmp_dir("trunc");
-    let tape = Tape::record(|rec| {
-        for k in 0u64..500 {
-            rec.accept(&NativeInst::alu(0x1000 + 4 * k, Phase::NativeExec));
-        }
-    });
-    let path = dir.join("t.tape");
-    DiskTape::write(&path, &tape).expect("persist");
-
-    let idx = path.with_file_name("t.tape.idx");
-    let bytes = std::fs::read(&idx).unwrap();
-    std::fs::write(&idx, &bytes[..bytes.len() - 9]).unwrap();
-    assert!(DiskTape::open(&path).is_err());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Builds an index file body with a valid checksum: magic, `events`,
-/// `nsegs`, the given 64-byte segment footers, then the checksum —
-/// what any writer could craft.
-fn crafted_index(events: u64, nsegs: u64, segs: &[[u64; 8]]) -> Vec<u8> {
-    let mut idx = javart::trace::store::INDEX_MAGIC.to_vec();
-    for v in [events, nsegs].iter().chain(segs.iter().flatten()) {
-        idx.extend_from_slice(&v.to_le_bytes());
-    }
-    let sum = javart::trace::content_hash(&idx);
-    idx.extend_from_slice(&sum.to_le_bytes());
-    idx
-}
-
-/// Indexes whose counts or spans wrap `u64` arithmetic are rejected
-/// with an error — never a panic, an unbounded allocation, or a tape
-/// that opens with the wrong shape.
-#[test]
-fn wrapping_index_fields_are_rejected() {
-    let dir = tmp_dir("wrap");
-    let path = dir.join("w.tape");
-    let idx = path.with_file_name("w.tape.idx");
-    std::fs::write(
-        &path,
-        [&javart::trace::store::DATA_MAGIC[..], &[0; 64]].concat(),
-    )
-    .unwrap();
-    // 2^58 + 1 segments: `24 + nsegs * 64` wraps to the real body
-    // length of this 96-byte index.
-    let wrapped_count = crafted_index(0, (1 << 58) + 1, &[[0; 8]]);
-    assert_eq!(wrapped_count.len(), 96);
-    let cases: [(&str, Vec<u8>); 3] = [
-        ("segment count", wrapped_count),
-        // Per-segment event counts that sum past u64::MAX to the total.
-        (
-            "event total",
-            crafted_index(
-                1,
-                2,
-                &[[0, 0, u64::MAX, 0, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0, 0, 0]],
-            ),
-        ),
-        // A segment whose end offset wraps to within the data file.
-        (
-            "segment span",
-            crafted_index(0, 1, &[[u64::MAX, 2, 0, 0, 0, 0, 0, 0]]),
-        ),
-    ];
-    for (what, bytes) in cases {
-        std::fs::write(&idx, &bytes).unwrap();
-        match DiskTape::open(&path) {
-            Err(StoreError::Corrupt(_)) => {}
-            other => panic!("wrapped {what} not rejected: {other:?}"),
-        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
