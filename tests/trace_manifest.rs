@@ -2,9 +2,10 @@
 //!
 //! `tests/golden/trace_manifest.txt` has one line per case — each
 //! program of `suite_with_hello()` and `gc_suite()` at `tiny` on six
-//! engines — holding the event count of its native stream and hashes
-//! of every emitted `NativeInst`, of the run's `VmCounters`, of its
-//! `Observables` (opcode histogram included) and of its method
+//! engines, then on the JIT and the IR-backed JIT in a bounded LRU
+//! code cache — holding the event count of its native stream and
+//! hashes of every emitted `NativeInst`, of the run's `VmCounters`, of
+//! its `Observables` (opcode histogram included) and of its method
 //! profiles in `MethodId` order. The instruction hash folds each
 //! event's fields in a sink, so the tape encoder is not part of what
 //! is pinned. One more line per CI fuzz pass (both differential seeds,
@@ -21,9 +22,10 @@
 //!
 //! and says why.
 
+use javart::experiments::codecache::PATHOLOGICAL_CAPACITY;
 use javart::fuzz::{fuzz_with, Oracle};
 use javart::trace::{content_hash, AccessKind, NativeInst, NullSink, TraceSink};
-use javart::vm::{GcConfig, Vm, VmConfig};
+use javart::vm::{CodeCacheConfig, EvictionPolicy, GcConfig, Vm, VmConfig};
 use javart::workloads::{gc_suite, suite_with_hello, Size, Spec};
 
 const GOLDEN: &str = concat!(
@@ -99,9 +101,22 @@ fn engines() -> [(&'static str, VmConfig); 6] {
     ]
 }
 
-/// One case's line: a traced run for the stream, counters and
-/// profiles, and an observed run for the observables.
-fn case_line(spec: &Spec, engine: &str, cfg: &VmConfig) -> String {
+/// The bounded engines: the JIT and the IR-backed JIT in an LRU code
+/// cache of the code-cache study's pathological size. Every program
+/// evicts there, some code from under a running frame, which must
+/// then stop running it.
+fn bounded_engines() -> [(&'static str, VmConfig); 2] {
+    let lru = CodeCacheConfig::bounded(PATHOLOGICAL_CAPACITY, EvictionPolicy::Lru);
+    [
+        ("jit+lru384", VmConfig::jit().with_code_cache(lru)),
+        ("ir-jit+lru384", VmConfig::ir_jit().with_code_cache(lru)),
+    ]
+}
+
+/// One case's line, and the code evictions of its run: a traced run
+/// for the stream, counters and profiles, and an observed run for the
+/// observables.
+fn case_line(spec: &Spec, engine: &str, cfg: &VmConfig) -> (String, u64) {
     let program = (spec.build)(Size::Tiny);
     let mut sink = InstHash {
         events: 0,
@@ -112,7 +127,7 @@ fn case_line(spec: &Spec, engine: &str, cfg: &VmConfig) -> String {
         .unwrap_or_else(|e| panic!("{} on {engine}: {e}", spec.name));
     let observed = Vm::new(&program, cfg.clone()).run_observed(&mut NullSink);
     let profile: Vec<_> = r.profile.iter().collect();
-    format!(
+    let line = format!(
         "{} {engine} events={} inst={:016x} counters={:016x} observables={:016x} profile={:016x}",
         spec.name,
         sink.events,
@@ -120,7 +135,8 @@ fn case_line(spec: &Spec, engine: &str, cfg: &VmConfig) -> String {
         debug_hash(&r.counters),
         debug_hash(&observed.observables),
         debug_hash(&profile),
-    )
+    );
+    (line, r.counters.code_evictions)
 }
 
 /// The CI fuzz passes: (label, seed, cases, oracle).
@@ -134,17 +150,34 @@ fn fuzz_passes() -> [(&'static str, u64, u64, Oracle); 5] {
     ]
 }
 
-/// Every line of the manifest, in order: the cases, then the fuzz
-/// passes.
+/// Every line of the manifest, in order: the cases on the six
+/// engines, the cases on the bounded engines, then the fuzz passes.
+///
+/// # Panics
+///
+/// Panics if a bounded case evicted no code, so that its line would
+/// not pin eviction.
 fn manifest() -> String {
+    let programs: Vec<Spec> = suite_with_hello().into_iter().chain(gc_suite()).collect();
     let mut cases = Vec::new();
-    for spec in suite_with_hello().into_iter().chain(gc_suite()) {
+    for spec in &programs {
         for (engine, cfg) in engines() {
-            cases.push((spec, engine, cfg));
+            cases.push((spec, engine, cfg, false));
         }
     }
-    let mut lines = jrt_testkit::par_map(&cases, WORKERS, |(spec, engine, cfg)| {
-        case_line(spec, engine, cfg)
+    for spec in &programs {
+        for (engine, cfg) in bounded_engines() {
+            cases.push((spec, engine, cfg, true));
+        }
+    }
+    let mut lines = jrt_testkit::par_map(&cases, WORKERS, |(spec, engine, cfg, bounded)| {
+        let (line, evictions) = case_line(spec, engine, cfg);
+        assert!(
+            !bounded || evictions > 0,
+            "{} on {engine} evicted no code",
+            spec.name
+        );
+        line
     });
     for (label, seed, n, oracle) in fuzz_passes() {
         let report = fuzz_with(seed, n, WORKERS, oracle).render(seed);
