@@ -70,14 +70,29 @@ impl ProfileTable {
     }
 
     /// Increments a method's invocation count.
+    #[inline]
     pub fn record_invocation(&mut self, method: MethodId) {
         self.get_mut(method).invocations += 1;
     }
 
-    /// Mutable access, creating the entry if needed.
+    /// Mutable access, creating the entry if needed. Inlined across
+    /// crates: the VM charges every bytecode it steps to a profile, so
+    /// only the lookup of an existing entry is inlined.
+    #[inline]
     pub fn get_mut(&mut self, method: MethodId) -> &mut MethodProfile {
-        let class = method.class.0 as usize;
-        let slot = method.index as usize;
+        let (class, slot) = (method.class.0 as usize, method.index as usize);
+        if self.get(method).is_none() {
+            self.insert(class, slot);
+        }
+        self.classes[class][slot]
+            .as_mut()
+            .expect("present or just inserted")
+    }
+
+    /// Makes room for, and creates, the entry at `classes[class][slot]`.
+    #[cold]
+    #[inline(never)]
+    fn insert(&mut self, class: usize, slot: usize) {
         if class >= self.classes.len() {
             self.classes.resize_with(class + 1, Vec::new);
         }
@@ -85,10 +100,11 @@ impl ProfileTable {
         if slot >= row.len() {
             row.resize(slot + 1, None);
         }
-        row[slot].get_or_insert_with(MethodProfile::default)
+        row[slot] = Some(MethodProfile::default());
     }
 
     /// The profile for `method`, if it ever ran.
+    #[inline]
     pub fn get(&self, method: MethodId) -> Option<&MethodProfile> {
         self.classes
             .get(method.class.0 as usize)?

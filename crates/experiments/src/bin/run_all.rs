@@ -20,6 +20,8 @@ the report is byte-identical at any worker count.
   --jobs N         use N worker threads (also: the JRT_JOBS environment
                    variable; the flag wins). Default: the machine's
                    available parallelism. 1 runs fully sequentially.
+                   A --jobs or JRT_JOBS that is not a positive integer
+                   is a usage error.
   --filter SUBSTR  run only the experiments whose name contains SUBSTR
                    (e.g. fig1, table, codecache); skipped sections are
                    absent from the report. A filter that matches no

@@ -20,7 +20,7 @@ use crate::pass::{self, Pass};
 use crate::runner::Mode;
 use crate::table::{count, pct, Table};
 use crate::tape::{self, RunSummary};
-use jrt_cache::CacheStats;
+use jrt_cache::{CacheConfig, CacheStats};
 use jrt_workloads::{suite, Size};
 
 /// One engine family's measurements for one benchmark (stack engines
@@ -194,9 +194,11 @@ fn measure(interp: &RunSummary, jit: &RunSummary, d: &CacheStats, ir: bool) -> I
 }
 
 /// The register-IR study off the shared pass, one job per benchmark:
-/// each family's D point is a view of its interpreter's stream (stock
-/// or IR), and its counts and code bytes come from the run summaries.
-/// The IR-backed JIT, which no consumer reads, runs count-only.
+/// each family's D point is a view of its interpreter's stream, the
+/// stock one's the front end's L1 D-cache (Table 3's) and the IR one's
+/// a sweep of that one point, and its counts and code bytes come from
+/// the run summaries. The IR-backed JIT, which no consumer reads, runs
+/// count-only.
 pub fn view(pass: &Pass, size: Size) -> IrStudy {
     let loads = jobs::prebuild(suite(), size);
     let tapes = pass.mode(Mode::Interp).zip(pass.mode(Mode::IrInterp));
@@ -214,7 +216,7 @@ pub fn view(pass: &Pass, size: Size) -> IrStudy {
             ir: measure(
                 &summary(Mode::IrInterp),
                 &summary(Mode::IrJit),
-                ir.l1()[1].stats(),
+                ir.dcache(CacheConfig::paper_l1_data()).stats(),
                 true,
             ),
         }

@@ -16,6 +16,9 @@
 //! process-wide [`set_jobs`] override wins over it), otherwise
 //! [`std::thread::available_parallelism`]. A count of 1 runs jobs
 //! inline on the calling thread — that *is* the sequential path.
+//! `run_all` and the examples read their arguments through
+//! [`cli_args`], which refuses a `JRT_JOBS` that is not a positive
+//! integer, as it refuses such a `--jobs`.
 //!
 //! # Examples
 //!
@@ -41,27 +44,46 @@ pub fn set_jobs(n: usize) {
 }
 
 /// The worker count the scheduler will use: [`set_jobs`] override,
-/// then `JRT_JOBS`, then [`std::thread::available_parallelism`].
+/// then `JRT_JOBS`, then [`std::thread::available_parallelism`]. A
+/// `JRT_JOBS` that is not a positive integer counts as unset here;
+/// [`cli_args`] refuses it before any job runs.
 pub fn worker_count() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = std::env::var("JRT_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
+    if let Ok(Some(n)) = env_jobs() {
         return n;
     }
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
+/// The worker count `JRT_JOBS` sets: `None` when it is unset, and an
+/// error naming the variable when it is set to anything but a
+/// positive integer.
+fn env_jobs() -> Result<Option<usize>, String> {
+    let Some(value) = std::env::var_os("JRT_JOBS") else {
+        return Ok(None);
+    };
+    match value.to_str().map(str::parse::<usize>) {
+        Some(Ok(n)) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "JRT_JOBS expects a positive integer, got {value:?}"
+        )),
+    }
+}
+
 /// Returns the process arguments (program name skipped) with
 /// `--jobs N` / `--jobs=N` consumed into [`set_jobs`]. `run_all` and
 /// the examples call this instead of touching `std::env::args` so
-/// every one of them understands the same jobs flag.
+/// every one of them understands the same jobs flag. A `--jobs` or a
+/// `JRT_JOBS` that is not a positive integer ends the process with
+/// status 2 and a message naming it.
 pub fn cli_args() -> Vec<String> {
+    if let Err(e) = env_jobs() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let mut out = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

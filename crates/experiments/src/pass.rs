@@ -75,8 +75,12 @@ impl Needs {
         match (section, mode) {
             // Figure 9's w=8 report, stock vs folding interpreter.
             ("folding", Mode::Interp | Mode::Folding) => merge(&mut self.widths, &[folding::WIDTH]),
-            // Table 3's interpreter D-cache, stock vs IR interpreter.
-            ("regir", Mode::Interp | Mode::IrInterp) => self.l1 = true,
+            // Table 3's interpreter D-cache, stock vs IR interpreter:
+            // the stock stream's from the front end's L1 pair, which
+            // Table 3 simulates anyway, the IR stream's from a sweep of
+            // that one D point.
+            ("regir", Mode::Interp) => self.l1 = true,
+            ("regir", Mode::IrInterp) => self.sweep(&[], &[CacheConfig::paper_l1_data()]),
             // Every other section reads the stock streams alone.
             _ if !Mode::BOTH.contains(&mode) => {}
             ("fig2", _) => self.mix = true,

@@ -1,6 +1,7 @@
 //! `run_all`'s command-line contract. Exit status 2 means the run was
-//! refused (a usage error, an unusable spill directory or an
-//! unwritable report) and 1 means a report check failed; neither may
+//! refused (a usage error, a `JRT_JOBS` that is not a positive integer,
+//! an unusable spill directory or an unwritable report) and 1 means a
+//! report check failed; neither may
 //! panic. Runs that spill tapes leave no files behind: the default
 //! spill directory under the system temp dir is removed before exit,
 //! while a directory named by `JRT_TAPE_DIR` that already existed is
@@ -25,12 +26,14 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Runs `run_all` with `args` and one environment variable set,
-/// returning its exit code and stderr.
+/// Runs `run_all` with `args` and one environment variable set (and
+/// neither of the other `JRT_*` variables it reads), returning its
+/// exit code and stderr.
 fn run(args: &[&str], env: (&str, &Path)) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args(args)
         .env_remove("JRT_TAPE_DIR")
+        .env_remove("JRT_JOBS")
         .env(env.0, env.1)
         .output()
         .expect("spawn run_all");
@@ -124,4 +127,20 @@ fn unusable_spill_dir_is_refused_before_anything_runs() {
         !stderr.contains("[run_all]"),
         "ran a section first: {stderr}"
     );
+}
+
+#[test]
+fn a_bad_worker_count_in_the_environment_is_refused_before_anything_runs() {
+    let args = ["tiny", "/dev/null", "--filter", "table1"];
+    for bad in ["abc", "0", "-2", ""] {
+        let (code, stderr) = run(&args, ("JRT_JOBS", Path::new(bad)));
+        assert_eq!(code, Some(2), "JRT_JOBS={bad:?}: {stderr}");
+        assert!(stderr.contains("JRT_JOBS"), "JRT_JOBS={bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "JRT_JOBS={bad:?}: {stderr}");
+        assert!(
+            !stderr.contains("[run_all]"),
+            "JRT_JOBS={bad:?} ran a section first: {stderr}"
+        );
+    }
+    assert_ok(&args, ("JRT_JOBS", Path::new("2")));
 }

@@ -111,12 +111,12 @@ impl InterpEmitter {
         pc
     }
 
-    fn emit(&mut self, sink: &mut dyn TraceSink, inst: NativeInst) {
+    fn emit<S: TraceSink>(&mut self, sink: &mut S, inst: NativeInst) {
         sink.accept(&inst);
         self.count += 1;
     }
 
-    fn handler_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn handler_load<S: TraceSink>(&mut self, sink: &mut S, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let dst = self.reg();
         self.emit(
@@ -125,7 +125,7 @@ impl InterpEmitter {
         );
     }
 
-    fn handler_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn handler_store<S: TraceSink>(&mut self, sink: &mut S, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let src = self.last_dst;
         self.emit(
@@ -135,12 +135,12 @@ impl InterpEmitter {
     }
 }
 
-impl Emit for InterpEmitter {
+impl<S: TraceSink> Emit<S> for InterpEmitter {
     fn count(&self) -> u64 {
         self.count
     }
 
-    fn begin(&mut self, sink: &mut dyn TraceSink) {
+    fn begin(&mut self, sink: &mut S) {
         if self.folded {
             // Folded: the previous dispatch already selected a fused
             // handler; only the opcode byte is consumed (one load),
@@ -225,7 +225,7 @@ impl Emit for InterpEmitter {
         self.emit(sink, NativeInst::alu(pc4, Phase::InterpHandler).with_dst(5));
     }
 
-    fn operand_fetch(&mut self, sink: &mut dyn TraceSink, n: u32) {
+    fn operand_fetch(&mut self, sink: &mut S, n: u32) {
         // Immediates come from the bytecode stream: more data loads.
         for k in 0..n.div_ceil(4) {
             let addr = self.code_addr + Addr::from(self.pc) + 1 + Addr::from(k * 4);
@@ -233,31 +233,31 @@ impl Emit for InterpEmitter {
         }
     }
 
-    fn stack_pop(&mut self, sink: &mut dyn TraceSink, addr: Addr) {
+    fn stack_pop(&mut self, sink: &mut S, addr: Addr) {
         self.handler_load(sink, addr, 4);
     }
 
-    fn stack_push(&mut self, sink: &mut dyn TraceSink, addr: Addr) {
+    fn stack_push(&mut self, sink: &mut S, addr: Addr) {
         self.handler_store(sink, addr, 4);
     }
 
-    fn local_read(&mut self, sink: &mut dyn TraceSink, _n: usize, addr: Addr) {
+    fn local_read(&mut self, sink: &mut S, _n: usize, addr: Addr) {
         self.handler_load(sink, addr, 4);
     }
 
-    fn local_write(&mut self, sink: &mut dyn TraceSink, _n: usize, addr: Addr) {
+    fn local_write(&mut self, sink: &mut S, _n: usize, addr: Addr) {
         self.handler_store(sink, addr, 4);
     }
 
-    fn heap_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_load(&mut self, sink: &mut S, addr: Addr, size: u8) {
         self.handler_load(sink, addr, size);
     }
 
-    fn heap_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_store(&mut self, sink: &mut S, addr: Addr, size: u8) {
         self.handler_store(sink, addr, size);
     }
 
-    fn ref_store_barrier(&mut self, sink: &mut dyn TraceSink, card: Addr) -> u64 {
+    fn ref_store_barrier(&mut self, sink: &mut S, card: Addr) -> u64 {
         // Address-to-card shift, then the unconditional dirty-byte
         // store (the classic two-instruction card barrier).
         let pc = self.step_pc();
@@ -276,7 +276,7 @@ impl Emit for InterpEmitter {
         2
     }
 
-    fn alu(&mut self, sink: &mut dyn TraceSink, class: InstClass) {
+    fn alu(&mut self, sink: &mut S, class: InstClass) {
         let pc = self.step_pc();
         let (s1, s2) = (self.last_dst, self.next_reg);
         let dst = self.reg();
@@ -288,7 +288,7 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn null_check(&mut self, sink: &mut dyn TraceSink) {
+    fn null_check(&mut self, sink: &mut S) {
         let pc = self.step_pc();
         let src = self.last_dst;
         self.emit(
@@ -297,7 +297,7 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn bounds_check(&mut self, sink: &mut dyn TraceSink) {
+    fn bounds_check(&mut self, sink: &mut S) {
         self.alu(sink, InstClass::IntAlu);
         let pc = self.step_pc();
         let src = self.last_dst;
@@ -307,7 +307,7 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn cond_branch(&mut self, sink: &mut dyn TraceSink, taken: bool, _bc_target: u32) {
+    fn cond_branch(&mut self, sink: &mut S, taken: bool, _bc_target: u32) {
         // The handler's native branch direction mirrors the bytecode
         // branch: `if (cond) vpc = target; else vpc += len`.
         self.alu(sink, InstClass::IntAlu);
@@ -321,11 +321,11 @@ impl Emit for InterpEmitter {
         self.alu(sink, InstClass::IntAlu);
     }
 
-    fn goto_(&mut self, sink: &mut dyn TraceSink, _bc_target: u32) {
+    fn goto_(&mut self, sink: &mut S, _bc_target: u32) {
         self.alu(sink, InstClass::IntAlu); // vpc = target
     }
 
-    fn switch(&mut self, sink: &mut dyn TraceSink, _bc_target: u32, _ncases: usize) {
+    fn switch(&mut self, sink: &mut S, _bc_target: u32, _ncases: usize) {
         // Bounds test + table read from the bytecode stream + vpc
         // update; the actual transfer is the next dispatch.
         self.alu(sink, InstClass::IntAlu);
@@ -340,7 +340,7 @@ impl Emit for InterpEmitter {
         self.alu(sink, InstClass::IntAlu);
     }
 
-    fn invoke(&mut self, sink: &mut dyn TraceSink, _kind: InvokeKind, entry: Addr) -> Addr {
+    fn invoke(&mut self, sink: &mut S, _kind: InvokeKind, entry: Addr) -> Addr {
         // Method-block lookup (always through pointers in an
         // interpreter, regardless of the bytecode's invoke kind).
         let mb = layout::VM_DATA_BASE + (entry % 0x8000);
@@ -357,7 +357,7 @@ impl Emit for InterpEmitter {
         ret_to
     }
 
-    fn ret(&mut self, sink: &mut dyn TraceSink, ret_to: Addr) {
+    fn ret(&mut self, sink: &mut S, ret_to: Addr) {
         // Restore caller frame pointers, then return.
         let fp = layout::VM_DATA_BASE + 0x100;
         self.handler_load(sink, fp, 4);
@@ -366,7 +366,7 @@ impl Emit for InterpEmitter {
         self.emit(sink, NativeInst::ret(pc, ret_to, Phase::InterpHandler));
     }
 
-    fn frame_setup(&mut self, sink: &mut dyn TraceSink, nlocals: usize, locals_addr: Addr) {
+    fn frame_setup(&mut self, sink: &mut S, nlocals: usize, locals_addr: Addr) {
         let mut pc = RUNTIME_BASE;
         let mut emit = |i: NativeInst, count: &mut u64| {
             sink.accept(&i);
@@ -392,19 +392,19 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn sync_op(&mut self, sink: &mut dyn TraceSink, cost: LockCost, lock_addr: Addr) {
+    fn sync_op(&mut self, sink: &mut S, cost: LockCost, lock_addr: Addr) {
         emit_sync(sink, cost, lock_addr, &mut self.count);
     }
 
-    fn alloc(&mut self, sink: &mut dyn TraceSink, addr: Addr, bytes: u32) {
+    fn alloc(&mut self, sink: &mut S, addr: Addr, bytes: u32) {
         emit_alloc(sink, addr, bytes, &mut self.count);
     }
 }
 
 /// Shared monitor-path emission (same VM runtime code for both
 /// engines).
-pub(crate) fn emit_sync(
-    sink: &mut dyn TraceSink,
+pub(crate) fn emit_sync<S: TraceSink + ?Sized>(
+    sink: &mut S,
     cost: LockCost,
     lock_addr: Addr,
     count: &mut u64,
@@ -443,9 +443,14 @@ pub(crate) fn emit_sync(
 }
 
 /// Shared allocation-path emission.
-pub(crate) fn emit_alloc(sink: &mut dyn TraceSink, addr: Addr, bytes: u32, count: &mut u64) {
+pub(crate) fn emit_alloc<S: TraceSink + ?Sized>(
+    sink: &mut S,
+    addr: Addr,
+    bytes: u32,
+    count: &mut u64,
+) {
     let mut pc = RUNTIME_BASE + 0x400;
-    let emit_one = |sink: &mut dyn TraceSink, i: NativeInst, count: &mut u64| {
+    let emit_one = |sink: &mut S, i: NativeInst, count: &mut u64| {
         sink.accept(&i);
         *count += 1;
     };
@@ -499,7 +504,7 @@ mod tests {
         assert_eq!(r.events[0].mem.unwrap().addr, layout::CLASS_AREA_BASE + 10);
         assert_eq!(r.events[5].class, InstClass::IndirectJump);
         assert_eq!(r.events[5].ctrl.unwrap().target, handler_addr(11));
-        assert_eq!(e.count(), 10);
+        assert_eq!(Emit::<RecordingSink>::count(&e), 10);
     }
 
     #[test]

@@ -94,12 +94,12 @@ impl IrInterpEmitter {
         pc
     }
 
-    fn emit(&mut self, sink: &mut dyn TraceSink, inst: NativeInst) {
+    fn emit<S: TraceSink>(&mut self, sink: &mut S, inst: NativeInst) {
         sink.accept(&inst);
         self.count += 1;
     }
 
-    fn handler_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn handler_load<S: TraceSink>(&mut self, sink: &mut S, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let dst = self.reg();
         self.emit(
@@ -108,7 +108,7 @@ impl IrInterpEmitter {
         );
     }
 
-    fn handler_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn handler_store<S: TraceSink>(&mut self, sink: &mut S, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let src = self.last_dst;
         self.emit(
@@ -117,7 +117,7 @@ impl IrInterpEmitter {
         );
     }
 
-    fn handler_alu(&mut self, sink: &mut dyn TraceSink, class: InstClass) {
+    fn handler_alu<S: TraceSink>(&mut self, sink: &mut S, class: InstClass) {
         let pc = self.step_pc();
         let (s1, s2) = (self.last_dst, self.next_reg);
         let dst = self.reg();
@@ -130,12 +130,12 @@ impl IrInterpEmitter {
     }
 }
 
-impl Emit for IrInterpEmitter {
+impl<S: TraceSink> Emit<S> for IrInterpEmitter {
     fn count(&self) -> u64 {
         self.count
     }
 
-    fn begin(&mut self, sink: &mut dyn TraceSink) {
+    fn begin(&mut self, sink: &mut S) {
         let PcPlan::Exec { word_off, words } = self.plan else {
             // Covered and elided pcs dispatch nothing: their work (if
             // any) rides inside the covering handler.
@@ -175,41 +175,41 @@ impl Emit for IrInterpEmitter {
         self.cur_pc = ir_handler_addr(self.slot);
     }
 
-    fn operand_fetch(&mut self, _sink: &mut dyn TraceSink, _n: u32) {
+    fn operand_fetch(&mut self, _sink: &mut S, _n: u32) {
         // Operands travel inside the IR words fetched at dispatch.
     }
 
-    fn stack_pop(&mut self, _sink: &mut dyn TraceSink, _addr: Addr) {
+    fn stack_pop(&mut self, _sink: &mut S, _addr: Addr) {
         // The IR interpreter keeps the operand stack in registers.
     }
 
-    fn stack_push(&mut self, _sink: &mut dyn TraceSink, _addr: Addr) {}
+    fn stack_push(&mut self, _sink: &mut S, _addr: Addr) {}
 
-    fn local_read(&mut self, sink: &mut dyn TraceSink, _n: usize, addr: Addr) {
+    fn local_read(&mut self, sink: &mut S, _n: usize, addr: Addr) {
         if !self.elided() {
             self.handler_load(sink, addr, 4);
         }
     }
 
-    fn local_write(&mut self, sink: &mut dyn TraceSink, _n: usize, addr: Addr) {
+    fn local_write(&mut self, sink: &mut S, _n: usize, addr: Addr) {
         if !self.elided() {
             self.handler_store(sink, addr, 4);
         }
     }
 
-    fn heap_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_load(&mut self, sink: &mut S, addr: Addr, size: u8) {
         if !self.elided() {
             self.handler_load(sink, addr, size);
         }
     }
 
-    fn heap_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_store(&mut self, sink: &mut S, addr: Addr, size: u8) {
         if !self.elided() {
             self.handler_store(sink, addr, size);
         }
     }
 
-    fn ref_store_barrier(&mut self, sink: &mut dyn TraceSink, card: Addr) -> u64 {
+    fn ref_store_barrier(&mut self, sink: &mut S, card: Addr) -> u64 {
         // Fusion cannot remove a barrier whose store survived, but an
         // elided pc has no store and therefore no barrier either.
         if self.elided() {
@@ -231,13 +231,13 @@ impl Emit for IrInterpEmitter {
         2
     }
 
-    fn alu(&mut self, sink: &mut dyn TraceSink, class: InstClass) {
+    fn alu(&mut self, sink: &mut S, class: InstClass) {
         if !self.elided() {
             self.handler_alu(sink, class);
         }
     }
 
-    fn null_check(&mut self, sink: &mut dyn TraceSink) {
+    fn null_check(&mut self, sink: &mut S) {
         if self.elided() {
             return;
         }
@@ -249,7 +249,7 @@ impl Emit for IrInterpEmitter {
         );
     }
 
-    fn bounds_check(&mut self, sink: &mut dyn TraceSink) {
+    fn bounds_check(&mut self, sink: &mut S) {
         if self.elided() {
             return;
         }
@@ -262,7 +262,7 @@ impl Emit for IrInterpEmitter {
         );
     }
 
-    fn cond_branch(&mut self, sink: &mut dyn TraceSink, taken: bool, _bc_target: u32) {
+    fn cond_branch(&mut self, sink: &mut S, taken: bool, _bc_target: u32) {
         // Compare, branch with the bytecode direction, IR-cursor
         // update — branch pcs are always `Exec`.
         self.handler_alu(sink, InstClass::IntAlu);
@@ -275,11 +275,11 @@ impl Emit for IrInterpEmitter {
         self.handler_alu(sink, InstClass::IntAlu);
     }
 
-    fn goto_(&mut self, sink: &mut dyn TraceSink, _bc_target: u32) {
+    fn goto_(&mut self, sink: &mut S, _bc_target: u32) {
         self.handler_alu(sink, InstClass::IntAlu); // IR cursor = target
     }
 
-    fn switch(&mut self, sink: &mut dyn TraceSink, _bc_target: u32, _ncases: usize) {
+    fn switch(&mut self, sink: &mut S, _bc_target: u32, _ncases: usize) {
         // Bounds test + table read from the IR words + cursor update.
         self.handler_alu(sink, InstClass::IntAlu);
         let pc = self.step_pc();
@@ -296,7 +296,7 @@ impl Emit for IrInterpEmitter {
         self.handler_alu(sink, InstClass::IntAlu);
     }
 
-    fn invoke(&mut self, sink: &mut dyn TraceSink, _kind: InvokeKind, entry: Addr) -> Addr {
+    fn invoke(&mut self, sink: &mut S, _kind: InvokeKind, entry: Addr) -> Addr {
         // Method-block lookup through pointers, same as the stack
         // interpreter's call path.
         let mb = layout::VM_DATA_BASE + (entry % 0x8000);
@@ -313,7 +313,7 @@ impl Emit for IrInterpEmitter {
         ret_to
     }
 
-    fn ret(&mut self, sink: &mut dyn TraceSink, ret_to: Addr) {
+    fn ret(&mut self, sink: &mut S, ret_to: Addr) {
         let fp = layout::VM_DATA_BASE + 0x100;
         self.handler_load(sink, fp, 4);
         self.handler_load(sink, fp + 8, 4);
@@ -321,7 +321,7 @@ impl Emit for IrInterpEmitter {
         self.emit(sink, NativeInst::ret(pc, ret_to, Phase::InterpHandler));
     }
 
-    fn frame_setup(&mut self, sink: &mut dyn TraceSink, nlocals: usize, locals_addr: Addr) {
+    fn frame_setup(&mut self, sink: &mut S, nlocals: usize, locals_addr: Addr) {
         // Same VM runtime helper as the stack interpreter: locals are
         // memory in both interpreted tiers.
         let mut pc = layout::VM_TEXT_BASE + 0x2_0000;
@@ -349,11 +349,11 @@ impl Emit for IrInterpEmitter {
         );
     }
 
-    fn sync_op(&mut self, sink: &mut dyn TraceSink, cost: LockCost, lock_addr: Addr) {
+    fn sync_op(&mut self, sink: &mut S, cost: LockCost, lock_addr: Addr) {
         emit_sync(sink, cost, lock_addr, &mut self.count);
     }
 
-    fn alloc(&mut self, sink: &mut dyn TraceSink, addr: Addr, bytes: u32) {
+    fn alloc(&mut self, sink: &mut S, addr: Addr, bytes: u32) {
         emit_alloc(sink, addr, bytes, &mut self.count);
     }
 }
@@ -361,15 +361,15 @@ impl Emit for IrInterpEmitter {
 /// Emitter for code installed by the IR-backed translator: delegates
 /// to [`JitEmitter`] but suppresses what fusion removed — covered
 /// register moves and everything at elided pcs.
-pub(crate) struct IrJitEmitter<'a> {
-    inner: JitEmitter<'a>,
+pub(crate) struct IrJitEmitter<F> {
+    inner: JitEmitter<F>,
     plan: PcPlan,
     reg_locals: usize,
 }
 
-impl<'a> IrJitEmitter<'a> {
+impl<F> IrJitEmitter<F> {
     /// Wraps `inner` with the lowering plan for the current pc.
-    pub(crate) fn new(inner: JitEmitter<'a>, plan: PcPlan, reg_locals: usize) -> Self {
+    pub(crate) fn new(inner: JitEmitter<F>, plan: PcPlan, reg_locals: usize) -> Self {
         IrJitEmitter {
             inner,
             plan,
@@ -382,30 +382,30 @@ impl<'a> IrJitEmitter<'a> {
     }
 }
 
-impl Emit for IrJitEmitter<'_> {
+impl<S: TraceSink, F: Fn(u32) -> Addr> Emit<S> for IrJitEmitter<F> {
     fn count(&self) -> u64 {
-        self.inner.count()
+        Emit::<S>::count(&self.inner)
     }
 
-    fn begin(&mut self, sink: &mut dyn TraceSink) {
+    fn begin(&mut self, sink: &mut S) {
         self.inner.begin(sink);
     }
 
-    fn operand_fetch(&mut self, sink: &mut dyn TraceSink, n: u32) {
+    fn operand_fetch(&mut self, sink: &mut S, n: u32) {
         self.inner.operand_fetch(sink, n);
     }
 
-    fn stack_pop(&mut self, sink: &mut dyn TraceSink, addr: Addr) {
+    fn stack_pop(&mut self, sink: &mut S, addr: Addr) {
         // Always forwarded: the inner emitter tracks register-stack
         // depth through these (they emit nothing).
         self.inner.stack_pop(sink, addr);
     }
 
-    fn stack_push(&mut self, sink: &mut dyn TraceSink, addr: Addr) {
+    fn stack_push(&mut self, sink: &mut S, addr: Addr) {
         self.inner.stack_push(sink, addr);
     }
 
-    fn local_read(&mut self, sink: &mut dyn TraceSink, n: usize, addr: Addr) {
+    fn local_read(&mut self, sink: &mut S, n: usize, addr: Addr) {
         // A covered local access whose slot is register-allocated was
         // fused into its consumer: the move disappears. Spilled locals
         // still hit memory even when fused.
@@ -415,26 +415,26 @@ impl Emit for IrJitEmitter<'_> {
         self.inner.local_read(sink, n, addr);
     }
 
-    fn local_write(&mut self, sink: &mut dyn TraceSink, n: usize, addr: Addr) {
+    fn local_write(&mut self, sink: &mut S, n: usize, addr: Addr) {
         if self.elided() || (matches!(self.plan, PcPlan::Covered) && n < self.reg_locals) {
             return;
         }
         self.inner.local_write(sink, n, addr);
     }
 
-    fn heap_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_load(&mut self, sink: &mut S, addr: Addr, size: u8) {
         if !self.elided() {
             self.inner.heap_load(sink, addr, size);
         }
     }
 
-    fn heap_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_store(&mut self, sink: &mut S, addr: Addr, size: u8) {
         if !self.elided() {
             self.inner.heap_store(sink, addr, size);
         }
     }
 
-    fn ref_store_barrier(&mut self, sink: &mut dyn TraceSink, card: Addr) -> u64 {
+    fn ref_store_barrier(&mut self, sink: &mut S, card: Addr) -> u64 {
         if self.elided() {
             0
         } else {
@@ -442,53 +442,53 @@ impl Emit for IrJitEmitter<'_> {
         }
     }
 
-    fn alu(&mut self, sink: &mut dyn TraceSink, class: InstClass) {
+    fn alu(&mut self, sink: &mut S, class: InstClass) {
         if !self.elided() {
             self.inner.alu(sink, class);
         }
     }
 
-    fn null_check(&mut self, sink: &mut dyn TraceSink) {
+    fn null_check(&mut self, sink: &mut S) {
         if !self.elided() {
             self.inner.null_check(sink);
         }
     }
 
-    fn bounds_check(&mut self, sink: &mut dyn TraceSink) {
+    fn bounds_check(&mut self, sink: &mut S) {
         if !self.elided() {
             self.inner.bounds_check(sink);
         }
     }
 
-    fn cond_branch(&mut self, sink: &mut dyn TraceSink, taken: bool, bc_target: u32) {
+    fn cond_branch(&mut self, sink: &mut S, taken: bool, bc_target: u32) {
         self.inner.cond_branch(sink, taken, bc_target);
     }
 
-    fn goto_(&mut self, sink: &mut dyn TraceSink, bc_target: u32) {
+    fn goto_(&mut self, sink: &mut S, bc_target: u32) {
         self.inner.goto_(sink, bc_target);
     }
 
-    fn switch(&mut self, sink: &mut dyn TraceSink, bc_target: u32, ncases: usize) {
+    fn switch(&mut self, sink: &mut S, bc_target: u32, ncases: usize) {
         self.inner.switch(sink, bc_target, ncases);
     }
 
-    fn invoke(&mut self, sink: &mut dyn TraceSink, kind: InvokeKind, entry: Addr) -> Addr {
+    fn invoke(&mut self, sink: &mut S, kind: InvokeKind, entry: Addr) -> Addr {
         self.inner.invoke(sink, kind, entry)
     }
 
-    fn ret(&mut self, sink: &mut dyn TraceSink, ret_to: Addr) {
+    fn ret(&mut self, sink: &mut S, ret_to: Addr) {
         self.inner.ret(sink, ret_to);
     }
 
-    fn frame_setup(&mut self, sink: &mut dyn TraceSink, nlocals: usize, locals_addr: Addr) {
+    fn frame_setup(&mut self, sink: &mut S, nlocals: usize, locals_addr: Addr) {
         self.inner.frame_setup(sink, nlocals, locals_addr);
     }
 
-    fn sync_op(&mut self, sink: &mut dyn TraceSink, cost: LockCost, lock_addr: Addr) {
+    fn sync_op(&mut self, sink: &mut S, cost: LockCost, lock_addr: Addr) {
         self.inner.sync_op(sink, cost, lock_addr);
     }
 
-    fn alloc(&mut self, sink: &mut dyn TraceSink, addr: Addr, bytes: u32) {
+    fn alloc(&mut self, sink: &mut S, addr: Addr, bytes: u32) {
         self.inner.alloc(sink, addr, bytes);
     }
 }
@@ -547,7 +547,7 @@ mod tests {
         e.alu(&mut mix, InstClass::IntAlu);
         e.stack_push(&mut mix, layout::STACK_BASE);
         assert_eq!(mix.total(), 0);
-        assert_eq!(e.count(), 0);
+        assert_eq!(Emit::<InstMix>::count(&e), 0);
     }
 
     #[test]
@@ -583,7 +583,7 @@ mod tests {
     fn ir_jit_suppresses_covered_register_moves() {
         let addr_of = |pc: u32| layout::CODE_CACHE_BASE + 0x100 + Addr::from(pc) * 8;
         let mut r = RecordingSink::new();
-        let inner = JitEmitter::new(&addr_of, 0, 0, 6);
+        let inner = JitEmitter::new(addr_of, 0, 0, 6);
         let mut e = IrJitEmitter::new(inner, PcPlan::Covered, 6);
         e.local_read(&mut r, 0, layout::STACK_BASE); // register-allocated: fused away
         e.local_read(&mut r, 10, layout::STACK_BASE + 40); // spilled: still a load
@@ -595,7 +595,7 @@ mod tests {
     fn ir_jit_elided_pc_is_free_but_tracks_depth() {
         let addr_of = |pc: u32| layout::CODE_CACHE_BASE + 0x100 + Addr::from(pc) * 8;
         let mut r = RecordingSink::new();
-        let inner = JitEmitter::new(&addr_of, 0, 0, 6);
+        let inner = JitEmitter::new(addr_of, 0, 0, 6);
         let mut e = IrJitEmitter::new(inner, PcPlan::Elided, 6);
         e.begin(&mut r);
         e.alu(&mut r, InstClass::IntAlu);

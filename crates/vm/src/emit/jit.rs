@@ -19,9 +19,10 @@ fn local_reg(n: usize) -> u8 {
 /// Emitter modelling execution of code the translator installed in
 /// the code cache. `addr_of` maps bytecode offsets to installed
 /// native addresses (provided by the
-/// [`CompiledMethod`](crate::jit::CompiledMethod)).
-pub(crate) struct JitEmitter<'a> {
-    addr_of: &'a dyn Fn(u32) -> Addr,
+/// [`CompiledMethod`](crate::jit::CompiledMethod)); it is a type
+/// parameter, so the lookup inlines.
+pub(crate) struct JitEmitter<F> {
+    addr_of: F,
     cur_pc: Addr,
     depth: usize,
     /// Leading locals the translation tier keeps in registers; the
@@ -30,20 +31,15 @@ pub(crate) struct JitEmitter<'a> {
     count: u64,
 }
 
-impl<'a> JitEmitter<'a> {
+impl<F: Fn(u32) -> Addr> JitEmitter<F> {
     /// Creates an emitter positioned at the installed code for the
     /// bytecode at `pc`, with the operand stack currently `depth`
     /// slots deep and the method's first `reg_locals` locals held in
     /// registers.
-    pub(crate) fn new(
-        addr_of: &'a dyn Fn(u32) -> Addr,
-        pc: u32,
-        depth: usize,
-        reg_locals: usize,
-    ) -> Self {
+    pub(crate) fn new(addr_of: F, pc: u32, depth: usize, reg_locals: usize) -> Self {
         JitEmitter {
-            addr_of,
             cur_pc: addr_of(pc),
+            addr_of,
             depth,
             reg_locals,
             count: 0,
@@ -56,34 +52,34 @@ impl<'a> JitEmitter<'a> {
         pc
     }
 
-    fn emit(&mut self, sink: &mut dyn TraceSink, inst: NativeInst) {
+    fn emit<S: TraceSink>(&mut self, sink: &mut S, inst: NativeInst) {
         sink.accept(&inst);
         self.count += 1;
     }
 }
 
-impl Emit for JitEmitter<'_> {
+impl<S: TraceSink, F: Fn(u32) -> Addr> Emit<S> for JitEmitter<F> {
     fn count(&self) -> u64 {
         self.count
     }
 
-    fn begin(&mut self, _sink: &mut dyn TraceSink) {
+    fn begin(&mut self, _sink: &mut S) {
         // No dispatch: control simply flows to the installed code.
     }
 
-    fn operand_fetch(&mut self, _sink: &mut dyn TraceSink, _n: u32) {
+    fn operand_fetch(&mut self, _sink: &mut S, _n: u32) {
         // Immediates were baked into the generated instructions.
     }
 
-    fn stack_pop(&mut self, _sink: &mut dyn TraceSink, _addr: Addr) {
+    fn stack_pop(&mut self, _sink: &mut S, _addr: Addr) {
         self.depth = self.depth.saturating_sub(1);
     }
 
-    fn stack_push(&mut self, _sink: &mut dyn TraceSink, _addr: Addr) {
+    fn stack_push(&mut self, _sink: &mut S, _addr: Addr) {
         self.depth += 1;
     }
 
-    fn local_read(&mut self, sink: &mut dyn TraceSink, n: usize, addr: Addr) {
+    fn local_read(&mut self, sink: &mut S, n: usize, addr: Addr) {
         let pc = self.step_pc();
         let dst = stack_reg(self.depth);
         if n < self.reg_locals {
@@ -102,7 +98,7 @@ impl Emit for JitEmitter<'_> {
         }
     }
 
-    fn local_write(&mut self, sink: &mut dyn TraceSink, n: usize, addr: Addr) {
+    fn local_write(&mut self, sink: &mut S, n: usize, addr: Addr) {
         let pc = self.step_pc();
         let src = stack_reg(self.depth.saturating_sub(1));
         if n < self.reg_locals {
@@ -120,7 +116,7 @@ impl Emit for JitEmitter<'_> {
         }
     }
 
-    fn heap_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_load(&mut self, sink: &mut S, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let base = stack_reg(self.depth.saturating_sub(1));
         let dst = stack_reg(self.depth);
@@ -132,7 +128,7 @@ impl Emit for JitEmitter<'_> {
         );
     }
 
-    fn heap_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_store(&mut self, sink: &mut S, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let src = stack_reg(self.depth.saturating_sub(1));
         self.emit(
@@ -141,7 +137,7 @@ impl Emit for JitEmitter<'_> {
         );
     }
 
-    fn ref_store_barrier(&mut self, sink: &mut dyn TraceSink, card: Addr) -> u64 {
+    fn ref_store_barrier(&mut self, sink: &mut S, card: Addr) -> u64 {
         // Translated code inlines the same two-instruction card
         // barrier after every reference store.
         let pc = self.step_pc();
@@ -160,7 +156,7 @@ impl Emit for JitEmitter<'_> {
         2
     }
 
-    fn alu(&mut self, sink: &mut dyn TraceSink, class: InstClass) {
+    fn alu(&mut self, sink: &mut S, class: InstClass) {
         let pc = self.step_pc();
         // Binary op over the two top stack registers: a real
         // register-allocated dependence chain.
@@ -174,7 +170,7 @@ impl Emit for JitEmitter<'_> {
         );
     }
 
-    fn null_check(&mut self, sink: &mut dyn TraceSink) {
+    fn null_check(&mut self, sink: &mut S) {
         let pc = self.step_pc();
         let src = stack_reg(self.depth.saturating_sub(1));
         self.emit(
@@ -183,7 +179,7 @@ impl Emit for JitEmitter<'_> {
         );
     }
 
-    fn bounds_check(&mut self, sink: &mut dyn TraceSink) {
+    fn bounds_check(&mut self, sink: &mut S) {
         let pc = self.step_pc();
         let src = stack_reg(self.depth.saturating_sub(1));
         self.emit(
@@ -199,7 +195,7 @@ impl Emit for JitEmitter<'_> {
         );
     }
 
-    fn cond_branch(&mut self, sink: &mut dyn TraceSink, taken: bool, bc_target: u32) {
+    fn cond_branch(&mut self, sink: &mut S, taken: bool, bc_target: u32) {
         let pc = self.step_pc();
         let src = stack_reg(self.depth.saturating_sub(1));
         let target = (self.addr_of)(bc_target);
@@ -212,14 +208,14 @@ impl Emit for JitEmitter<'_> {
         }
     }
 
-    fn goto_(&mut self, sink: &mut dyn TraceSink, bc_target: u32) {
+    fn goto_(&mut self, sink: &mut S, bc_target: u32) {
         let pc = self.step_pc();
         let target = (self.addr_of)(bc_target);
         self.emit(sink, NativeInst::jump(pc, target, Phase::NativeExec));
         self.cur_pc = target;
     }
 
-    fn switch(&mut self, sink: &mut dyn TraceSink, bc_target: u32, _ncases: usize) {
+    fn switch(&mut self, sink: &mut S, bc_target: u32, _ncases: usize) {
         // Translated tableswitch: bounds check, table load, indirect
         // jump — the JIT mode's residual indirect branches.
         self.bounds_check(sink);
@@ -238,7 +234,7 @@ impl Emit for JitEmitter<'_> {
         self.cur_pc = target;
     }
 
-    fn invoke(&mut self, sink: &mut dyn TraceSink, kind: InvokeKind, entry: Addr) -> Addr {
+    fn invoke(&mut self, sink: &mut S, kind: InvokeKind, entry: Addr) -> Addr {
         match kind {
             InvokeKind::Direct | InvokeKind::VirtualMono => {
                 // Devirtualized / static: one direct call (mono sites
@@ -282,13 +278,13 @@ impl Emit for JitEmitter<'_> {
         }
     }
 
-    fn ret(&mut self, sink: &mut dyn TraceSink, ret_to: Addr) {
+    fn ret(&mut self, sink: &mut S, ret_to: Addr) {
         let pc = self.step_pc();
         self.emit(sink, NativeInst::ret(pc, ret_to, Phase::NativeExec));
         self.cur_pc = ret_to;
     }
 
-    fn frame_setup(&mut self, sink: &mut dyn TraceSink, nlocals: usize, locals_addr: Addr) {
+    fn frame_setup(&mut self, sink: &mut S, nlocals: usize, locals_addr: Addr) {
         // Translated prologue: register-window style, much lighter
         // than the interpreter's frame build.
         let pc = self.step_pc();
@@ -305,11 +301,11 @@ impl Emit for JitEmitter<'_> {
         }
     }
 
-    fn sync_op(&mut self, sink: &mut dyn TraceSink, cost: LockCost, lock_addr: Addr) {
+    fn sync_op(&mut self, sink: &mut S, cost: LockCost, lock_addr: Addr) {
         emit_sync(sink, cost, lock_addr, &mut self.count);
     }
 
-    fn alloc(&mut self, sink: &mut dyn TraceSink, addr: Addr, bytes: u32) {
+    fn alloc(&mut self, sink: &mut S, addr: Addr, bytes: u32) {
         emit_alloc(sink, addr, bytes, &mut self.count);
     }
 }
@@ -326,8 +322,7 @@ mod tests {
     #[test]
     fn stack_ops_emit_no_memory_traffic() {
         let mut mix = InstMix::new();
-        let f = addr_of;
-        let mut e = JitEmitter::new(&f, 0, 0, 6);
+        let mut e = JitEmitter::new(addr_of, 0, 0, 6);
         e.begin(&mut mix);
         e.stack_push(&mut mix, 0);
         e.stack_push(&mut mix, 0);
@@ -341,8 +336,7 @@ mod tests {
     #[test]
     fn code_addresses_live_in_code_cache() {
         let mut r = RecordingSink::new();
-        let f = addr_of;
-        let mut e = JitEmitter::new(&f, 12, 0, 6);
+        let mut e = JitEmitter::new(addr_of, 12, 0, 6);
         e.alu(&mut r, InstClass::IntAlu);
         assert_eq!(
             jrt_trace::Region::classify(r.events[0].pc),
@@ -354,8 +348,7 @@ mod tests {
     #[test]
     fn leading_locals_are_registers_others_spill() {
         let mut r = RecordingSink::new();
-        let f = addr_of;
-        let mut e = JitEmitter::new(&f, 0, 0, 6);
+        let mut e = JitEmitter::new(addr_of, 0, 0, 6);
         e.local_read(&mut r, 0, layout::STACK_BASE);
         e.local_read(&mut r, 10, layout::STACK_BASE + 40);
         assert_eq!(r.events[0].class, InstClass::IntAlu);
@@ -365,8 +358,7 @@ mod tests {
     #[test]
     fn branches_target_translated_addresses() {
         let mut r = RecordingSink::new();
-        let f = addr_of;
-        let mut e = JitEmitter::new(&f, 0, 1, 6);
+        let mut e = JitEmitter::new(addr_of, 0, 1, 6);
         e.cond_branch(&mut r, true, 40);
         assert_eq!(r.events[0].ctrl.unwrap().target, addr_of(40));
         assert!(r.events[0].ctrl.unwrap().taken);
@@ -374,24 +366,22 @@ mod tests {
 
     #[test]
     fn mono_calls_are_direct_poly_calls_indirect() {
-        let f = addr_of;
         let mut r = RecordingSink::new();
-        let mut e = JitEmitter::new(&f, 0, 0, 6);
+        let mut e = JitEmitter::new(addr_of, 0, 0, 6);
         e.invoke(&mut r, InvokeKind::VirtualMono, 0x0200_9000);
         assert!(r.events.iter().any(|i| i.class == InstClass::Call));
         assert!(!r.events.iter().any(|i| i.class == InstClass::IndirectCall));
 
         let mut r2 = RecordingSink::new();
-        let mut e2 = JitEmitter::new(&f, 0, 0, 6);
+        let mut e2 = JitEmitter::new(addr_of, 0, 0, 6);
         e2.invoke(&mut r2, InvokeKind::VirtualPoly, 0x0200_9000);
         assert!(r2.events.iter().any(|i| i.class == InstClass::IndirectCall));
     }
 
     #[test]
     fn call_ret_addresses_pair() {
-        let f = addr_of;
         let mut r = RecordingSink::new();
-        let mut e = JitEmitter::new(&f, 0, 0, 6);
+        let mut e = JitEmitter::new(addr_of, 0, 0, 6);
         let ret_to = e.invoke(&mut r, InvokeKind::Direct, 0x0200_9000);
         e.ret(&mut r, ret_to);
         let ret = r.events.iter().find(|i| i.class == InstClass::Ret).unwrap();
@@ -400,9 +390,8 @@ mod tests {
 
     #[test]
     fn switch_keeps_an_indirect_jump() {
-        let f = addr_of;
         let mut r = RecordingSink::new();
-        let mut e = JitEmitter::new(&f, 0, 1, 6);
+        let mut e = JitEmitter::new(addr_of, 0, 1, 6);
         e.switch(&mut r, 16, 5);
         assert!(r.events.iter().any(|i| i.class == InstClass::IndirectJump));
     }

@@ -230,6 +230,11 @@ pub(crate) struct JitState {
     // Cache keys and content ids are internally minted integers, so
     // the shared id hasher beats SipHash here.
     compiled: IdHashMap<u64, Arc<CompiledMethod>>,
+    /// Bumped whenever `compiled` changes (an install, an eviction, a
+    /// tier upgrade) and on [`JitState::reset_for_reuse`]: a frame that
+    /// took its code at the current epoch holds what
+    /// [`JitState::compiled_for_frame`] would find now.
+    epoch: u64,
     /// Content interning for the shared scope: bytecode bytes → id.
     content_ids: HashMap<Vec<u8>, u64>,
     /// Cached method → content id (shared scope only).
@@ -263,6 +268,7 @@ impl JitState {
             scope: config.scope,
             mgr: CodeCacheManager::new(config, CODE_REGION_BASE, layout::CODE_CACHE_END + 1),
             compiled: IdHashMap::default(),
+            epoch: 0,
             content_ids: HashMap::new(),
             content_of: HashMap::new(),
             call_sites: HashMap::new(),
@@ -322,6 +328,7 @@ impl JitState {
     /// rebuilt from scratch instead (their keys are method ids too).
     pub fn reset_for_reuse(&mut self) {
         debug_assert_eq!(self.scope, CacheScope::Shared);
+        self.epoch += 1;
         self.content_of.clear();
         self.call_sites.clear();
         self.translator_buffer_bytes = 0;
@@ -364,9 +371,18 @@ impl JitState {
     /// Cheap shared handle to the compiled record for a frame (lets
     /// the caller keep the record while mutating the rest of the JIT
     /// state). `None` after eviction — the frame must demote to
-    /// interpretation.
+    /// interpretation. Cold: a frame keeps its handle until the
+    /// [`JitState::epoch`] moves.
+    #[cold]
     pub fn compiled_for_frame(&self, mid: MethodId, tid: u16) -> Option<Arc<CompiledMethod>> {
         self.compiled.get(&self.key_lookup(mid, tid)?).cloned()
+    }
+
+    /// The current epoch of the compiled records: a handle from
+    /// [`JitState::compiled_for_frame`] stays what it would return as
+    /// long as this does not change.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Records an observed receiver at a virtual call site and
@@ -454,6 +470,7 @@ impl JitState {
                     // re-translate at the hotter tier.
                     self.mgr.remove(key);
                     self.compiled.remove(&key);
+                    self.epoch += 1;
                     self.tier2_recompiles += 1;
                 }
                 match self.translate_keyed(key, def, code_addr, ir.as_deref(), want, sink) {
@@ -716,6 +733,7 @@ impl JitState {
             self.opt_translate_insts += emitted;
         }
 
+        self.epoch += 1;
         self.compiled.insert(
             key,
             Arc::new(CompiledMethod {
@@ -742,6 +760,7 @@ impl JitState {
         let mut emitted = 0u64;
         for (victim, victim_entry) in evicted {
             self.compiled.remove(victim);
+            self.epoch += 1;
             let tag = victim_entry & 0xFFFF;
             let seq = [
                 NativeInst::alu(EVICTOR_ROUTINE, Phase::Translate).with_dst(20),
@@ -971,7 +990,9 @@ mod tests {
             index: 99,
         };
         let mut rec = RecordingSink::new();
+        let epoch = jit.epoch();
         jit.translate(other, def, layout::CLASS_AREA_BASE + 964, &mut rec);
+        assert_eq!(jit.epoch(), epoch + 2, "an eviction and an install");
         assert!(!jit.is_compiled(mid, 0), "first method evicted");
         assert!(jit.is_compiled(other, 0));
         assert_eq!(jit.cache_stats().evictions, 1);
@@ -1069,7 +1090,9 @@ mod tests {
         for _ in 0..4 {
             profile.record_invocation(mid);
         }
+        let epoch = jit.epoch();
         assert!(jit.ensure_compiled(&mode, &mut profile, site, &mut sink));
+        assert_eq!(jit.epoch(), epoch + 2, "a removal and an install");
         let cm = jit.compiled(mid, 0).unwrap();
         assert_eq!(cm.tier, TIER_OPT);
         assert_eq!(cm.reg_locals, TIER2_REG_LOCALS);

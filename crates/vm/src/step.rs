@@ -10,13 +10,14 @@ use crate::emit::interp::invoke_helper_addr;
 use crate::emit::{Emit, InterpEmitter, InvokeKind, IrInterpEmitter, IrJitEmitter, JitEmitter};
 use crate::heap::{Handle, Value};
 use crate::intrinsics::{self, IntrinsicOutcome};
-use crate::jit::CallSite;
+use crate::jit::{CallSite, CompiledMethod, JitState};
 use crate::thread::{ThreadState, ThreadStatus};
 use crate::vm::{StepEnv, VmError};
-use jrt_bytecode::{Op, RetKind};
+use jrt_bytecode::{BytecodeError, Op, RetKind};
 use jrt_ir::PcPlan;
 use jrt_sync::{EnterOutcome, ExitOutcome};
 use jrt_trace::{layout, Addr, InstClass, TraceSink};
+use std::sync::Arc;
 
 /// What the scheduler should do after one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,14 +53,54 @@ fn lock_addr(env: &StepEnv<'_>, h: Handle) -> Addr {
 
 /// Executes one bytecode of `thread`.
 ///
+/// Monomorphized per sink type, so the emitters' `sink.accept` calls
+/// are static; the cold paths it calls (class loading, translation,
+/// lowering, intrinsics) take the sink as `&mut dyn TraceSink`. Kept
+/// out of line: inlined into the scheduler loop, it measured slower on
+/// the JIT engines.
+///
 /// # Errors
 ///
 /// Surfaces runtime faults (`NullPointerException`-equivalents,
 /// division by zero, heap exhaustion, monitor misuse) as [`VmError`].
-pub(crate) fn step(
+#[inline(never)]
+pub(crate) fn step<S: TraceSink>(
     env: &mut StepEnv<'_>,
     thread: &mut ThreadState,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
+) -> Result<StepOutcome, VmError> {
+    // A translated frame's code handle leaves the frame for the step
+    // and goes back unless the step returned from the frame.
+    let frame = thread.call_depth() - 1;
+    let mut code = None;
+    let outcome = step_frame(env, thread, sink, &mut code);
+    if let (Some(code), Some(f)) = (code, thread.frames.get_mut(frame)) {
+        f.code = Some(code);
+    }
+    outcome
+}
+
+/// The translated code of the current frame, taken out of the frame:
+/// its own handle while the JIT epoch is the one it was found at,
+/// otherwise what a lookup finds now. `None` means the code was
+/// evicted while the frame ran.
+#[inline]
+fn take_code(jit: &JitState, thread: &mut ThreadState) -> Option<Arc<CompiledMethod>> {
+    let tid = thread.id;
+    let f = thread.frame_mut();
+    if f.code.is_none() || f.code_epoch != jit.epoch() {
+        f.code = jit.compiled_for_frame(f.method, tid);
+        f.code_epoch = jit.epoch();
+    }
+    f.code.take()
+}
+
+/// [`step`] with the frame's code handle, once taken, in `code`.
+fn step_frame<S: TraceSink>(
+    env: &mut StepEnv<'_>,
+    thread: &mut ThreadState,
+    sink: &mut S,
+    code: &mut Option<Arc<CompiledMethod>>,
 ) -> Result<StepOutcome, VmError> {
     let program = env.program;
     let mid = thread.frame().method;
@@ -93,20 +134,19 @@ pub(crate) fn step(
     // interpretation — the eviction's cost is precisely this fallback
     // (slower bytecodes, and possible re-translation on the next
     // invocation).
-    let cm_rc = if jit_frame {
-        let cm = env.jit.compiled_for_frame(mid, thread.id);
-        if cm.is_none() {
+    let cm = if jit_frame {
+        *code = take_code(env.jit, thread);
+        if code.is_none() {
             thread.frame_mut().jit = false;
             jit_frame = false;
         }
-        cm
+        code.as_deref()
     } else {
         None
     };
     // Decode from the method's bytes, translated frame or not: the
     // decode allocates nothing except a `tableswitch`'s target list.
-    let (decoded, len) = Op::decode(&def.code, pc as usize)
-        .map_err(|e| VmError::Internal(format!("decode at {pc}: {e}")))?;
+    let (decoded, len) = Op::decode(&def.code, pc as usize).map_err(|e| decode_error(pc, e))?;
     let op = &decoded;
     let len = len as u32;
     let opcode = op.dispatch_index();
@@ -129,10 +169,12 @@ pub(crate) fn step(
             .lowered(mid)
             .expect("IR mode lowers before stepping");
         let plan = lm.ir.plan_at(pc);
-        let slot = match lm.ir.inst_at(pc) {
-            _ if jit_frame => 0, // translated frames never dispatch
-            Some(inst) => inst.opcode(),
-            None => opcode,
+        // Translated frames never dispatch, so only an interpreted
+        // frame searches for its IR opcode.
+        let slot = if jit_frame {
+            0
+        } else {
+            lm.ir.inst_at(pc).map_or(opcode, |inst| inst.opcode())
         };
         Some((plan, slot, lm.base))
     } else {
@@ -140,14 +182,14 @@ pub(crate) fn step(
     };
     // Emitter for this bytecode: one of four stack locals, used
     // through `em`, so a step allocates nothing on the host heap.
-    let addr_of = |p: u32| cm_rc.as_ref().map_or(0, |cm| cm.addr(p));
+    let addr_of = |p: u32| cm.map_or(0, |cm| cm.addr(p));
     let mut jit_em;
     let mut ir_jit_em;
     let mut ir_interp_em;
     let mut interp_em;
-    let em: &mut dyn Emit = if jit_frame {
-        let reg_locals = cm_rc.as_ref().map_or(0, |cm| cm.reg_locals);
-        let inner = JitEmitter::new(&addr_of, pc, thread.frame().stack.len(), reg_locals);
+    let em: &mut dyn Emit<S> = if jit_frame {
+        let reg_locals = cm.map_or(0, |cm| cm.reg_locals);
+        let inner = JitEmitter::new(addr_of, pc, thread.frame().stack.len(), reg_locals);
         match ir_plan {
             // IR-translated code: fused register moves and elided pcs
             // emit nothing.
@@ -545,24 +587,48 @@ pub(crate) fn step(
                 .ensure_loaded(declared_cid, program, env.heap, sink);
             *env.classload_insts += loaded;
 
-            // Pop arguments (receiver first for instance calls).
+            // Pop the arguments (receiver first for instance calls):
+            // each pop is emitted, top of stack first, but the values
+            // stay on the caller's stack, at `base..`, until the callee
+            // frame takes them or a fault drops them, so an invoke
+            // builds no argument list.
             let argc = usize::from(nargs) + usize::from(!is_static);
-            let mut args = Vec::with_capacity(argc);
-            for _ in 0..argc {
-                args.push(pop!());
+            let depth = thread.frame().stack.len();
+            let base = depth.checked_sub(argc).expect("verified stack");
+            for slot in (base..depth).rev() {
+                let addr = thread.frame().stack_slot_addr(slot);
+                em.stack_pop(sink, addr);
             }
-            args.reverse();
+            macro_rules! fault {
+                ($e:expr) => {{
+                    let e = $e;
+                    thread.frame_mut().stack.truncate(base);
+                    return Err(e);
+                }};
+            }
 
             // Resolve the callee.
             let callee = if is_virtual {
-                let recv = args[0];
-                let h = npe!(recv);
-                let rcls = env.heap.class_of(h).map_err(VmError::Heap)?;
-                env.linker
+                em.null_check(sink);
+                let Some(h) = thread.frame().stack[base].as_ref() else {
+                    fault!(VmError::NullPointer {
+                        method: method_name(env, mid),
+                        pc,
+                    })
+                };
+                let rcls = match env.heap.class_of(h) {
+                    Ok(rcls) => rcls,
+                    Err(e) => fault!(VmError::Heap(e)),
+                };
+                let target = env
+                    .linker
                     .class(rcls)
                     .vtable_lookup(mname)
-                    .or_else(|| program.resolve_method(cname, mname))
-                    .ok_or_else(|| VmError::Internal(format!("no target for {mname}")))?
+                    .or_else(|| program.resolve_method(cname, mname));
+                match target {
+                    Some(target) => target,
+                    None => fault!(VmError::Internal(format!("no target for {mname}"))),
+                }
             } else {
                 program
                     .resolve_method(cname, mname)
@@ -577,9 +643,10 @@ pub(crate) fn step(
                     + (u64::from(callee.class.0) * 131 + u64::from(callee.index)) % 0x1000 * 16;
                 em.invoke(sink, InvokeKind::Direct, entry);
                 let mut n = 0u64;
-                let outcome =
-                    intrinsics::call(cname, mname, &args, env.heap, env.out, sink, &mut n)
-                        .map_err(|e| VmError::Intrinsic(format!("{e:?}")))?;
+                let args = &thread.frame().stack[base..];
+                let called = intrinsics::call(cname, mname, args, env.heap, env.out, sink, &mut n);
+                thread.frame_mut().stack.truncate(base);
+                let outcome = called.map_err(|e| VmError::Intrinsic(format!("{e:?}")))?;
                 em.ret(sink, 0);
                 charge(env, mid, jit_frame, em.count() + n);
                 thread.frame_mut().pc = next_pc;
@@ -635,19 +702,21 @@ pub(crate) fn step(
                 Some(if callee_def.flags.is_static {
                     env.linker.class(callee.class).class_object
                 } else {
-                    args[0].as_ref().expect("receiver checked above")
+                    thread.frame().stack[base]
+                        .as_ref()
+                        .expect("receiver checked above")
                 })
             } else {
                 None
             };
 
             if thread.call_depth() >= 512 {
-                return Err(VmError::StackOverflow {
+                fault!(VmError::StackOverflow {
                     method: method_name(env, mid),
                 });
             }
             thread.frame_mut().pc = next_pc;
-            thread.push_frame(callee, callee_def, args);
+            thread.push_call(callee, callee_def, argc);
             {
                 let f = thread.frame_mut();
                 f.jit = use_jit;
@@ -761,6 +830,7 @@ fn is_foldable(op: &Op) -> bool {
     )
 }
 
+#[inline]
 fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, count: u64) {
     let p = env.profile.get_mut(mid);
     if jit_frame {
@@ -768,6 +838,13 @@ fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, c
     } else {
         p.interp_cycles += count;
     }
+}
+
+/// The fault of a bytecode that does not decode: verified code always
+/// decodes, so this never runs in a step that succeeds.
+#[cold]
+fn decode_error(pc: u32, e: BytecodeError) -> VmError {
+    VmError::Internal(format!("decode at {pc}: {e}"))
 }
 
 fn method_name(env: &StepEnv<'_>, mid: jrt_bytecode::MethodId) -> String {

@@ -9,8 +9,10 @@
 //! addresses.
 
 use crate::heap::{Handle, Value};
+use crate::jit::CompiledMethod;
 use jrt_bytecode::{MethodDef, MethodId};
 use jrt_trace::{layout, Addr};
+use std::sync::Arc;
 
 /// Scheduler state of one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +53,11 @@ pub struct Frame {
     /// created this frame); pairs calls with returns so the modelled
     /// return-address stack predicts correctly.
     pub ret_to: Addr,
+    /// The translated code this activation runs, as found at JIT epoch
+    /// `code_epoch`: the step loop looks it up again only after the
+    /// code cache changed, instead of on every bytecode.
+    pub(crate) code: Option<Arc<CompiledMethod>>,
+    pub(crate) code_epoch: u64,
 }
 
 impl Frame {
@@ -68,6 +75,33 @@ impl Frame {
 /// Per-thread stack region size (4 MB).
 const THREAD_STACK_SIZE: Addr = 0x40_0000;
 const FRAME_HEADER: Addr = 32;
+
+/// A frame for `method` at the thread's stack `cursor`, which it
+/// advances past the frame, with `args` in its first local slots.
+fn new_frame(cursor: &mut Addr, method: MethodId, def: &MethodDef, args: &[Value]) -> Frame {
+    let max_locals = usize::from(def.max_locals.max(def.arg_slots()));
+    let mut locals = vec![Value::Null; max_locals];
+    locals[..args.len()].copy_from_slice(args);
+
+    let locals_addr = *cursor + FRAME_HEADER;
+    let stack_addr = locals_addr + 4 * max_locals as u64;
+    *cursor = stack_addr + 4 * u64::from(def.max_stack.max(4));
+
+    Frame {
+        method,
+        pc: 0,
+        locals,
+        stack: Vec::with_capacity(usize::from(def.max_stack)),
+        locals_addr,
+        stack_addr,
+        sync_obj: None,
+        sync_pending: None,
+        jit: false,
+        ret_to: 0,
+        code: None,
+        code_epoch: 0,
+    }
+}
 
 /// One green thread.
 #[derive(Debug, Clone)]
@@ -115,26 +149,26 @@ impl ThreadState {
     /// Pushes a frame for `method`, moving `args` into its first
     /// local slots.
     pub fn push_frame(&mut self, method: MethodId, def: &MethodDef, args: Vec<Value>) -> &Frame {
-        let max_locals = usize::from(def.max_locals.max(def.arg_slots()));
-        let mut locals = vec![Value::Null; max_locals];
-        locals[..args.len()].copy_from_slice(&args);
+        let frame = new_frame(&mut self.cursor, method, def, &args);
+        self.frames.push(frame);
+        self.frames.last().expect("just pushed")
+    }
 
-        let locals_addr = self.cursor + FRAME_HEADER;
-        let stack_addr = locals_addr + 4 * max_locals as u64;
-        self.cursor = stack_addr + 4 * u64::from(def.max_stack.max(4));
-
-        self.frames.push(Frame {
-            method,
-            pc: 0,
-            locals,
-            stack: Vec::with_capacity(usize::from(def.max_stack)),
-            locals_addr,
-            stack_addr,
-            sync_obj: None,
-            sync_pending: None,
-            jit: false,
-            ret_to: 0,
-        });
+    /// Pushes a frame for `method` called from the current frame,
+    /// moving the caller's top `argc` operand-stack slots into the new
+    /// frame's first local slots. The new frame's locals and operand
+    /// stack are the only host allocations of a call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no current frame or its operand stack holds
+    /// fewer than `argc` slots.
+    pub fn push_call(&mut self, method: MethodId, def: &MethodDef, argc: usize) -> &Frame {
+        let caller = self.frames.last_mut().expect("a calling frame");
+        let base = caller.stack.len() - argc;
+        let frame = new_frame(&mut self.cursor, method, def, &caller.stack[base..]);
+        caller.stack.truncate(base);
+        self.frames.push(frame);
         self.frames.last().expect("just pushed")
     }
 
@@ -242,6 +276,21 @@ mod tests {
                 Some(jrt_trace::Region::Stack)
             );
         }
+    }
+
+    #[test]
+    fn a_call_moves_the_callers_top_slots_into_its_locals() {
+        let mut t = ThreadState::new(0);
+        t.push_frame(mid(), &def(1, 4), Vec::new());
+        let caller = t.frame_mut();
+        caller
+            .stack
+            .extend([Value::Int(9), Value::Int(7), Value::Ref(3)]);
+        t.push_call(mid(), &def(4, 2), 2);
+        let want = [Value::Int(7), Value::Ref(3), Value::Null, Value::Null];
+        assert_eq!(t.frame().locals, want);
+        t.pop_frame();
+        assert_eq!(t.frame().stack, [Value::Int(9)]);
     }
 
     #[test]

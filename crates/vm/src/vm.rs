@@ -512,7 +512,7 @@ impl<'p> Vm<'p> {
     ///
     /// Returns the first runtime fault; see [`VmError`].
     pub fn run(&mut self, sink: &mut impl TraceSink) -> Result<RunResult, VmError> {
-        self.run_dyn(sink as &mut dyn TraceSink)
+        self.run_with(sink)
     }
 
     /// Runs the program and extracts the engine-independent
@@ -523,7 +523,7 @@ impl<'p> Vm<'p> {
     /// nothing for it.
     pub fn run_observed(&mut self, sink: &mut impl TraceSink) -> ObservedRun {
         self.opcode_counts = Some(vec![0; Op::NUM_OPCODES]);
-        let result = self.run_dyn(sink as &mut dyn TraceSink);
+        let result = self.run_with(sink);
         let (outcome, output, counters) = match result {
             Ok(r) => (Ok(r.exit_value), r.output, r.counters),
             Err(e) => {
@@ -565,7 +565,10 @@ impl<'p> Vm<'p> {
         }
     }
 
-    fn run_dyn(&mut self, sink: &mut dyn TraceSink) -> Result<RunResult, VmError> {
+    /// The scheduler loop, monomorphized per sink type like
+    /// [`step::step`]; class loading, thread starts and collections
+    /// take the sink as `&mut dyn TraceSink`.
+    fn run_with<S: TraceSink>(&mut self, sink: &mut S) -> Result<RunResult, VmError> {
         if !self.threads.is_empty() {
             return Err(VmError::Internal(
                 "Vm::run called again without Vm::reset".into(),

@@ -1,18 +1,22 @@
-//! `Vm::run` makes no host heap allocation per bytecode.
+//! `Vm::run` makes no host heap allocation per bytecode, and an invoke
+//! allocates only the callee frame.
 //!
 //! This file is its own test binary because it installs a counting
-//! global allocator. Each engine runs the same call-free loop at N and
-//! at 10·N iterations; the allocations made inside `Vm::run` (class
+//! global allocator. Each engine runs the same loop at N and at 10·N
+//! iterations; the allocations made inside `Vm::run` once (class
 //! loading, thread and frame set-up, first translation or lowering,
-//! the result) must not depend on the trip count, so the two counts
-//! must be equal.
+//! the result) do not depend on the trip count, so the difference of
+//! the two counts is what the extra iterations allocated. A call-free
+//! loop must allocate nothing per iteration. A loop around an
+//! `invokestatic` must allocate exactly the callee frame's locals and
+//! operand stack per call: the arguments move from the caller's
+//! operand stack straight into the callee's locals.
 //!
-//! The loop keeps out the bytecodes that allocate by design:
-//! `tableswitch` decodes its target list into a `Vec`, an invoke pops
-//! its arguments into the callee frame's `Vec`s, and `new`/`newarray`
-//! allocate simulated objects whose storage lives on the host heap.
-//! The object and the array the loop reads and writes are allocated
-//! once, before it.
+//! The loops keep out the bytecodes that allocate by design:
+//! `tableswitch` decodes its target list into a `Vec`, and
+//! `new`/`newarray` allocate simulated objects whose storage lives on
+//! the host heap. The object and the array the call-free loop reads and
+//! writes are allocated once, before it.
 
 use javart::bytecode::{ArrayKind, ClassAsm, MethodAsm, Program, RetKind};
 use javart::trace::CountingSink;
@@ -111,6 +115,44 @@ fn looping_program(trips: i32) -> Program {
     Program::build(vec![c, cell], "Main", "main").expect("assembles")
 }
 
+/// A loop of `trips` iterations whose body calls a static method of
+/// two arguments: `acc = mix(acc, i)`.
+fn calling_program(trips: i32) -> Program {
+    let mut c = ClassAsm::new("Main");
+    let mut mix = MethodAsm::new("mix", 2).returns(RetKind::Int);
+    // (a ^ b) * 3 + b
+    mix.iload(0).iload(1).ixor().iconst(3).imul();
+    mix.iload(1).iadd().ireturn();
+    c.add_method(mix);
+
+    let mut m = MethodAsm::new("main", 0).returns(RetKind::Int);
+    let top = m.new_label();
+    let end = m.new_label();
+    // locals: 0 = i, 1 = acc
+    m.iconst(0).istore(0).iconst(1).istore(1);
+    m.bind(top);
+    m.iload(0).iconst(trips).if_icmp_ge(end);
+    m.iload(1).iload(0);
+    m.invokestatic("Main", "mix", 2, RetKind::Int);
+    m.istore(1);
+    m.iinc(0, 1).goto(top);
+    m.bind(end);
+    m.iload(1).ireturn();
+    c.add_method(m);
+    Program::build(vec![c], "Main", "main").expect("assembles")
+}
+
+/// The engines, with their labels.
+fn engines() -> [(&'static str, VmConfig); 5] {
+    [
+        ("interp", VmConfig::interpreter()),
+        ("interp+folding", VmConfig::interpreter().with_folding()),
+        ("jit", VmConfig::jit()),
+        ("ir-interp", VmConfig::ir_interp()),
+        ("ir-jit", VmConfig::ir_jit()),
+    ]
+}
+
 /// Runs `program` under `config` and returns the exit value, the
 /// bytecodes executed and the allocations `Vm::run` made.
 fn run_counted(program: &Program, config: VmConfig) -> (i32, u64, u64) {
@@ -129,20 +171,15 @@ fn run_counted(program: &Program, config: VmConfig) -> (i32, u64, u64) {
     )
 }
 
-#[test]
-fn step_allocates_nothing_per_bytecode_on_any_engine() {
-    const N: i32 = 1_000;
-    let short = looping_program(N);
-    let long = looping_program(10 * N);
-    let engines = [
-        ("interp", VmConfig::interpreter()),
-        ("interp+folding", VmConfig::interpreter().with_folding()),
-        ("jit", VmConfig::jit()),
-        ("ir-interp", VmConfig::ir_interp()),
-        ("ir-jit", VmConfig::ir_jit()),
-    ];
+/// Runs `build(N)` and `build(10·N)` on every engine, checks that
+/// they agree with the interpreter and that the long run executes
+/// the loop ten times as often, and returns each engine's label and
+/// the allocations of its extra `9·N` iterations.
+fn extra_allocations(build: fn(i32) -> Program, n: i32) -> Vec<(&'static str, u64)> {
+    let (short, long) = (build(n), build(10 * n));
     let mut interp_exits = None;
-    for (label, config) in engines {
+    let mut extra = Vec::new();
+    for (label, config) in engines() {
         let (short_exit, short_bytecodes, short_allocs) = run_counted(&short, config.clone());
         let (long_exit, long_bytecodes, long_allocs) = run_counted(&long, config);
         let exits = (short_exit, long_exit);
@@ -155,10 +192,37 @@ fn step_allocates_nothing_per_bytecode_on_any_engine() {
             long_bytecodes > 9 * short_bytecodes,
             "{label}: the long run executes the loop ten times as often"
         );
-        assert_eq!(
-            short_allocs, long_allocs,
+        assert!(
+            long_allocs >= short_allocs,
             "{label}: {short_allocs} allocations at {short_bytecodes} bytecodes but \
-             {long_allocs} at {long_bytecodes}, so a step allocates"
+             {long_allocs} at {long_bytecodes}"
+        );
+        extra.push((label, long_allocs - short_allocs));
+    }
+    extra
+}
+
+#[test]
+fn step_allocates_nothing_per_bytecode_on_any_engine() {
+    for (label, extra) in extra_allocations(looping_program, 1_000) {
+        assert_eq!(
+            extra, 0,
+            "{label}: 9000 more iterations made {extra} allocations, so a step allocates"
+        );
+    }
+}
+
+#[test]
+fn an_invoke_allocates_only_the_callee_frame_on_any_engine() {
+    const N: i32 = 1_000;
+    // The callee frame's locals and operand stack.
+    const PER_CALL: u64 = 2;
+    let calls = 9 * N as u64;
+    for (label, extra) in extra_allocations(calling_program, N) {
+        assert_eq!(
+            extra,
+            PER_CALL * calls,
+            "{label}: {calls} more calls made {extra} allocations, not {PER_CALL} per call"
         );
     }
 }
