@@ -45,15 +45,15 @@ impl Cond {
         }
     }
 
-    fn from_code(c: u8) -> Result<Self, BytecodeError> {
-        Ok(match c {
+    fn from_code(c: u8) -> Option<Self> {
+        Some(match c {
             0 => Cond::Eq,
             1 => Cond::Ne,
             2 => Cond::Lt,
             3 => Cond::Ge,
             4 => Cond::Gt,
             5 => Cond::Le,
-            _ => return Err(BytecodeError::BadCond(c)),
+            _ => return None,
         })
     }
 
@@ -104,13 +104,13 @@ impl ArrayKind {
         }
     }
 
-    fn from_code(c: u8) -> Result<Self, BytecodeError> {
-        Ok(match c {
+    fn from_code(c: u8) -> Option<Self> {
+        Some(match c {
             0 => ArrayKind::Byte,
             1 => ArrayKind::Char,
             2 => ArrayKind::Int,
             3 => ArrayKind::Ref,
-            _ => return Err(BytecodeError::BadArrayKind(c)),
+            _ => return None,
         })
     }
 
@@ -420,26 +420,28 @@ impl Op {
     /// Returns an error if `pc` is out of range, the opcode byte is
     /// unknown, or the instruction's operands are truncated.
     pub fn decode(code: &[u8], pc: usize) -> Result<(Op, usize), BytecodeError> {
-        let byte = |i: usize| -> Result<u8, BytecodeError> {
-            code.get(pc + i)
-                .copied()
-                .ok_or(BytecodeError::Truncated(pc))
-        };
-        let u16_at = |i: usize| -> Result<u16, BytecodeError> {
-            Ok(u16::from_be_bytes([byte(i)?, byte(i + 1)?]))
-        };
-        let u32_at = |i: usize| -> Result<u32, BytecodeError> {
-            Ok(u32::from_be_bytes([
-                byte(i)?,
-                byte(i + 1)?,
-                byte(i + 2)?,
-                byte(i + 3)?,
-            ]))
-        };
-        let i32_at = |i: usize| -> Result<i32, BytecodeError> { Ok(u32_at(i)? as i32) };
+        Op::try_decode(code, pc).ok_or_else(|| decode_fault(code, pc))
+    }
 
-        let opcode = byte(0)?;
-        Ok(match opcode {
+    /// [`Op::decode`] without the reason for a failure: `None` where
+    /// `decode` returns an error. The VM's step loop decodes every
+    /// bytecode it runs through this, so the success path carries no
+    /// error value, and it is `#[inline]` so that it can inline across
+    /// crates.
+    #[inline]
+    pub fn try_decode(code: &[u8], pc: usize) -> Option<(Op, usize)> {
+        let byte = |i: usize| code.get(pc + i).copied();
+        let u16_at = |i: usize| {
+            let b = code.get(pc + i..pc + i + 2)?;
+            Some(u16::from_be_bytes([b[0], b[1]]))
+        };
+        let u32_at = |i: usize| {
+            let b = code.get(pc + i..pc + i + 4)?;
+            Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        };
+        let i32_at = |i: usize| Some(u32_at(i)? as i32);
+
+        Some(match byte(0)? {
             OP_NOP => (Op::Nop, 1),
             OP_ICONST => (Op::IConst(i32_at(1)?), 5),
             OP_ACONST_NULL => (Op::AConstNull, 1),
@@ -463,10 +465,7 @@ impl Op {
             OP_IAND => (Op::IAnd, 1),
             OP_IOR => (Op::IOr, 1),
             OP_IXOR => (Op::IXor, 1),
-            OP_IINC => (
-                Op::IInc(byte(1)?, u16::from_be_bytes([byte(2)?, byte(3)?]) as i16),
-                4,
-            ),
+            OP_IINC => (Op::IInc(byte(1)?, u16_at(2)? as i16), 4),
             OP_IF => (Op::If(Cond::from_code(byte(1)?)?, u32_at(2)?), 6),
             OP_IF_ICMP => (Op::IfICmp(Cond::from_code(byte(1)?)?, u32_at(2)?), 6),
             OP_IFNULL => (Op::IfNull(u32_at(1)?), 5),
@@ -508,7 +507,7 @@ impl Op {
             OP_ARETURN => (Op::AReturn, 1),
             OP_MONITORENTER => (Op::MonitorEnter, 1),
             OP_MONITOREXIT => (Op::MonitorExit, 1),
-            other => return Err(BytecodeError::BadOpcode { pc, opcode: other }),
+            _ => return None,
         })
     }
 
@@ -600,6 +599,26 @@ impl Op {
             self,
             Op::Goto(_) | Op::TableSwitch { .. } | Op::Return | Op::IReturn | Op::AReturn
         )
+    }
+}
+
+/// Why [`Op::try_decode`] found no instruction at `pc`, in the order
+/// it reads one: the opcode byte, then an `if`'s condition or an array
+/// instruction's kind byte, then the operands. Opcodes are dense from
+/// 0, so any byte past the last one is unknown; an instruction whose
+/// opcode and code byte are valid failed on a missing operand byte.
+#[cold]
+fn decode_fault(code: &[u8], pc: usize) -> BytecodeError {
+    let Some(&opcode) = code.get(pc) else {
+        return BytecodeError::Truncated(pc);
+    };
+    match (opcode, code.get(pc + 1).copied()) {
+        _ if usize::from(opcode) >= Op::NUM_OPCODES => BytecodeError::BadOpcode { pc, opcode },
+        (OP_IF | OP_IF_ICMP, Some(c)) if Cond::from_code(c).is_none() => BytecodeError::BadCond(c),
+        (OP_NEWARRAY | OP_ARRLOAD | OP_ARRSTORE, Some(c)) if ArrayKind::from_code(c).is_none() => {
+            BytecodeError::BadArrayKind(c)
+        }
+        _ => BytecodeError::Truncated(pc),
     }
 }
 
@@ -708,6 +727,45 @@ mod tests {
             Op::decode(&buf, 0),
             Err(BytecodeError::Truncated(_))
         ));
+    }
+
+    /// `decode` reports what the decoder first finds wrong, byte by
+    /// byte, and `try_decode` fails exactly where `decode` does.
+    #[test]
+    fn decode_names_the_first_fault() {
+        let cases: [(&[u8], usize, BytecodeError); 10] = [
+            (&[], 0, BytecodeError::Truncated(0)),
+            (&[OP_NOP], 3, BytecodeError::Truncated(3)),
+            (
+                &[OP_NOP, 0xFF],
+                1,
+                BytecodeError::BadOpcode {
+                    pc: 1,
+                    opcode: 0xFF,
+                },
+            ),
+            (&[49], 0, BytecodeError::BadOpcode { pc: 0, opcode: 49 }),
+            (&[OP_IF], 0, BytecodeError::Truncated(0)),
+            // The condition byte is read before the (missing) target.
+            (&[OP_IF_ICMP, 6], 0, BytecodeError::BadCond(6)),
+            (&[OP_IF, 5, 0, 0], 0, BytecodeError::Truncated(0)),
+            (&[OP_ARRSTORE], 0, BytecodeError::Truncated(0)),
+            (&[OP_NEWARRAY, 4], 0, BytecodeError::BadArrayKind(4)),
+            (
+                &[OP_TABLESWITCH, 0, 0, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0],
+                0,
+                BytecodeError::Truncated(0),
+            ),
+        ];
+        for (code, pc, want) in cases {
+            assert_eq!(Op::decode(code, pc), Err(want.clone()), "{code:?}@{pc}");
+            assert_eq!(Op::try_decode(code, pc), None, "{code:?}@{pc}");
+        }
+        for op in one_of_each() {
+            let mut buf = Vec::new();
+            op.encode(&mut buf);
+            assert_eq!(Op::try_decode(&buf, 0), Some((op, buf.len())));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the IR emitters, never an alternate executor, so `Observables`
 //! are identical by construction.
 //!
-//! The pipeline (see [`lower`]):
+//! The pipeline (see [`lower`](fn@lower)):
 //!
 //! 1. **Stack map** — a single forward pass abstractly interprets the
 //!    operand stack per extended basic block, tracking which stack

@@ -23,6 +23,9 @@ pub enum PcPlan {
         word_off: u32,
         /// Encoded size in words.
         words: u16,
+        /// The instruction's [`IrInst::opcode`], which selects the IR
+        /// interpreter's handler.
+        opcode: u8,
     },
     /// The pc's work rides inside a fused neighbour (e.g. a local
     /// load absorbed as a register operand): no dispatch, but its
@@ -69,20 +72,12 @@ pub struct IrMethod {
 
 impl IrMethod {
     /// The plan for the bytecode instruction starting at `pc`.
+    #[inline]
     pub fn plan_at(&self, pc: u32) -> PcPlan {
         self.plan
             .get(pc as usize)
             .copied()
             .unwrap_or(PcPlan::Elided)
-    }
-
-    /// The IR instruction dispatched at `pc`, if the pc's plan is
-    /// [`PcPlan::Exec`].
-    pub fn inst_at(&self, pc: u32) -> Option<&IrInst> {
-        self.insts
-            .binary_search_by_key(&pc, |(p, _)| *p)
-            .ok()
-            .map(|i| &self.insts[i].1)
     }
 
     /// Word offset of the first executable IR instruction at or
@@ -743,6 +738,7 @@ pub fn lower(code: &[u8]) -> Result<IrMethod, BytecodeError> {
         plan[*pc as usize] = PcPlan::Exec {
             word_off: word,
             words,
+            opcode: inst.opcode(),
         };
         word += u32::from(words);
     }
@@ -1002,7 +998,10 @@ mod tests {
         assert_eq!(words.len() as u32, ir.total_words());
         let mut expect = 0u32;
         for (pc, inst) in &ir.insts {
-            let PcPlan::Exec { word_off, words } = ir.plan_at(*pc) else {
+            let PcPlan::Exec {
+                word_off, words, ..
+            } = ir.plan_at(*pc)
+            else {
                 panic!("inst pc must be Exec");
             };
             assert_eq!(word_off, expect);

@@ -136,7 +136,10 @@ impl<S: TraceSink> Emit<S> for IrInterpEmitter {
     }
 
     fn begin(&mut self, sink: &mut S) {
-        let PcPlan::Exec { word_off, words } = self.plan else {
+        let PcPlan::Exec {
+            word_off, words, ..
+        } = self.plan
+        else {
             // Covered and elided pcs dispatch nothing: their work (if
             // any) rides inside the covering handler.
             return;
@@ -506,6 +509,7 @@ mod tests {
             PcPlan::Exec {
                 word_off: 3,
                 words: 2,
+                opcode: 7,
             },
             7,
             1,
@@ -560,6 +564,7 @@ mod tests {
             PcPlan::Exec {
                 word_off: 0,
                 words: 1,
+                opcode: 6,
             },
             6,
             6,

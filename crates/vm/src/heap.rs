@@ -94,6 +94,7 @@ impl Value {
     ///
     /// Panics if the value is a reference (verified bytecode cannot
     /// trigger this; it indicates a VM bug).
+    #[inline]
     pub fn as_int(self) -> i32 {
         match self {
             Value::Int(v) => v,

@@ -188,10 +188,11 @@ pub(crate) struct LoweredMethod {
 /// interpreter's dispatch counter.
 #[derive(Debug)]
 pub(crate) struct IrState {
-    /// Lowered methods, each lowered exactly once per VM. Keyed like
-    /// the per-VM cache key: the lookup is on the IR interpreter's
-    /// per-bytecode path, where the id hasher beats SipHash.
-    lowered: IdHashMap<u64, Arc<LoweredMethod>>,
+    /// Lowered methods, each lowered exactly once per VM, at
+    /// `lowered[class][slot]` like [`ProfileTable`]'s rows: every step
+    /// of an IR mode looks its method up here, so the lookup indexes
+    /// instead of hashing.
+    lowered: Vec<Vec<Option<Arc<LoweredMethod>>>>,
     /// Bump allocator over the IR buffer.
     next_addr: Addr,
     /// IR instructions dispatched by the IR interpreter (`Exec` pcs
@@ -202,16 +203,10 @@ pub(crate) struct IrState {
     pub methods_lowered: u32,
 }
 
-/// The [`IrState::lowered`] key for `mid` (same minting as the
-/// per-VM code-cache key).
-fn ir_key(mid: MethodId) -> u64 {
-    (u64::from(mid.class.0) << 24) | u64::from(mid.index)
-}
-
 impl IrState {
     fn new() -> Self {
         IrState {
-            lowered: IdHashMap::default(),
+            lowered: Vec::new(),
             next_addr: IR_BUFFER_BASE,
             dispatches: 0,
             methods_lowered: 0,
@@ -490,8 +485,13 @@ impl JitState {
     /// lowered (always, in IR modes, by the time a frame runs it).
     /// Borrowed, not cloned: this sits on the IR interpreter's
     /// per-bytecode path.
+    #[inline]
     pub fn lowered(&self, mid: MethodId) -> Option<&Arc<LoweredMethod>> {
-        self.ir.lowered.get(&ir_key(mid))
+        self.ir
+            .lowered
+            .get(mid.class.0 as usize)?
+            .get(mid.index as usize)?
+            .as_ref()
     }
 
     /// Lowers `mid` to register IR if it has not been lowered yet,
@@ -507,7 +507,7 @@ impl JitState {
         profile: &mut ProfileTable,
         sink: &mut dyn TraceSink,
     ) -> Arc<LoweredMethod> {
-        if let Some(lm) = self.ir.lowered.get(&ir_key(mid)) {
+        if let Some(lm) = self.lowered(mid) {
             return Arc::clone(lm);
         }
         let ir = lower(&def.code).expect("verified code lowers");
@@ -558,7 +558,15 @@ impl JitState {
         self.translate_insts += emitted;
         profile.get_mut(mid).translate_cycles += emitted;
         let lm = Arc::new(LoweredMethod { ir, base });
-        self.ir.lowered.insert(ir_key(mid), Arc::clone(&lm));
+        let (class, slot) = (mid.class.0 as usize, mid.index as usize);
+        if class >= self.ir.lowered.len() {
+            self.ir.lowered.resize_with(class + 1, Vec::new);
+        }
+        let row = &mut self.ir.lowered[class];
+        if slot >= row.len() {
+            row.resize(slot + 1, None);
+        }
+        row[slot] = Some(Arc::clone(&lm));
         lm
     }
 
@@ -605,9 +613,12 @@ impl JitState {
             let (op, len) = Op::decode(&def.code, pc).expect("verified code decodes");
             let input = match ir.map(|lm| (lm, lm.ir.plan_at(pc as u32))) {
                 None => Some((code_addr + pc as u64, len.div_ceil(4) as u64)),
-                Some((lm, PcPlan::Exec { word_off, words })) => {
-                    Some((lm.base + 4 * u64::from(word_off), u64::from(words)))
-                }
+                Some((
+                    lm,
+                    PcPlan::Exec {
+                        word_off, words, ..
+                    },
+                )) => Some((lm.base + 4 * u64::from(word_off), u64::from(words))),
                 Some(_) => None,
             };
             let n = gen_insts_at(&op, tier);

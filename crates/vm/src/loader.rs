@@ -16,7 +16,8 @@
 //!   the method/constant tables, and a verifier sweep.
 
 use crate::heap::{Handle, Heap, Value};
-use jrt_bytecode::{ClassId, MethodId, Program};
+use crate::vm::VmError;
+use jrt_bytecode::{ClassId, CpIndex, MethodId, Program};
 use jrt_trace::{layout, Addr, NativeInst, Phase, TraceSink};
 use std::collections::HashMap;
 
@@ -66,12 +67,28 @@ impl LoadedClass {
     }
 }
 
+/// A resolved `getstatic`/`putstatic` pool entry: the class it names,
+/// and the class and slot that declare the field (the named class or
+/// one of its superclasses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StaticRef {
+    /// The class the pool entry names.
+    pub class: ClassId,
+    /// The class that declares the field.
+    pub owner: ClassId,
+    /// The field's slot in `owner`'s static storage.
+    pub slot: u32,
+}
+
 /// The runtime linker: loaded classes, static storage, address
 /// assignment, and class-load trace emission.
 #[derive(Debug)]
 pub struct Linker {
     loaded: Vec<Option<LoadedClass>>,
     statics: Vec<Vec<Value>>,
+    /// Resolved static-field pool entries, `static_refs[class][cp]`
+    /// for entry `cp` of `class`'s pool (see [`Linker::static_field`]).
+    static_refs: Vec<Vec<Option<StaticRef>>>,
     class_cursor: Addr,
     static_cursor: Addr,
     loader_pc: Addr,
@@ -91,6 +108,7 @@ impl Linker {
         Linker {
             loaded: vec![None; num_classes],
             statics: vec![Vec::new(); num_classes],
+            static_refs: vec![Vec::new(); num_classes],
             class_cursor: layout::CLASS_AREA_BASE,
             static_cursor: layout::VM_DATA_BASE + 0x10_0000,
             loader_pc: LOADER_TEXT_BASE,
@@ -151,12 +169,17 @@ impl Linker {
     }
 
     /// Bytecode base address of `mid` (requires the class loaded).
+    #[inline]
     pub fn code_addr(&self, mid: MethodId) -> Addr {
         self.class(mid.class).code_addr[mid.index as usize]
     }
 
     /// Ensures `id` (and its superclasses) are loaded, emitting the
-    /// class-load trace for anything newly loaded.
+    /// class-load trace for anything newly loaded. Returns the number
+    /// of instructions emitted. Every `new`, static access and invoke
+    /// calls this, so its body is only the loaded check; the loading
+    /// is cold.
+    #[inline]
     pub fn ensure_loaded(
         &mut self,
         id: ClassId,
@@ -167,6 +190,19 @@ impl Linker {
         if self.is_loaded(id) {
             return 0;
         }
+        self.load_chain(id, program, heap, sink)
+    }
+
+    /// [`Linker::ensure_loaded`] for a class that is not loaded yet.
+    #[cold]
+    #[inline(never)]
+    fn load_chain(
+        &mut self,
+        id: ClassId,
+        program: &Program,
+        heap: &mut Heap,
+        sink: &mut dyn TraceSink,
+    ) -> u64 {
         let mut emitted = 0u64;
 
         // Load the superclass chain first (root to leaf).
@@ -352,6 +388,74 @@ impl Linker {
         }
     }
 
+    /// Resolves static-field entry `cp` of class `referrer`'s pool for
+    /// `getstatic`/`putstatic`, and loads the class it names. The pool
+    /// walk and the name lookups run once per linker and entry; later
+    /// executions read the resolution back, as JDK 1.1's interpreter
+    /// did by rewriting a resolved `getstatic` into `getstatic_quick`.
+    /// The load check still runs on every execution, so a class's
+    /// load trace lands at its first use. Returns the resolution and
+    /// the instructions the class load emitted (0 once loaded).
+    ///
+    /// # Errors
+    ///
+    /// A pool entry that is not a field reference, or a field that no
+    /// class in the chain declares; verified code has neither.
+    #[inline]
+    pub(crate) fn static_field(
+        &mut self,
+        program: &Program,
+        referrer: ClassId,
+        cp: CpIndex,
+        heap: &mut Heap,
+        sink: &mut dyn TraceSink,
+    ) -> Result<(StaticRef, u64), VmError> {
+        let resolved = self.static_refs[referrer.0 as usize]
+            .get(usize::from(cp.0))
+            .copied()
+            .flatten();
+        match resolved {
+            Some(r) => Ok((r, self.ensure_loaded(r.class, program, heap, sink))),
+            None => self.resolve_static_field(program, referrer, cp, heap, sink),
+        }
+    }
+
+    /// [`Linker::static_field`]'s first execution of an entry: walks
+    /// the pool and the superclass chain and keeps the resolution.
+    #[cold]
+    #[inline(never)]
+    fn resolve_static_field(
+        &mut self,
+        program: &Program,
+        referrer: ClassId,
+        cp: CpIndex,
+        heap: &mut Heap,
+        sink: &mut dyn TraceSink,
+    ) -> Result<(StaticRef, u64), VmError> {
+        let (cname, fname) = program
+            .class_file(referrer)
+            .pool
+            .field_ref(cp)
+            .map_err(|e| VmError::Internal(e.to_string()))?;
+        let class = program.class(cname).expect("verified class");
+        let loaded = self.ensure_loaded(class, program, heap, sink);
+        let (owner, slot) = self
+            .resolve_static(program, class, fname)
+            .ok_or_else(|| VmError::Internal(format!("static {cname}.{fname} missing")))?;
+        let r = StaticRef {
+            class,
+            owner,
+            slot: slot as u32,
+        };
+        let row = &mut self.static_refs[referrer.0 as usize];
+        let at = usize::from(cp.0);
+        if at >= row.len() {
+            row.resize(at + 1, None);
+        }
+        row[at] = Some(r);
+        Ok((r, loaded))
+    }
+
     /// Simulated address of a static slot.
     pub fn static_slot_addr(&self, class: ClassId, slot: usize) -> Addr {
         self.class(class).static_addr + 4 * slot as u64
@@ -361,7 +465,7 @@ impl Linker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jrt_bytecode::{ClassAsm, MethodAsm};
+    use jrt_bytecode::{ClassAsm, MethodAsm, Op};
     use jrt_trace::CountingSink;
 
     fn program() -> Program {
@@ -443,6 +547,128 @@ mod tests {
         assert_eq!(
             jrt_trace::Region::classify(addr),
             Some(jrt_trace::Region::VmData)
+        );
+    }
+
+    /// `Base` declares the static `sb`; `User.touch` reads it through
+    /// `Derived` and writes it through `Base`; `Other.touch` reads its
+    /// own static `so`.
+    fn static_users() -> Program {
+        let mut base = ClassAsm::new("Base");
+        base.add_static_field("sb");
+        let derived = ClassAsm::with_super("Derived", "Base");
+
+        let mut user = ClassAsm::new("User");
+        let mut touch = MethodAsm::new("touch", 0);
+        touch
+            .getstatic("Derived", "sb")
+            .putstatic("Base", "sb")
+            .ret();
+        user.add_method(touch);
+
+        let mut other = ClassAsm::new("Other");
+        other.add_static_field("so");
+        let mut touch = MethodAsm::new("touch", 0);
+        touch.getstatic("Other", "so").pop().ret();
+        other.add_method(touch);
+
+        let mut main = ClassAsm::new("Main");
+        let mut m = MethodAsm::new("main", 0);
+        m.ret();
+        main.add_method(m);
+
+        Program::build(vec![base, derived, user, other, main], "Main", "main").unwrap()
+    }
+
+    /// The pool entries of the static accesses in `class`'s first
+    /// method, in code order.
+    fn static_entries(p: &Program, class: ClassId) -> Vec<CpIndex> {
+        let code = &p.class_file(class).methods[0].code;
+        let mut entries = Vec::new();
+        let mut pc = 0;
+        while pc < code.len() {
+            let (op, len) = Op::decode(code, pc).unwrap();
+            if let Op::GetStatic(cp) | Op::PutStatic(cp) = op {
+                entries.push(cp);
+            }
+            pc += len;
+        }
+        entries
+    }
+
+    #[test]
+    fn static_fields_resolve_once_to_the_declaring_class() {
+        let p = static_users();
+        let id = |name| p.class(name).unwrap();
+        let (base, derived, user, other) = (id("Base"), id("Derived"), id("User"), id("Other"));
+        let [via_derived, via_base] = static_entries(&p, user)[..] else {
+            panic!("User.touch makes two static accesses");
+        };
+        let mut linker = Linker::new(p.num_classes());
+        let mut heap = Heap::new();
+        let mut sink = CountingSink::new();
+        let mut field = |linker: &mut Linker, class, cp| {
+            linker
+                .static_field(&p, class, cp, &mut heap, &mut sink)
+                .unwrap()
+        };
+
+        // The first access through `Derived` loads `Base` and
+        // `Derived`; later ones read the resolution and load nothing.
+        let (sb, first_loaded) = field(&mut linker, user, via_derived);
+        let want = StaticRef {
+            class: derived,
+            owner: base,
+            slot: 0,
+        };
+        assert_eq!(sb, want);
+        assert!(first_loaded > 0);
+        assert_eq!(linker.classes_loaded, 2);
+        for _ in 0..2 {
+            assert_eq!(field(&mut linker, user, via_derived), (want, 0));
+        }
+        // `Base`'s own entry resolves to the same slot, first and later.
+        let want = StaticRef {
+            class: base,
+            owner: base,
+            slot: 0,
+        };
+        for _ in 0..2 {
+            assert_eq!(field(&mut linker, user, via_base), (want, 0));
+        }
+        assert_eq!(linker.classes_loaded, 2);
+
+        // A store through one entry is what a load through the other
+        // reads.
+        let slot = |r: StaticRef| (r.owner, r.slot as usize);
+        let (owner, at) = slot(sb);
+        linker.set_static(owner, at, Value::Int(7));
+        let (owner, at) = slot(want);
+        assert_eq!(linker.get_static(owner, at), Value::Int(7));
+        linker.set_static(owner, at, Value::Int(9));
+        let (owner, at) = slot(sb);
+        assert_eq!(linker.get_static(owner, at), Value::Int(9));
+
+        // Resolutions are kept per referring class: `Other`'s entry at
+        // the index of `User`'s first names `Other.so`.
+        let [so_entry] = static_entries(&p, other)[..] else {
+            panic!("Other.touch makes one static access");
+        };
+        assert_eq!(so_entry, via_derived);
+        let (so, loaded) = field(&mut linker, other, so_entry);
+        assert_eq!(
+            so,
+            StaticRef {
+                class: other,
+                owner: other,
+                slot: 0,
+            }
+        );
+        assert!(loaded > 0);
+        assert_eq!(
+            sink.phase(Phase::ClassLoad),
+            first_loaded + loaded,
+            "a class-load trace at each first use only"
         );
     }
 

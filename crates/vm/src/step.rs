@@ -13,7 +13,7 @@ use crate::intrinsics::{self, IntrinsicOutcome};
 use crate::jit::{CallSite, CompiledMethod, JitState};
 use crate::thread::{ThreadState, ThreadStatus};
 use crate::vm::{StepEnv, VmError};
-use jrt_bytecode::{BytecodeError, Op, RetKind};
+use jrt_bytecode::{MethodId, Op, RetKind};
 use jrt_ir::PcPlan;
 use jrt_sync::{EnterOutcome, ExitOutcome};
 use jrt_trace::{layout, Addr, InstClass, TraceSink};
@@ -96,6 +96,11 @@ fn take_code(jit: &JitState, thread: &mut ThreadState) -> Option<Arc<CompiledMet
 }
 
 /// [`step`] with the frame's code handle, once taken, in `code`.
+/// Always inlined, so that the result is written once, into the slot
+/// the scheduler reads: out of line, `step` copied it from a slot of
+/// its own with a wide load of what had just been written in narrow
+/// stores, which stalls store forwarding on every bytecode.
+#[inline(always)]
 fn step_frame<S: TraceSink>(
     env: &mut StepEnv<'_>,
     thread: &mut ThreadState,
@@ -103,14 +108,13 @@ fn step_frame<S: TraceSink>(
     code: &mut Option<Arc<CompiledMethod>>,
 ) -> Result<StepOutcome, VmError> {
     let program = env.program;
-    let mid = thread.frame().method;
-    let mut jit_frame = thread.frame().jit;
-    let pc = thread.frame().pc;
+    let f = thread.frame();
+    let (mid, mut jit_frame, pc, sync_pending) = (f.method, f.jit, f.pc, f.sync_pending);
     let def = program.method_def(mid);
     let pool = &program.class_file(mid.class).pool;
 
     // Pending synchronized-method entry?
-    if let Some(obj) = thread.frame().sync_pending {
+    if let Some(obj) = sync_pending {
         match env.sync.monitor_enter(obj, thread.id) {
             EnterOutcome::Acquired { cost, .. } => {
                 let mut n = 0u64;
@@ -146,7 +150,9 @@ fn step_frame<S: TraceSink>(
     };
     // Decode from the method's bytes, translated frame or not: the
     // decode allocates nothing except a `tableswitch`'s target list.
-    let (decoded, len) = Op::decode(&def.code, pc as usize).map_err(|e| decode_error(pc, e))?;
+    let Some((decoded, len)) = Op::try_decode(&def.code, pc as usize) else {
+        return Err(decode_error(&def.code, pc));
+    };
     let op = &decoded;
     let len = len as u32;
     let opcode = op.dispatch_index();
@@ -169,12 +175,13 @@ fn step_frame<S: TraceSink>(
             .lowered(mid)
             .expect("IR mode lowers before stepping");
         let plan = lm.ir.plan_at(pc);
-        // Translated frames never dispatch, so only an interpreted
-        // frame searches for its IR opcode.
-        let slot = if jit_frame {
-            0
-        } else {
-            lm.ir.inst_at(pc).map_or(opcode, |inst| inst.opcode())
+        // An `Exec` pc dispatches to its IR opcode's handler; a covered
+        // pc's micro-ops run at its bytecode's slot.
+        let slot = match plan {
+            PcPlan::Exec {
+                opcode: ir_opcode, ..
+            } => ir_opcode,
+            PcPlan::Covered | PcPlan::Elided => opcode,
         };
         Some((plan, slot, lm.base))
     } else {
@@ -266,12 +273,7 @@ fn step_frame<S: TraceSink>(
             em.null_check(sink);
             match $v.as_ref() {
                 Some(h) => h,
-                None => {
-                    return Err(VmError::NullPointer {
-                        method: method_name(env, mid),
-                        pc,
-                    })
-                }
+                None => return Err(null_pointer(env, mid, pc)),
             }
         }};
     }
@@ -348,19 +350,13 @@ fn step_frame<S: TraceSink>(
                 Op::IMul => a.wrapping_mul(b),
                 Op::IDiv => {
                     if b == 0 {
-                        return Err(VmError::DivideByZero {
-                            method: method_name(env, mid),
-                            pc,
-                        });
+                        return Err(divide_by_zero(env, mid, pc));
                     }
                     a.wrapping_div(b)
                 }
                 Op::IRem => {
                     if b == 0 {
-                        return Err(VmError::DivideByZero {
-                            method: method_name(env, mid),
-                            pc,
-                        });
+                        return Err(divide_by_zero(env, mid, pc));
                     }
                     a.wrapping_rem(b)
                 }
@@ -502,16 +498,11 @@ fn step_frame<S: TraceSink>(
             }
         }
         Op::GetStatic(cp) | Op::PutStatic(cp) => {
-            let (cname, fname) = pool
-                .field_ref(*cp)
-                .map_err(|e| VmError::Internal(e.to_string()))?;
-            let cid = program.class(cname).expect("verified class");
-            let loaded = env.linker.ensure_loaded(cid, program, env.heap, sink);
-            *env.classload_insts += loaded;
-            let (owner, slot) = env
+            let (field, loaded) = env
                 .linker
-                .resolve_static(program, cid, fname)
-                .ok_or_else(|| VmError::Internal(format!("static {cname}.{fname} missing")))?;
+                .static_field(program, mid.class, *cp, env.heap, sink)?;
+            *env.classload_insts += loaded;
+            let (owner, slot) = (field.owner, field.slot as usize);
             let addr = env.linker.static_slot_addr(owner, slot);
             if matches!(op, Op::GetStatic(_)) {
                 em.heap_load(sink, addr, 4);
@@ -611,10 +602,7 @@ fn step_frame<S: TraceSink>(
             let callee = if is_virtual {
                 em.null_check(sink);
                 let Some(h) = thread.frame().stack[base].as_ref() else {
-                    fault!(VmError::NullPointer {
-                        method: method_name(env, mid),
-                        pc,
-                    })
+                    fault!(null_pointer(env, mid, pc))
                 };
                 let rcls = match env.heap.class_of(h) {
                     Ok(rcls) => rcls,
@@ -831,7 +819,7 @@ fn is_foldable(op: &Op) -> bool {
 }
 
 #[inline]
-fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, count: u64) {
+fn charge(env: &mut StepEnv<'_>, mid: MethodId, jit_frame: bool, count: u64) {
     let p = env.profile.get_mut(mid);
     if jit_frame {
         p.native_cycles += count;
@@ -841,13 +829,33 @@ fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, c
 }
 
 /// The fault of a bytecode that does not decode: verified code always
-/// decodes, so this never runs in a step that succeeds.
+/// decodes, so this never runs in a step that succeeds. [`Op::decode`]
+/// says what is wrong.
 #[cold]
-fn decode_error(pc: u32, e: BytecodeError) -> VmError {
+fn decode_error(code: &[u8], pc: u32) -> VmError {
+    let e = Op::decode(code, pc as usize).expect_err("`try_decode` found no instruction");
     VmError::Internal(format!("decode at {pc}: {e}"))
 }
 
-fn method_name(env: &StepEnv<'_>, mid: jrt_bytecode::MethodId) -> String {
+/// A null dereference at `pc` of `mid`.
+#[cold]
+fn null_pointer(env: &StepEnv<'_>, mid: MethodId, pc: u32) -> VmError {
+    VmError::NullPointer {
+        method: method_name(env, mid),
+        pc,
+    }
+}
+
+/// An integer division by zero at `pc` of `mid`.
+#[cold]
+fn divide_by_zero(env: &StepEnv<'_>, mid: MethodId, pc: u32) -> VmError {
+    VmError::DivideByZero {
+        method: method_name(env, mid),
+        pc,
+    }
+}
+
+fn method_name(env: &StepEnv<'_>, mid: MethodId) -> String {
     let cf = env.program.class_file(mid.class);
     format!("{}::{}", cf.name, cf.methods[mid.index as usize].name)
 }

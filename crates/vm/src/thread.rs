@@ -184,11 +184,13 @@ impl ThreadState {
     }
 
     /// The current frame.
+    #[inline]
     pub fn frame(&self) -> &Frame {
         self.frames.last().expect("running thread has a frame")
     }
 
     /// The current frame, mutably.
+    #[inline]
     pub fn frame_mut(&mut self) -> &mut Frame {
         self.frames.last_mut().expect("running thread has a frame")
     }

@@ -268,7 +268,7 @@ pub struct ObservedRun {
     pub mode: &'static str,
 }
 
-/// Everything one [`step`](crate::step) needs, split by field so the
+/// Everything one [`step`](step::step) needs, split by field so the
 /// borrow checker can see the disjointness.
 pub(crate) struct StepEnv<'a> {
     pub program: &'a Program,

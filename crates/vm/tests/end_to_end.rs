@@ -475,6 +475,18 @@ fn gc_collects_garbage_during_run() {
     assert!(sink.phase(Phase::Gc) > 0);
 }
 
+/// The engines a runtime fault must surface on, each with the
+/// faulting method and bytecode pc.
+fn fault_engines() -> [(&'static str, VmConfig); 5] {
+    [
+        ("interp", VmConfig::interpreter()),
+        ("interp-fold", VmConfig::interpreter().with_folding()),
+        ("jit", VmConfig::jit()),
+        ("ir-interp", VmConfig::ir_interp()),
+        ("ir-jit", VmConfig::ir_jit()),
+    ]
+}
+
 #[test]
 fn null_dereference_is_reported() {
     let mut c = ClassAsm::new("Main");
@@ -483,10 +495,15 @@ fn null_dereference_is_reported() {
     m.aconst_null().getfield("Main", "x").ireturn();
     c.add_method(m);
     let p = Program::build(vec![c], "Main", "main").unwrap();
-    let err = Vm::new(&p, VmConfig::jit())
-        .run(&mut CountingSink::new())
-        .unwrap_err();
-    assert!(matches!(err, VmError::NullPointer { .. }));
+    for (label, cfg) in fault_engines() {
+        let err = Vm::new(&p, cfg).run(&mut CountingSink::new()).unwrap_err();
+        // `getfield` follows the one-byte `aconst_null`.
+        let want = VmError::NullPointer {
+            method: "Main::main".into(),
+            pc: 1,
+        };
+        assert_eq!(err, want, "{label}");
+    }
 }
 
 #[test]
@@ -496,10 +513,15 @@ fn divide_by_zero_is_reported() {
     m.iconst(1).iconst(0).idiv().ireturn();
     c.add_method(m);
     let p = Program::build(vec![c], "Main", "main").unwrap();
-    let err = Vm::new(&p, VmConfig::interpreter())
-        .run(&mut CountingSink::new())
-        .unwrap_err();
-    assert!(matches!(err, VmError::DivideByZero { .. }));
+    for (label, cfg) in fault_engines() {
+        let err = Vm::new(&p, cfg).run(&mut CountingSink::new()).unwrap_err();
+        // `idiv` follows two five-byte `iconst`s.
+        let want = VmError::DivideByZero {
+            method: "Main::main".into(),
+            pc: 10,
+        };
+        assert_eq!(err, want, "{label}");
+    }
 }
 
 #[test]

@@ -63,27 +63,39 @@ fn plan_partitions_every_method() {
         );
         // One IR instruction per Exec pc, and the stats agree.
         assert_eq!(ir.insts.len() as u32, s.ir_insts, "{name}: inst count");
-        // Walk the decoded instruction boundaries: every Exec pc must
-        // carry an instruction, every non-Exec pc must not, and the
-        // Exec word offsets must tile the encoded stream in order.
+        // Walk the decoded instruction boundaries beside the pc-ordered
+        // instructions: every Exec pc must carry the next instruction
+        // and its opcode, every non-Exec pc none, and the Exec word
+        // offsets must tile the encoded stream in order.
+        let mut insts = ir.insts.iter().peekable();
         let mut pc = 0u32;
         let mut expect_off = 0u32;
         while (pc as usize) < code.len() {
             let (op, len) = javart::bytecode::Op::decode(&code, pc as usize)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let inst = insts.next_if(|(at, _)| *at == pc).map(|(_, inst)| inst);
             match ir.plan_at(pc) {
-                PcPlan::Exec { word_off, words } => {
+                PcPlan::Exec {
+                    word_off,
+                    words,
+                    opcode,
+                } => {
                     assert_eq!(word_off, expect_off, "{name}@{pc}: {op:?} off");
                     assert!(words > 0, "{name}@{pc}: zero-width inst");
-                    assert!(ir.inst_at(pc).is_some(), "{name}@{pc}: missing inst");
+                    let inst = inst.unwrap_or_else(|| panic!("{name}@{pc}: missing inst"));
+                    assert_eq!(opcode, inst.opcode(), "{name}@{pc}: {inst:?} opcode");
                     expect_off += u32::from(words);
                 }
                 PcPlan::Covered | PcPlan::Elided => {
-                    assert!(ir.inst_at(pc).is_none(), "{name}@{pc}: stray inst");
+                    assert!(inst.is_none(), "{name}@{pc}: stray inst");
                 }
             }
             pc += len as u32;
         }
+        assert!(
+            insts.next().is_none(),
+            "{name}: inst off a bytecode boundary"
+        );
         assert_eq!(expect_off, s.total_words, "{name}: words don't tile");
         assert_eq!(
             ir.encode_words().len() as u32,
